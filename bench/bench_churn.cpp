@@ -53,6 +53,13 @@ struct ChurnConfig {
     std::string out_path;
 };
 
+[[noreturn]] void usage() {
+    std::fprintf(stderr,
+                 "usage: bench_churn [--smoke] [--events=N] [--threads=N] "
+                 "[--seed=K] [--subs=N>0] [--out=FILE]\n");
+    std::exit(2);
+}
+
 ChurnConfig parse(int argc, char** argv) {
     ChurnConfig cfg;
     for (int i = 1; i < argc; ++i) {
@@ -73,12 +80,12 @@ ChurnConfig parse(int argc, char** argv) {
         } else if (arg.rfind("--out=", 0) == 0) {
             cfg.out_path = arg.substr(6);
         } else {
-            std::fprintf(stderr,
-                         "usage: bench_churn [--smoke] [--events=N] "
-                         "[--threads=N] [--seed=K] [--subs=N] [--out=FILE]\n");
-            std::exit(2);
+            usage();
         }
     }
+    // The stream regulates the population toward --subs; an empty target
+    // leaves nobody to leave or move.
+    if (cfg.subscribers == 0) usage();
     return cfg;
 }
 

@@ -10,10 +10,12 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sag/io/report_io.h"
@@ -33,13 +35,32 @@ namespace sag::bench {
 ///   --report[=FILE]  write an obs::RunReport with per-phase spans and
 ///                solver counters (default results/<binary>_report.json;
 ///                schema in docs/OBSERVABILITY.md)
+/// `own_flags` lists the flags a binary parses itself: an entry ending in
+/// '=' matches as a prefix, any other entry exactly. Any other argument
+/// prints the usage and exits 2, so a typo never runs with defaults.
 struct BenchConfig {
     int seeds = 10;
     bool fast = false;
     int threads = 1;
     std::string report_path;  ///< empty = no run report requested
 
-    static BenchConfig parse(int argc, char** argv) {
+    static BenchConfig parse(int argc, char** argv,
+                             std::initializer_list<std::string_view> own_flags = {}) {
+        const auto usage = [&](std::FILE* out) {
+            std::fprintf(out, "usage: %s [--seeds=N] [--threads=N] [--fast]"
+                              " [--report[=FILE]]", argv[0]);
+            for (const std::string_view f : own_flags) {
+                std::fprintf(out, " [%.*s%s]", static_cast<int>(f.size()), f.data(),
+                             f.ends_with('=') ? "..." : "");
+            }
+            std::fprintf(out, "\n");
+        };
+        const auto own = [&](std::string_view arg) {
+            for (const std::string_view f : own_flags) {
+                if (f.ends_with('=') ? arg.starts_with(f) : arg == f) return true;
+            }
+            return false;
+        };
         BenchConfig cfg;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -58,11 +79,11 @@ struct BenchConfig {
                     std::filesystem::path(argv[0]).filename().string() +
                     "_report.json";
             } else if (arg == "--help") {
-                std::printf(
-                    "usage: %s [--seeds=N] [--threads=N] [--fast]"
-                    " [--report[=FILE]]\n",
-                    argv[0]);
+                usage(stdout);
                 std::exit(0);
+            } else if (!own(arg)) {
+                usage(stderr);
+                std::exit(2);
             }
         }
         if (cfg.seeds < 1) cfg.seeds = 1;

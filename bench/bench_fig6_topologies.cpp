@@ -61,7 +61,7 @@ void dump(const std::filesystem::path& out_dir, const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
-    const auto bc = bench::BenchConfig::parse(argc, argv);
+    const auto bc = bench::BenchConfig::parse(argc, argv, {"--out-dir="});
     const bench::ReportScope report_scope(bc);
     (void)bc;
     // Plot artifacts go under results/ (gitignored) by default so reruns

@@ -22,7 +22,7 @@
 
 int main(int argc, char** argv) {
     using namespace sag;
-    const auto bc = bench::BenchConfig::parse(argc, argv);
+    const auto bc = bench::BenchConfig::parse(argc, argv, {"--curves", "--curves="});
     const bench::ReportScope report_scope(bc);
 
     std::string curves_path;

@@ -53,6 +53,16 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
 PowerAllocation allocate_power_optimal(const Scenario& scenario,
                                        const CoveragePlan& plan);
 
+/// The same minimal vector under per-RS caps (linear watts, one per RS)
+/// instead of a uniform P_max: the post-failure re-escalation of
+/// resilience::repair and serve::Session, where degraded RSs run below
+/// P_max. `feasible` is the fixed point's own verdict (converged within
+/// every cap); callers wanting the verifier's verdict run
+/// verify_coverage on `powers`.
+PowerAllocation allocate_power_capped(const Scenario& scenario,
+                                      const CoveragePlan& plan,
+                                      std::span<const double> caps);
+
 /// Same optimum computed by the dense-simplex LP solver instead of the
 /// fixed point — used to cross-check allocate_power_optimal in tests.
 PowerAllocation allocate_power_optimal_lp(const Scenario& scenario,

@@ -212,13 +212,13 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
     return out;
 }
 
-PowerAllocation allocate_power_optimal(const Scenario& scenario,
-                                       const CoveragePlan& plan) {
+PowerAllocation allocate_power_capped(const Scenario& scenario,
+                                      const CoveragePlan& plan,
+                                      std::span<const double> caps) {
     PowerAllocation out;
-    const std::size_t n = plan.rs_count();
     const auto g = gain_matrix(scenario, plan);
 
-    std::vector<double> floors(n), caps(n, scenario.rs_max_power().watts());
+    std::vector<double> floors(plan.rs_count());
     for (const ids::RsId i : plan.rs_ids()) {
         floors[i.index()] = coverage_power_floor(scenario, plan, i).watts();
     }
@@ -235,7 +235,15 @@ PowerAllocation allocate_power_optimal(const Scenario& scenario,
     out.powers = result.powers;
     out.total = std::accumulate(out.powers.begin(), out.powers.end(), 0.0);
     out.iterations = result.iterations;
-    out.feasible = result.feasible && allocation_feasible(scenario, plan, out.powers);
+    out.feasible = result.feasible;
+    return out;
+}
+
+PowerAllocation allocate_power_optimal(const Scenario& scenario,
+                                       const CoveragePlan& plan) {
+    const std::vector<double> caps(plan.rs_count(), scenario.rs_max_power().watts());
+    PowerAllocation out = allocate_power_capped(scenario, plan, caps);
+    out.feasible = out.feasible && allocation_feasible(scenario, plan, out.powers);
     return out;
 }
 

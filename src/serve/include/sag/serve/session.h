@@ -2,14 +2,17 @@
 
 // serve::Session — the online churn-serving engine (ROADMAP item 2).
 //
-// A Session owns a solved deployment plus its hot core::SnrField and
-// keeps the plan valid as the world changes: each apply(event) runs a
-// bounded-scope incremental repair assembled from the resilience
-// stages — re-home violated SSs onto surviving RSs, patch new relays
-// from the IAC candidate pool, re-escalate powers with the Yates fixed
-// point, re-steinerize the backhaul — with every stage checked against
-// a shared exec::Deadline (the StageGate). When a stage's gate is
-// expired the handler drops one rung down the degradation ladder
+// A Session owns a solved deployment plus its hot core::SnrField, both
+// held in a resilience::RepairState, and keeps the plan valid as the
+// world changes: each apply(event) runs a bounded-scope incremental
+// repair from the same stage functions resilience::repair runs —
+// re-home violated SSs onto surviving RSs, patch new relays from the
+// IAC candidate pool, re-escalate powers with the Yates fixed point,
+// re-steinerize the backhaul. What is serve's own is around them:
+// event validation and mutation, the candidate scan, and the check of
+// every stage against a shared exec::Deadline (the StageGate). When a
+// stage's gate is expired the handler drops one rung down the
+// degradation ladder
 //
 //     full repair -> re-home-only -> accept-degraded-with-flagged-SSs
 //
@@ -35,11 +38,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "sag/core/sag.h"
 #include "sag/core/scenario.h"
-#include "sag/core/snr_field.h"
 #include "sag/exec/deadline.h"
 #include "sag/exec/mutex.h"
 #include "sag/exec/thread_annotations.h"
@@ -47,6 +51,7 @@
 #include "sag/geometry/vec2.h"
 #include "sag/ids/ids.h"
 #include "sag/resilience/failure.h"
+#include "sag/resilience/repair.h"
 #include "sag/serve/event.h"
 #include "sag/serve/fault.h"
 
@@ -121,8 +126,8 @@ public:
     std::size_t live_subscriber_count() const { return slot_key_.size(); }
     /// Total pool slots (alive + dead + patched): the valid range for
     /// Rs* event addressing.
-    std::size_t pool_rs_count() const { return rs_pos_.size(); }
-    std::size_t unserved_count() const;
+    std::size_t pool_rs_count() const { return state_.pool_size(); }
+    std::size_t unserved_count() const { return state_.unserved_count(); }
     /// Alive coverage RSs serving at least one SS.
     std::size_t active_rs_count() const;
     /// P_L + P_H of the current plan, watts.
@@ -155,23 +160,17 @@ public:
     Snapshot snapshot() const;
 
 private:
-    static constexpr std::size_t kUnserved = static_cast<std::size_t>(-1);
+    static constexpr std::size_t kUnserved = resilience::RepairState::kUnserved;
 
-    /// Compacted served view plus the active-pool-slot map behind it.
-    struct ActiveView {
-        core::Scenario covered_scenario;
-        std::vector<std::size_t> covered_slots;  ///< session SS slots
-        core::CoveragePlan plan;
-        std::vector<double> caps;        ///< per active RS
-        std::vector<std::size_t> active;  ///< plan RS -> pool slot
-    };
-
+    /// Fresh all-alive pool at P_max over `positions`: no failures, no
+    /// allocation, every SS unserved.
+    void reset_pool(std::span<const geom::Vec2> positions);
     void init_from_deployment(const core::SagResult& deployment);
     std::size_t find_slot(std::uint64_t key) const;
     std::string validate(const Event& event) const;
     void apply_mutation(const Event& event);
-    bool can_serve(std::size_t pool_rs, std::size_t slot) const;
-    ActiveView build_view() const;
+    // Stage wrappers: gating, budgets and serve.* instrumentation around
+    // the shared resilience::RepairState stages.
     void rehome(const std::vector<std::size_t>& candidates, EventOutcome& out);
     void patch(EventOutcome& out);
     void reallocate_power(EventOutcome& out);
@@ -184,17 +183,13 @@ private:
     core::Scenario scenario_;  ///< live: subscribers mutate with churn
     ServeOptions options_;
 
-    // RS pool, slot-stable: dead RSs keep their slot at zero power so
-    // event RsIds and the SsId->server map survive failures.
-    std::vector<geom::Vec2> rs_pos_;
-    std::vector<double> rs_cap_;   ///< current cap, watts (0 when dead)
-    std::vector<bool> rs_dead_;
+    // Slot-stable RS pool (dead RSs keep their slot at zero power so
+    // event RsIds and the server map survive failures), probe field and
+    // per-SS-slot server map; SS slot k <-> scenario_.subscribers[k] <->
+    // the field's tracked slot k (identity maintained by swap-remove).
+    // state_.newly_assigned is reset per event.
+    resilience::RepairState state_;
     resilience::FailureSet failures_;
-    core::SnrField field_;  ///< pool at caps (dead at 0): the probe field
-
-    // Per-SS-slot state; slot k <-> scenario_.subscribers[k] <-> the
-    // field's tracked slot k (identity maintained by swap-remove).
-    std::vector<std::size_t> server_;      ///< pool slot or kUnserved
     std::vector<std::uint64_t> slot_key_;  ///< slot -> session key
     std::uint64_t next_key_ = 0;
 
@@ -205,7 +200,6 @@ private:
     bool verified_ = false;
 
     std::size_t event_index_ = 0;
-    std::vector<bool> assigned_this_event_;  ///< per slot, reset per event
 
     // Drift baseline: the last adopted full solve.
     std::size_t baseline_rs_ = 0;

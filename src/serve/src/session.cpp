@@ -1,49 +1,22 @@
 #include "sag/serve/session.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 
-#include "sag/core/candidates.h"
 #include "sag/core/feasibility.h"
-#include "sag/core/power.h"
-#include "sag/core/ucra.h"
-#include "sag/geometry/vec2.h"
 #include "sag/obs/obs.h"
-#include "sag/opt/power_control.h"
 
 namespace sag::serve {
-
-namespace {
-
-/// Per-link path gains plan-RS x covered-SS for the fixed-point stage
-/// (kernel resolved once), mirroring resilience::repair's matrix.
-std::vector<std::vector<double>> gain_matrix(const core::Scenario& covered,
-                                             const std::vector<geom::Vec2>& rs_pos) {
-    const wireless::GainKernel kernel = covered.gain_kernel();
-    std::vector<std::vector<double>> g(
-        rs_pos.size(), std::vector<double>(covered.subscriber_count()));
-    for (std::size_t i = 0; i < rs_pos.size(); ++i) {
-        for (std::size_t k = 0; k < covered.subscriber_count(); ++k) {
-            const geom::Vec2& ss = covered.subscribers[k].pos;
-            g[i][k] = kernel.gain(rs_pos[i], ss, geom::distance(rs_pos[i], ss));
-        }
-    }
-    return g;
-}
-
-}  // namespace
 
 Session::Session(core::Scenario scenario, const core::SagResult& deployment,
                  const ServeOptions& options)
     : scenario_(std::move(scenario)),
       options_(options),
-      field_(scenario_, std::span<const geom::Vec2>{},
-             std::span<const double>{}) {
+      state_(scenario_, {}, {}, {}) {
     init_from_deployment(deployment);
 }
 
@@ -55,27 +28,28 @@ Session::~Session() {
     if (pool_) pool_->wait_idle();
 }
 
-void Session::init_from_deployment(const core::SagResult& deployment) {
-    const double p_max = scenario_.rs_max_power().watts();
-    rs_pos_ = deployment.coverage.rs_positions;
-    rs_cap_.assign(rs_pos_.size(), p_max);
-    rs_dead_.assign(rs_pos_.size(), false);
+void Session::reset_pool(std::span<const geom::Vec2> positions) {
+    const std::size_t n = positions.size();
+    state_ = resilience::RepairState(
+        scenario_, positions,
+        std::vector<double>(n, scenario_.rs_max_power().watts()),
+        std::vector<bool>(n, false));
     failures_ = {};
-    field_ = core::SnrField(scenario_, rs_pos_, rs_cap_);
+    alloc_.assign(n, 0.0);
+}
 
-    server_.assign(scenario_.subscriber_count(), kUnserved);
+void Session::init_from_deployment(const core::SagResult& deployment) {
+    reset_pool(deployment.coverage.rs_positions);
     slot_key_.resize(scenario_.subscriber_count());
     for (std::size_t k = 0; k < slot_key_.size(); ++k) slot_key_[k] = k;
     next_key_ = slot_key_.size();
     for (ids::SsId j : scenario_.ss_ids()) {
         const ids::RsId rs = deployment.coverage.assignment[j];
-        if (rs != ids::RsId::invalid() && rs.index() < rs_pos_.size()) {
-            server_[j.index()] = rs.index();
+        if (rs != ids::RsId::invalid() && rs.index() < state_.pool_size()) {
+            state_.server[j.index()] = rs.index();
         }
     }
-    assigned_this_event_.assign(server_.size(), false);
 
-    alloc_.assign(rs_pos_.size(), 0.0);
     const std::size_t n =
         std::min(alloc_.size(), deployment.lower_power.powers.size());
     for (std::size_t i = 0; i < n; ++i) {
@@ -83,7 +57,7 @@ void Session::init_from_deployment(const core::SagResult& deployment) {
     }
     conn_ = deployment.connectivity;
     // The deployment's backhaul was built over its full coverage plan.
-    conn_active_.resize(rs_pos_.size());
+    conn_active_.resize(state_.pool_size());
     std::iota(conn_active_.begin(), conn_active_.end(), std::size_t{0});
     backhaul_dirty_ = false;
     // Trust the pipeline's own verification verdict for the seed plan;
@@ -131,10 +105,11 @@ std::string Session::validate(const Event& e) const {
         case EventKind::RsFail:
         case EventKind::RsDegrade:
         case EventKind::RsRecover: {
-            if (e.rs == ids::RsId::invalid() || e.rs.index() >= rs_pos_.size()) {
+            if (e.rs == ids::RsId::invalid() ||
+                e.rs.index() >= state_.pool_size()) {
                 return "RS slot out of range";
             }
-            const bool dead = rs_dead_[e.rs.index()];
+            const bool dead = state_.dead[e.rs.index()];
             if (e.kind == EventKind::RsFail && dead) return "RS already failed";
             if (e.kind == EventKind::RsRecover && !dead) return "RS is not failed";
             if (e.kind == EventKind::RsDegrade) {
@@ -155,10 +130,10 @@ void Session::apply_mutation(const Event& e) {
     switch (e.kind) {
         case EventKind::SsJoin: {
             scenario_.subscribers.emplace_back(e.pos, e.distance_request);
-            server_.push_back(kUnserved);
+            state_.server.push_back(kUnserved);
             slot_key_.push_back(e.key);
             next_key_ = std::max(next_key_, e.key + 1);
-            field_.add_subscriber(ids::SsId{scenario_.subscriber_count() - 1});
+            state_.field.add_subscriber(ids::SsId{scenario_.subscriber_count() - 1});
             backhaul_dirty_ = true;
             break;
         }
@@ -169,36 +144,35 @@ void Session::apply_mutation(const Event& e) {
             const std::size_t last = slot_key_.size() - 1;
             if (k != last) {
                 scenario_.subscribers[k] = scenario_.subscribers[last];
-                server_[k] = server_[last];
+                state_.server[k] = state_.server[last];
                 slot_key_[k] = slot_key_[last];
             }
             scenario_.subscribers.pop_back();
-            server_.pop_back();
+            state_.server.pop_back();
             slot_key_.pop_back();
-            field_.remove_subscriber(ids::SsId{last});
-            if (k != last) field_.update_subscriber(ids::SsId{k});
+            state_.field.remove_subscriber(ids::SsId{last});
+            if (k != last) state_.field.update_subscriber(ids::SsId{k});
             backhaul_dirty_ = true;
             break;
         }
         case EventKind::SsMove: {
             const std::size_t k = find_slot(e.key);
             scenario_.subscribers[k].pos = e.pos;
-            field_.update_subscriber(ids::SsId{k});
+            state_.field.update_subscriber(ids::SsId{k});
             break;
         }
         case EventKind::SsRate: {
             const std::size_t k = find_slot(e.key);
             scenario_.subscribers[k].distance_request = e.distance_request;
-            field_.update_subscriber(ids::SsId{k});
+            state_.field.update_subscriber(ids::SsId{k});
             backhaul_dirty_ = true;  // hop bounds derive from rate requests
             break;
         }
         case EventKind::RsFail: {
             const std::size_t i = e.rs.index();
-            rs_dead_[i] = true;
-            rs_cap_[i] = 0.0;
+            state_.dead[i] = true;
             alloc_[i] = 0.0;
-            field_.set_power(ids::RsId{i}, units::Watt{0.0});
+            state_.field.set_power(e.rs, units::Watt{0.0});
             failures_.coverage_down.push_back(ids::RsId{i});
             std::sort(failures_.coverage_down.begin(),
                       failures_.coverage_down.end());
@@ -206,9 +180,9 @@ void Session::apply_mutation(const Event& e) {
         }
         case EventKind::RsDegrade: {
             const std::size_t i = e.rs.index();
-            rs_cap_[i] = std::min(rs_cap_[i], e.factor * p_max);
-            alloc_[i] = std::min(alloc_[i], rs_cap_[i]);
-            field_.set_power(ids::RsId{i}, units::Watt{rs_cap_[i]});
+            const double cap = std::min(state_.cap(i), e.factor * p_max);
+            alloc_[i] = std::min(alloc_[i], cap);
+            state_.field.set_power(e.rs, units::Watt{cap});
             bool found = false;
             for (resilience::Degradation& d : failures_.degraded) {
                 if (d.rs == e.rs) {
@@ -229,10 +203,8 @@ void Session::apply_mutation(const Event& e) {
         case EventKind::RsRecover: {
             // Recovery means replaced hardware: full cap, degradation
             // history cleared.
-            const std::size_t i = e.rs.index();
-            rs_dead_[i] = false;
-            rs_cap_[i] = p_max;
-            field_.set_power(ids::RsId{i}, units::Watt{p_max});
+            state_.dead[e.rs.index()] = false;
+            state_.field.set_power(e.rs, units::Watt{p_max});
             std::erase(failures_.coverage_down, e.rs);
             std::erase_if(failures_.degraded,
                           [&](const resilience::Degradation& d) {
@@ -243,249 +215,50 @@ void Session::apply_mutation(const Event& e) {
     }
 }
 
-bool Session::can_serve(std::size_t rs, std::size_t slot) const {
-    // The three verify_coverage checks at placement-phase optimism
-    // (everyone at their cap), against the probe field's cached totals —
-    // the same contract as resilience::repair's can_serve.
-    if (rs_dead_[rs]) return false;
-    const core::Subscriber& s = scenario_.subscribers[slot];
-    const double dist = geom::distance(rs_pos_[rs], s.pos);
-    if (dist > s.distance_request + 1e-6) return false;
-    const ids::SsId j{slot};
-    const units::Watt rx =
-        scenario_.received_power(units::Watt{rs_cap_[rs]}, rs_pos_[rs], s.pos);
-    if (rx < scenario_.min_rx_power(j) * (1.0 - 1e-9)) return false;
-    return field_.snr_of(j, ids::RsId{rs}) >=
-           scenario_.snr_threshold_linear() * (1.0 - 1e-9);
-}
-
-Session::ActiveView Session::build_view() const {
-    ActiveView v;
-    std::vector<std::size_t> load(rs_pos_.size(), 0);
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] != kUnserved) ++load[server_[k]];
-    }
-    std::vector<std::size_t> pool_to_plan(rs_pos_.size(), kUnserved);
-    for (std::size_t r = 0; r < rs_pos_.size(); ++r) {
-        assert(!(rs_dead_[r] && load[r] > 0) &&
-               "dead RS with load: the candidate scan must clear it");
-        if (rs_dead_[r] || load[r] == 0) continue;
-        pool_to_plan[r] = v.plan.rs_positions.size();
-        v.active.push_back(r);
-        v.plan.rs_positions.push_back(rs_pos_[r]);
-        v.caps.push_back(rs_cap_[r]);
-    }
-    v.covered_scenario = scenario_;
-    v.covered_scenario.subscribers.clear();
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] == kUnserved) continue;
-        v.covered_slots.push_back(k);
-        v.covered_scenario.subscribers.push_back(scenario_.subscribers[k]);
-    }
-    v.plan.assignment.resize(v.covered_slots.size());
-    for (std::size_t c = 0; c < v.covered_slots.size(); ++c) {
-        v.plan.assignment[ids::SsId{c}] =
-            ids::RsId{pool_to_plan[server_[v.covered_slots[c]]]};
-    }
-    v.plan.feasible = true;
-    return v;
-}
-
 void Session::rehome(const std::vector<std::size_t>& candidates,
                      EventOutcome& out) {
     if (candidates.empty()) return;
     SAG_OBS_SPAN("serve.rehome");
-    std::vector<std::size_t> order(rs_pos_.size());
-    for (const std::size_t k : candidates) {
-        const geom::Vec2& sp = scenario_.subscribers[k].pos;
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      const double da = geom::distance_sq(rs_pos_[a], sp);
-                      const double db = geom::distance_sq(rs_pos_[b], sp);
-                      return da != db ? da < db : a < b;
-                  });
-        for (const std::size_t rs : order) {
-            if (!can_serve(rs, k)) continue;
-            server_[k] = rs;
-            assigned_this_event_[k] = true;
-            ++out.rehomed;
-            break;
-        }
-    }
+    out.rehomed += state_.rehome(candidates);
     SAG_OBS_COUNT_ADD("serve.rehomed_ss", out.rehomed);
 }
 
 void Session::patch(EventOutcome& out) {
     SAG_OBS_SPAN("serve.patch");
-    std::vector<std::size_t> unreached;
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] == kUnserved) unreached.push_back(k);
-    }
-    if (unreached.empty()) return;
-
-    core::Scenario orphan_view = scenario_;
-    orphan_view.subscribers.clear();
-    for (const std::size_t k : unreached) {
-        orphan_view.subscribers.push_back(scenario_.subscribers[k]);
-    }
-    std::vector<geom::Vec2> cands = core::prune_useless_candidates(
-        orphan_view, core::iac_candidates(orphan_view));
-    // A candidate can coincide with an alive pool RS (the plan drew from
-    // the same IAC pool); co-located transmitters are degenerate, drop
-    // them. Dead slots are vacated sites and stay available.
-    std::erase_if(cands, [&](const geom::Vec2& c) {
-        for (std::size_t r = 0; r < rs_pos_.size(); ++r) {
-            if (!rs_dead_[r] && rs_pos_[r] == c) return true;
-        }
-        return false;
-    });
-
-    const double p_max = scenario_.rs_max_power().watts();
-    const auto trial_can_serve = [&](const geom::Vec2& site, ids::RsId trial,
-                                     std::size_t slot) {
-        const core::Subscriber& s = scenario_.subscribers[slot];
-        if (geom::distance(site, s.pos) > s.distance_request + 1e-6) return false;
-        const ids::SsId j{slot};
-        const units::Watt rx =
-            scenario_.received_power(units::Watt{p_max}, site, s.pos);
-        if (rx < scenario_.min_rx_power(j) * (1.0 - 1e-9)) return false;
-        return field_.snr_of(j, trial) >=
-               scenario_.snr_threshold_linear() * (1.0 - 1e-9);
-    };
-
-    while (!unreached.empty() &&
-           out.patched < options_.max_new_relays_per_event && !cands.empty()) {
-        // Greedy max coverage: the candidate whose P_max relay would
-        // serve the most still-unreached SSs, probed via a rolled-back
-        // add_rs delta so the field never sees uncommitted interference.
-        std::size_t best_cand = cands.size();
-        std::size_t best_count = 0;
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            core::SnrField::Transaction probe(field_);
-            const ids::RsId trial = field_.add_rs(cands[c], units::Watt{p_max});
-            std::size_t count = 0;
-            for (const std::size_t k : unreached) {
-                if (trial_can_serve(cands[c], trial, k)) ++count;
-            }
-            if (count > best_count) {
-                best_count = count;
-                best_cand = c;
-            }
-        }
-        if (best_count == 0) break;  // nobody reachable: stop patching
-
-        const geom::Vec2 site = cands[best_cand];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best_cand));
-        field_.add_rs(site, units::Watt{p_max});
-        rs_pos_.push_back(site);
-        rs_cap_.push_back(p_max);
-        rs_dead_.push_back(false);
-        alloc_.push_back(0.0);
-        const std::size_t added = rs_pos_.size() - 1;
-        ++out.patched;
-        std::vector<std::size_t> still;
-        for (const std::size_t k : unreached) {
-            if (can_serve(added, k)) {
-                server_[k] = added;
-                assigned_this_event_[k] = true;
-            } else {
-                still.push_back(k);
-            }
-        }
-        unreached = std::move(still);
-    }
+    out.patched += state_.patch(options_.max_new_relays_per_event);
+    alloc_.resize(state_.pool_size(), 0.0);
     SAG_OBS_COUNT_ADD("serve.patched_relays", out.patched);
 }
 
 void Session::reallocate_power(EventOutcome& out) {
     SAG_OBS_SPAN("serve.power");
-    const int max_rounds = std::max(1, options_.max_power_rounds);
-    for (int round = 0; round < max_rounds; ++round) {
-        const ActiveView v = build_view();
-        std::fill(alloc_.begin(), alloc_.end(), 0.0);
-        if (v.plan.rs_count() == 0) return;
-
-        std::vector<double> floors(v.plan.rs_count(), 0.0);
-        for (ids::RsId i : v.plan.rs_ids()) {
-            floors[i.index()] = std::min(
-                core::coverage_power_floor(v.covered_scenario, v.plan, i)
-                    .watts(),
-                v.caps[i.index()]);
-        }
-        const auto g = gain_matrix(v.covered_scenario, v.plan.rs_positions);
-        const units::SnrRatio beta = v.covered_scenario.snr_threshold();
-        const auto result = opt::fixed_point_power_control(
-            floors, v.caps,
-            [&](std::size_t i, std::span<const double> powers) {
-                units::Watt need{0.0};
-                const std::size_t subs = v.covered_scenario.subscriber_count();
-                for (std::size_t k = 0; k < subs; ++k) {
-                    if (v.plan.assignment[ids::SsId{k}] != ids::RsId{i}) continue;
-                    units::Watt interference =
-                        v.covered_scenario.radio.snr_ambient_noise;
-                    for (std::size_t m = 0; m < v.plan.rs_count(); ++m) {
-                        if (m != i) {
-                            interference += units::Watt{powers[m] * g[m][k]};
-                        }
-                    }
-                    need = std::max(need, beta * interference / g[i][k]);
-                }
-                return need.watts();
-            });
-        for (std::size_t r = 0; r < v.active.size(); ++r) {
-            alloc_[v.active[r]] = result.powers[r];
-        }
-
-        const core::CoverageReport report = core::verify_coverage(
-            v.covered_scenario, v.plan, result.powers);
-        if (report.feasible) return;
-
-        // Shed the failing SSs assigned this event; if only stable SSs
-        // fail (a new assignment's interference squeezed them), shed
-        // every this-event assignment instead — yesterday's verified
-        // plan is the feasible fallback.
-        std::vector<std::size_t> shed;
-        for (std::size_t c = 0; c < v.covered_slots.size(); ++c) {
-            const auto& check = report.subscribers[ids::SsId{c}];
-            const std::size_t slot = v.covered_slots[c];
-            if ((!check.distance_ok || !check.rate_ok || !check.snr_ok) &&
-                assigned_this_event_[slot]) {
-                shed.push_back(slot);
-            }
-        }
-        if (shed.empty()) {
-            for (std::size_t k = 0; k < server_.size(); ++k) {
-                if (assigned_this_event_[k] && server_[k] != kUnserved) {
-                    shed.push_back(k);
-                }
-            }
-        }
-        if (shed.empty()) return;  // stable SSs only: flagged via verify
-        for (const std::size_t k : shed) server_[k] = kUnserved;
-        out.shed += shed.size();
-        SAG_OBS_COUNT_ADD("serve.shed_ss", shed.size());
+    const resilience::Reescalation r =
+        state_.reescalate(options_.max_power_rounds);
+    std::fill(alloc_.begin(), alloc_.end(), 0.0);
+    for (std::size_t i = 0; i < r.view.active.size(); ++i) {
+        alloc_[r.view.active[i]] = r.power.powers[i];
     }
+    out.shed += r.shed.size();
+    if (!r.shed.empty()) SAG_OBS_COUNT_ADD("serve.shed_ss", r.shed.size());
 }
 
 void Session::rebuild_backhaul() {
     SAG_OBS_SPAN("serve.backhaul");
-    const ActiveView v = build_view();
+    const resilience::ActiveView v = state_.view();
     if (v.plan.rs_count() == 0) {
         conn_ = core::ConnectivityPlan{};
         conn_.feasible = true;
     } else {
-        conn_ = core::solve_mbmc(v.covered_scenario, v.plan);
-        core::allocate_power_ucpo(v.covered_scenario, v.plan, conn_);
+        conn_ = resilience::rebuild_backhaul(v);
     }
     conn_active_ = v.active;
     backhaul_dirty_ = false;
 }
 
 void Session::run_verify() {
-    const ActiveView v = build_view();
+    const resilience::ActiveView v = state_.view();
     if (v.plan.rs_count() == 0) {
-        verified_ = v.covered_slots.empty();
+        verified_ = v.covered.empty();
         return;
     }
     std::vector<double> powers(v.active.size());
@@ -530,23 +303,16 @@ void Session::adopt_or_fail_resolve(EventOutcome& out) {
 
 void Session::adopt_plan(const core::SagResult& solved, EventOutcome& out) {
     SAG_OBS_SPAN("serve.adopt");
-    const double p_max = scenario_.rs_max_power().watts();
     // Atomic swap to the re-solved deployment. Outstanding failures
     // refer to decommissioned hardware and are cleared (a full re-solve
     // is a re-deployment of the lower tier).
-    rs_pos_ = solved.coverage.rs_positions;
-    rs_cap_.assign(rs_pos_.size(), p_max);
-    rs_dead_.assign(rs_pos_.size(), false);
-    failures_ = {};
-    alloc_.assign(rs_pos_.size(), 0.0);
-    field_ = core::SnrField(scenario_, rs_pos_, rs_cap_);
+    reset_pool(solved.coverage.rs_positions);
 
     // The solved assignment maps the trigger-time snapshot's SsIds; the
     // SS set may have churned since, so every current SS is re-homed
     // onto the new pool and the powers re-escalated from scratch.
-    server_.assign(server_.size(), kUnserved);
-    assigned_this_event_.assign(server_.size(), true);
-    std::vector<std::size_t> all(server_.size());
+    state_.newly_assigned.assign(state_.server.size(), true);
+    std::vector<std::size_t> all(state_.server.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
     rehome(all, out);
     reallocate_power(out);
@@ -623,7 +389,7 @@ EventOutcome Session::apply(const Event& event) {
     }
 
     apply_mutation(event);
-    assigned_this_event_.assign(server_.size(), false);
+    state_.newly_assigned.assign(state_.server.size(), false);
 
     StageGate gate{exec::Deadline::after_seconds(options_.event_budget_seconds),
                    options_.faults.stage_timeout_mask(out.event_index)};
@@ -633,15 +399,12 @@ EventOutcome Session::apply(const Event& event) {
     // server can no longer possibly serve it (dead, out of reach, or
     // below rate/SNR even at the caps).
     std::vector<std::size_t> candidates;
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] == kUnserved) {
-            candidates.push_back(k);
-            continue;
+    for (std::size_t k = 0; k < state_.server.size(); ++k) {
+        std::size_t& server = state_.server[k];
+        if (server != kUnserved && !state_.can_serve(server, k)) {
+            server = kUnserved;
         }
-        if (rs_dead_[server_[k]] || !can_serve(server_[k], k)) {
-            server_[k] = kUnserved;
-            candidates.push_back(k);
-        }
+        if (server == kUnserved) candidates.push_back(k);
     }
 
     // The degradation ladder. Each rung is strictly cheaper than the
@@ -653,7 +416,8 @@ EventOutcome Session::apply(const Event& event) {
         out.level = RepairLevel::Degraded;
     } else {
         rehome(candidates, out);
-        if (unserved_count() > 0 && options_.max_new_relays_per_event > 0) {
+        if (state_.unserved_count() > 0 &&
+            options_.max_new_relays_per_event > 0) {
             if (gate.expired(RepairStage::Patch)) {
                 out.level = RepairLevel::RehomeOnly;
             } else {
@@ -685,7 +449,7 @@ EventOutcome Session::apply(const Event& event) {
     // Backhaul: rebuild when the active RS set or the rate structure
     // changed; a gated-off rebuild leaves the plan explicitly degraded
     // (stale backhaul), never silently wrong.
-    if (backhaul_dirty_ || build_view().active != conn_active_) {
+    if (backhaul_dirty_ || state_.view().active != conn_active_) {
         if (gate.expired(RepairStage::Backhaul)) {
             backhaul_dirty_ = true;
         } else {
@@ -706,20 +470,14 @@ EventOutcome Session::apply(const Event& event) {
     return out;
 }
 
-std::size_t Session::unserved_count() const {
-    std::size_t n = 0;
-    for (const std::size_t s : server_) n += s == kUnserved ? 1 : 0;
-    return n;
-}
-
 std::size_t Session::active_rs_count() const {
-    std::vector<bool> loaded(rs_pos_.size(), false);
-    for (const std::size_t s : server_) {
+    std::vector<bool> loaded(state_.pool_size(), false);
+    for (const std::size_t s : state_.server) {
         if (s != kUnserved) loaded[s] = true;
     }
     std::size_t n = 0;
-    for (std::size_t r = 0; r < rs_pos_.size(); ++r) {
-        n += (loaded[r] && !rs_dead_[r]) ? 1 : 0;
+    for (std::size_t r = 0; r < state_.pool_size(); ++r) {
+        n += (loaded[r] && !state_.dead[r]) ? 1 : 0;
     }
     return n;
 }
@@ -733,19 +491,19 @@ double Session::total_power() const {
 
 std::vector<std::uint64_t> Session::unserved_keys() const {
     std::vector<std::uint64_t> keys;
-    for (std::size_t k = 0; k < server_.size(); ++k) {
-        if (server_[k] == kUnserved) keys.push_back(slot_key_[k]);
+    for (std::size_t k = 0; k < state_.server.size(); ++k) {
+        if (state_.server[k] == kUnserved) keys.push_back(slot_key_[k]);
     }
     std::sort(keys.begin(), keys.end());
     return keys;
 }
 
 Session::Snapshot Session::snapshot() const {
-    ActiveView v = build_view();
+    resilience::ActiveView v = state_.view();
     Snapshot snap;
     snap.covered_scenario = std::move(v.covered_scenario);
-    snap.covered_keys.reserve(v.covered_slots.size());
-    for (const std::size_t k : v.covered_slots) {
+    snap.covered_keys.reserve(v.covered.size());
+    for (const std::size_t k : v.covered) {
         snap.covered_keys.push_back(slot_key_[k]);
     }
     snap.plan = std::move(v.plan);

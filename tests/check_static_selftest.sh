@@ -10,7 +10,7 @@
 # passes on the clean temp tree AND on the real repository. Covered:
 #
 #   * units-param / ids-param / gain-param — plain violations, plus the
-#     evasions the grep lints could not see: a typedef'd/using-aliased
+#     evasions a grep lint could not see: a typedef'd/using-aliased
 #     type name, and (as accepts) signatures quoted in comments/strings;
 #   * raw-escape — an unjustified .raw() fails, a `// SAG_RAW_OK:` one
 #     passes;
@@ -35,8 +35,12 @@ repo_root=$(pwd)
 fail=0
 err() { echo "check_static_selftest: $*" >&2; fail=1; }
 
-have_python3=0
-command -v python3 >/dev/null 2>&1 && have_python3=1
+# sag_lint is check_static.sh's only engine for the param, raw-escape,
+# and layering rules, so the gate (and this harness) needs python3.
+if ! command -v python3 >/dev/null 2>&1; then
+    echo "check_static_selftest: python3 not found; check_static.sh requires it" >&2
+    exit 1
+fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -180,23 +184,22 @@ std::mutex g_ok;
 }  // namespace sag::exec
 EOF
 
-# --- sag_lint-only rules (need python3; CI always has it) ------------------
-if [ "$have_python3" -eq 1 ]; then
-    # A typedef cannot rename `double` past the units rule: the token
-    # engine resolves project-wide aliases before matching. The old grep
-    # lint was blind to exactly this.
-    expect_reject "units-lint-typedef" "src/core/src/bad_alias.cpp" \
-        "bare-double power/SNR parameter" <<'EOF'
+# --- aliases, comment immunity, raw-escape, layering, suppressions ---------
+# A typedef cannot rename `double` past the units rule: the token
+# engine resolves project-wide aliases before matching. The old grep
+# lint was blind to exactly this.
+expect_reject "units-lint-typedef" "src/core/src/bad_alias.cpp" \
+    "bare-double power/SNR parameter" <<'EOF'
 namespace sag::core {
 using level_t = double;
 double scale(level_t rx_power) { return rx_power * 2.0; }
 }  // namespace sag::core
 EOF
 
-    # Same for an aliased size_t entity index in a solver header.
-    expect_reject "entity-index-lint-alias" \
-        "src/core/include/sag/core/bad_ids_alias.h" \
-        "raw size_t entity-index parameter" <<'EOF'
+# Same for an aliased size_t entity index in a solver header.
+expect_reject "entity-index-lint-alias" \
+    "src/core/include/sag/core/bad_ids_alias.h" \
+    "raw size_t entity-index parameter" <<'EOF'
 #pragma once
 #include <cstddef>
 namespace sag::core {
@@ -205,91 +208,87 @@ void move_relay(slot_t rs_idx);
 }  // namespace sag::core
 EOF
 
-    # A signature quoted in a comment or a string is not a violation:
-    # the token engine strips both before matching (the classic grep
-    # false positive, inverted into an accept case).
-    expect_accept "comment-string-immunity" "src/core/src/quoted.cpp" <<'EOF'
+# A signature quoted in a comment or a string is not a violation:
+# the token engine strips both before matching (the classic grep
+# false positive, inverted into an accept case).
+expect_accept "comment-string-immunity" "src/core/src/quoted.cpp" <<'EOF'
 // Documented anti-pattern: double scale(double tx_power, double snr);
 namespace sag::core {
 const char* usage() { return "usage: scale(double tx_power)"; }
 }  // namespace sag::core
 EOF
 
-    # An unjustified strong-type escape hatch fails ...
-    expect_reject "raw-escape-lint" "src/core/src/bad_raw.cpp" \
-        "unjustified strong-type escape hatch" <<'EOF'
+# An unjustified strong-type escape hatch fails ...
+expect_reject "raw-escape-lint" "src/core/src/bad_raw.cpp" \
+    "unjustified strong-type escape hatch" <<'EOF'
 namespace sag::core {
 template <typename V>
 double first(const V& powers) { return powers.raw()[0]; }
 }  // namespace sag::core
 EOF
 
-    # ... and the same call with a SAG_RAW_OK justification passes.
-    expect_accept "raw-escape-justified" "src/core/src/ok_raw.cpp" <<'EOF'
+# ... and the same call with a SAG_RAW_OK justification passes.
+expect_accept "raw-escape-justified" "src/core/src/ok_raw.cpp" <<'EOF'
 namespace sag::core {
 template <typename V>
 double first(const V& powers) {
-    // SAG_RAW_OK: serialization boundary, bulk column handed to io.
-    return powers.raw()[0];
+// SAG_RAW_OK: serialization boundary, bulk column handed to io.
+return powers.raw()[0];
 }
 }  // namespace sag::core
 EOF
 
-    # An include edge the manifest does not declare is illegal.
-    expect_reject "layering-illegal-edge" "src/opt/src/bad_edge.cpp" \
-        "illegal include edge" <<'EOF'
+# An include edge the manifest does not declare is illegal.
+expect_reject "layering-illegal-edge" "src/opt/src/bad_edge.cpp" \
+    "illegal include edge" <<'EOF'
 #include "sag/core/clean.h"
 namespace sag::opt {}
 EOF
 
-    # A commented-out include is NOT an edge.
-    expect_accept "layering-comment-immunity" "src/opt/src/ok_edge.cpp" <<'EOF'
+# A commented-out include is NOT an edge.
+expect_accept "layering-comment-immunity" "src/opt/src/ok_edge.cpp" <<'EOF'
 // #include "sag/core/clean.h"
 namespace sag::opt {}
 EOF
 
-    # A declared edge no include exercises is dead: the manifest can
-    # never drift looser than the code.
-    sed 's/"core": { "deps": \[\] }/"core": { "deps": ["opt"] }/' \
-        "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
-    mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
-    run_script
-    if [ "$status" -eq 0 ]; then
-        err "layering-dead-edge: unused manifest edge core->opt NOT caught"
-    elif ! echo "$out" | grep -qF "dead layering edge"; then
-        err "layering-dead-edge: failed without 'dead layering edge':"
-        echo "$out" >&2
-    fi
-    sed 's/"core": { "deps": \["opt"\] }/"core": { "deps": [] }/' \
-        "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
-    mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
-
-    # An allowlist entry that matches nothing is dead and fails the gate.
-    echo "units-param: src/core/src/no_such_file.cpp" \
-        >> "$tmp/tools/check_static_allowlist.txt"
-    run_script
-    if [ "$status" -eq 0 ]; then
-        err "dead-suppression: stale allowlist entry NOT caught"
-    elif ! echo "$out" | grep -qF "dead allowlist entry"; then
-        err "dead-suppression: failed without 'dead allowlist entry':"
-        echo "$out" >&2
-    fi
-    cp tools/check_static_allowlist.txt "$tmp/tools/"
-
-    # An entry that names no rule is a format error.
-    echo "src/core/src/whatever.cpp" >> "$tmp/tools/check_static_allowlist.txt"
-    run_script
-    if [ "$status" -eq 0 ]; then
-        err "suppression-format: rule-less allowlist entry NOT caught"
-    elif ! echo "$out" | grep -qF "must name the rule"; then
-        err "suppression-format: failed without 'must name the rule':"
-        echo "$out" >&2
-    fi
-    cp tools/check_static_allowlist.txt "$tmp/tools/"
-else
-    echo "check_static_selftest: python3 not found; sag_lint-only cases" \
-         "skipped (grep fallback covered above)" >&2
+# A declared edge no include exercises is dead: the manifest can
+# never drift looser than the code.
+sed 's/"core": { "deps": \[\] }/"core": { "deps": ["opt"] }/' \
+    "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
+mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
+run_script
+if [ "$status" -eq 0 ]; then
+    err "layering-dead-edge: unused manifest edge core->opt NOT caught"
+elif ! echo "$out" | grep -qF "dead layering edge"; then
+    err "layering-dead-edge: failed without 'dead layering edge':"
+    echo "$out" >&2
 fi
+sed 's/"core": { "deps": \["opt"\] }/"core": { "deps": [] }/' \
+    "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
+mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
+
+# An allowlist entry that matches nothing is dead and fails the gate.
+echo "units-param: src/core/src/no_such_file.cpp" \
+    >> "$tmp/tools/check_static_allowlist.txt"
+run_script
+if [ "$status" -eq 0 ]; then
+    err "dead-suppression: stale allowlist entry NOT caught"
+elif ! echo "$out" | grep -qF "dead allowlist entry"; then
+    err "dead-suppression: failed without 'dead allowlist entry':"
+    echo "$out" >&2
+fi
+cp tools/check_static_allowlist.txt "$tmp/tools/"
+
+# An entry that names no rule is a format error.
+echo "src/core/src/whatever.cpp" >> "$tmp/tools/check_static_allowlist.txt"
+run_script
+if [ "$status" -eq 0 ]; then
+    err "suppression-format: rule-less allowlist entry NOT caught"
+elif ! echo "$out" | grep -qF "must name the rule"; then
+    err "suppression-format: failed without 'must name the rule':"
+    echo "$out" >&2
+fi
+cp tools/check_static_allowlist.txt "$tmp/tools/"
 
 # --- allowlist mechanics: an allowlisted violation passes ------------------
 cat > "$tmp/src/sim/src/allowlisted.cpp" <<'EOF'
@@ -309,7 +308,7 @@ rm -f "$tmp/src/sim/src/allowlisted.cpp"
 cp tools/check_concurrency_allowlist.txt "$tmp/tools/"
 
 # A dead entry in a grep-lint allowlist (the file it excused is gone)
-# fails even without python3 — the shell validates those itself.
+# fails too — the shell validates those itself.
 echo "conc-raw: src/sim/src/long_gone.cpp" \
     >> "$tmp/tools/check_concurrency_allowlist.txt"
 run_script
@@ -336,23 +335,21 @@ fi
 # --- the real layering manifest is load-bearing ----------------------------
 # Deleting any module from tools/layering.json must fail the real tree:
 # its files become undeclared and every include of it an unknown module.
-if [ "$have_python3" -eq 1 ]; then
-    sed '/"wireless": {/d' tools/layering.json > "$tmp/mutated_layering.json"
-    mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
-                  --layering "$tmp/mutated_layering.json" 2>&1)
-    if [ $? -eq 0 ]; then
-        err "real tree passed with module 'wireless' deleted from the manifest:"
-        echo "$mut_out" >&2
-    fi
-    # And so must deleting a single dep edge (core -> wireless).
-    sed 's/"graph", "ids", "obs", "opt", "units", "wireless"/"graph", "ids", "obs", "opt", "units"/' \
-        tools/layering.json > "$tmp/mutated_layering.json"
-    mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
-                  --layering "$tmp/mutated_layering.json" 2>&1)
-    if [ $? -eq 0 ]; then
-        err "real tree passed with edge core->wireless deleted from the manifest:"
-        echo "$mut_out" >&2
-    fi
+sed '/"wireless": {/d' tools/layering.json > "$tmp/mutated_layering.json"
+mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
+              --layering "$tmp/mutated_layering.json" 2>&1)
+if [ $? -eq 0 ]; then
+    err "real tree passed with module 'wireless' deleted from the manifest:"
+    echo "$mut_out" >&2
+fi
+# And so must deleting a single dep edge (core -> wireless).
+sed 's/"graph", "ids", "obs", "opt", "units", "wireless"/"graph", "ids", "obs", "opt", "units"/' \
+    tools/layering.json > "$tmp/mutated_layering.json"
+mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
+              --layering "$tmp/mutated_layering.json" 2>&1)
+if [ $? -eq 0 ]; then
+    err "real tree passed with edge core->wireless deleted from the manifest:"
+    echo "$mut_out" >&2
 fi
 
 # --- the real tree passes (lint-only mode) ---------------------------------

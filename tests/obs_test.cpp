@@ -12,7 +12,6 @@
 #include "sag/ids/ids.h"
 #include "sag/obs/obs.h"
 #include "sag/sim/scenario_gen.h"
-#include "sag/sim/snr_field_refresh.h"
 #include "sag/exec/thread_pool.h"
 
 namespace sag::obs {
@@ -194,18 +193,6 @@ TEST(ObsIntegrationTest, TransactionRollbackCountsRevertedDeltas) {
     const RunReport report = rec.snapshot();
     EXPECT_EQ(report.counters.at("snr_field.deltas.applied"), 2u);
     EXPECT_EQ(report.counters.at("snr_field.deltas.reverted"), 2u);
-}
-
-TEST(ObsIntegrationTest, ParallelRefreshCountsEverySubscriberOnce) {
-    const auto scenario = small_scenario();
-    const std::vector<geom::Vec2> rs = {{0.0, 0.0}};
-    ScopedRecorder rec;
-    core::SnrField field = core::SnrField::at_max_power(scenario, rs);
-    exec::ThreadPool pool(3);
-    sim::refresh_snr_field(field, pool);
-    const RunReport report = rec.snapshot();
-    EXPECT_EQ(report.counters.at("snr_field.parallel_recomputes"),
-              scenario.subscriber_count());
 }
 
 }  // namespace

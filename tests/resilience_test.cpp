@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "sag/core/feasibility.h"
+#include "sag/core/power.h"
 #include "sag/core/sag.h"
+#include "sag/core/ucra.h"
 #include "sag/io/resilience_io.h"
 #include "sag/resilience/damage.h"
 #include "sag/resilience/failure.h"
@@ -244,6 +246,70 @@ TEST(RepairTest, CoveredAndUnrecoverablePartitionTheSubscribers) {
     }
     EXPECT_EQ(seen.size(), d.scenario.subscriber_count());
     EXPECT_EQ(out.covered.size(), out.covered_scenario.subscriber_count());
+}
+
+/// Re-homing is nearest-first with ties to the lower pool slot — the
+/// contract repair shares with serve::Session. SS 0 sits exactly halfway
+/// between two surviving RSs that can both serve it; its own RS fails.
+/// Run with the two survivors in both slot orders, so the winner is the
+/// lower slot, not a side of the field.
+TEST(RepairTest, EquidistantOrphanGoesToLowerSlot) {
+    for (const double lower_slot_x : {-20.0, 20.0}) {
+        core::Scenario s = make_scenario(1, 3);
+        s.subscribers = {{{0.0, 0.0}, 35.0},
+                         {{lower_slot_x * 2.0, 0.0}, 35.0},
+                         {{-lower_slot_x * 2.0, 0.0}, 35.0}};
+        s.base_stations = {{{0.0, 60.0}}};
+        core::SagResult d;
+        d.coverage.rs_positions = {{0.0, 10.0}, {lower_slot_x, 0.0},
+                                   {-lower_slot_x, 0.0}};
+        d.coverage.assignment.resize(3);
+        for (const ids::SsId j : s.ss_ids()) d.coverage.assignment[j] = ids::RsId{j.index()};
+        d.coverage.feasible = true;
+        d.lower_power = core::allocate_power_optimal(s, d.coverage);
+        d.connectivity = core::solve_mbmc(s, d.coverage);
+        core::allocate_power_ucpo(s, d.coverage, d.connectivity);
+        d.feasible = true;
+
+        FailureSet f;
+        f.coverage_down = {ids::RsId{0}};
+        const RepairOutcome out = repair(s, d, f);
+        ASSERT_TRUE(out.full_recovery());
+        EXPECT_EQ(out.reassigned, 1u);
+        ASSERT_EQ(out.covered.front(), ids::SsId{0});
+        const core::CoveragePlan& plan = out.repaired.coverage;
+        EXPECT_EQ(plan.rs_position(plan.assignment[ids::SsId{0}]),
+                  (geom::Vec2{lower_slot_x, 0.0}))
+            << "lower slot at x = " << lower_slot_x;
+    }
+}
+
+/// With subscribers left unrecoverable the covered scenario is a strict
+/// subset, and the power stage must still solve over *its* subscribers:
+/// with no degraded RS the repaired lower tier is exactly the LPQC
+/// optimum of the repaired topology.
+TEST(RepairTest, PartialRecoveryPowersAreTheOptimumOfTheRepairedPlan) {
+    std::size_t partial = 0;
+    for (int seed = 0; seed < 5; ++seed) {
+        const Deployed d = deploy(300 + seed, 18);
+        ASSERT_TRUE(d.result.feasible);
+        const FailureSet f = inject_independent(
+            d.result, IndependentFailureModel{0.3, true}, 40 + seed);
+        RepairOptions opts;
+        opts.max_new_relays = 0;
+        const RepairOutcome out = repair(d.scenario, d.result, f, opts);
+        if (out.full_recovery()) continue;
+        ++partial;
+        const core::PowerAllocation optimum =
+            core::allocate_power_optimal(out.covered_scenario, out.repaired.coverage);
+        ASSERT_EQ(out.repaired.lower_power.powers.size(), optimum.powers.size());
+        for (std::size_t i = 0; i < optimum.powers.size(); ++i) {
+            EXPECT_NEAR(out.repaired.lower_power.powers[i], optimum.powers[i],
+                        1e-9 * std::max(1.0, optimum.powers[i]))
+                << "seed " << seed << ", repaired RS " << i;
+        }
+    }
+    EXPECT_GT(partial, 0u) << "no seed left a subscriber unrecoverable";
 }
 
 /// Property, 20 seeds: repair must never reduce the covered set below

@@ -23,8 +23,8 @@
 #     The three param rules resolve typedef/using aliases and ignore
 #     comments and strings, so renaming `double` or quoting a signature
 #     cannot dodge them. In CI the libclang engine re-derives them from
-#     canonical AST types on top. Only when python3 itself is missing do
-#     the legacy grep lints (sections 2-4 below) gate instead.
+#     canonical AST types on top. sag_lint is the only engine for these
+#     rules: a missing python3 fails the gate in every mode.
 #  3. Determinism lint (grep): no nondeterminism source may enter src/
 #     -- no std::random_device, rand()/srand(), time(nullptr), or
 #     unseeded std::mt19937 (rule det-entropy: all randomness is seeded
@@ -50,11 +50,12 @@
 #
 # Degradation policy: locally, a missing compilation database skips the
 # clang-tidy pass with a notice and everything else still gates. Under
-# CI=true or --strict that hole closes: a missing database (or missing
-# python3) is a hard failure, so CI can never silently run a weaker gate
-# than the one this script documents. --require-libclang additionally
-# makes sag_lint fail unless its libclang engine actually loaded (the CI
-# static job sets it; dev containers without clang bindings do not).
+# CI=true or --strict that hole closes: a missing database is a hard
+# failure, so CI can never silently run a weaker gate than the one this
+# script documents. A missing python3 is a hard failure in every mode.
+# --require-libclang additionally makes sag_lint fail unless its
+# libclang engine actually loaded (the CI static job sets it; dev
+# containers without clang bindings do not).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -170,93 +171,21 @@ else
 fi
 
 # --- 2. sag_lint (param rules, raw-escape audit, layering, suppressions) ----
-sag_lint_ran=0
 if command -v python3 >/dev/null 2>&1; then
     sag_lint_args=(--build-dir "$build_dir")
     if [ "$require_libclang" -eq 1 ]; then
         sag_lint_args+=(--require-libclang)
     fi
-    if python3 tools/sag_lint "${sag_lint_args[@]}"; then
-        sag_lint_ran=1
-    else
-        status=$?
-        if [ "$status" -eq 2 ]; then
-            err "sag_lint could not run (environment/configuration error above)"
-        else
-            err "sag_lint reported findings (listed above)"
-            sag_lint_ran=1
-        fi
+    python3 tools/sag_lint "${sag_lint_args[@]}"
+    status=$?
+    if [ "$status" -eq 2 ]; then
+        err "sag_lint could not run (environment/configuration error above)"
+    elif [ "$status" -ne 0 ]; then
+        err "sag_lint reported findings (listed above)"
     fi
-elif [ "$strict" -eq 1 ]; then
-    err "python3 not available under CI/--strict; sag_lint (the param," \
-        "raw-escape, and layering rules) would silently degrade to grep"
 else
-    echo "check_static: python3 not installed; falling back to the grep" \
-         "param lints (no raw-escape/layering checks this run)" >&2
-fi
-
-if [ "$sag_lint_ran" -eq 0 ]; then
-    # Grep fallback for the three param rules, python3-less toolchains
-    # only. Weaker than sag_lint by construction: single-line matches,
-    # no alias resolution, no comment/string immunity beyond the shape
-    # of the patterns.
-
-    # units-param: a scalar `double` function parameter whose name says
-    # it carries power, noise, SNR, watts, or dB -- the exact mixups
-    # sag::units exists to prevent. Bulk vector/span parameters carry a
-    # template type, not scalar double, and do not match.
-    pattern='[(,][[:space:]]*(const[[:space:]]+)?double[[:space:]]+[a-zA-Z_]*(power|snr|noise|watt|_db|_dbm)[a-zA-Z_]*[[:space:]]*[,)=]'
-    hits=$(grep -rnE "$pattern" src tools examples \
-               --include='*.h' --include='*.cpp' 2>/dev/null |
-           grep -v '^src/units/') || true
-    hits=$(apply_allowlist "$hits" tools/check_static_allowlist.txt units-param)
-    if [ -n "$hits" ]; then
-        err "bare-double power/SNR parameter(s); use sag::units types" \
-            "(or add a justified units-param entry to" \
-            "tools/check_static_allowlist.txt):"
-        echo "$hits" >&2
-    fi
-
-    # ids-param: a scalar size_t/std::size_t function parameter whose
-    # name is an entity index (ss, rs, bs, sub, cand, zone -- alone or
-    # as an underscore-delimited token, e.g. `rs_idx`, `serving_rs`).
-    # Those must be SsId/RsId/BsId/CandId/ZoneId from sag::ids so
-    # `snr.move_rs(ss)` cannot compile. Count-like names (rs_count,
-    # sub_budget, zone_rounds) denote a quantity, not a position in an
-    # entity array, and are filtered back out.
-    id_pattern='[(,][[:space:]]*(const[[:space:]]+)?(std::)?size_t[[:space:]]+([a-zA-Z0-9_]*_)?(ss|rs|bs|sub|cand|zone)(_[a-zA-Z0-9_]*)?[[:space:]]*[,)=]'
-    count_pattern='(std::)?size_t[[:space:]]+[a-zA-Z0-9_]*(count|size|num|total|budget|round|iter|capacity|limit|max|min)'
-    id_hits=$(grep -rnE "$id_pattern" src/core/include --include='*.h' 2>/dev/null |
-              grep -vE "$count_pattern") || true
-    id_hits=$(apply_allowlist "$id_hits" tools/check_static_allowlist.txt ids-param)
-    if [ -n "$id_hits" ]; then
-        err "raw size_t entity-index parameter(s); use sag::ids strong IDs" \
-            "(or add a justified ids-param entry to" \
-            "tools/check_static_allowlist.txt):"
-        echo "$id_hits" >&2
-    fi
-
-    # gain-param: a scalar `double` function parameter carrying a channel
-    # gain, attenuation, or path loss. Channel physics must flow through
-    # sag::wireless::PropagationModel / GainKernel (the single gain
-    # authority of the scenario) -- a function elsewhere accepting a bare
-    # gain double is a second channel model waiting to drift from the
-    # first. The kernel structs themselves live in src/wireless (exempt).
-    gain_pattern='[(,][[:space:]]*(const[[:space:]]+)?double[[:space:]]+[a-zA-Z_]*(gain|atten|path_loss)[a-zA-Z_]*[[:space:]]*[,)=]'
-    gain_hits=$(grep -rnE "$gain_pattern" src tools examples \
-                    --include='*.h' --include='*.cpp' 2>/dev/null |
-                grep -v '^src/wireless/') || true
-    gain_hits=$(apply_allowlist "$gain_hits" tools/check_static_allowlist.txt gain-param)
-    if [ -n "$gain_hits" ]; then
-        err "bare-double path-gain parameter(s); route the channel through" \
-            "sag::wireless::GainKernel / PropagationModel instead:"
-        echo "$gain_hits" >&2
-    fi
-
-    # sag_lint validates this allowlist when it runs; in fallback mode
-    # the shell does (same rules, same dead-entry policy).
-    validate_allowlist tools/check_static_allowlist.txt \
-        units-param ids-param gain-param
+    err "python3 not available; sag_lint (the param, raw-escape, and" \
+        "layering rules) cannot run"
 fi
 
 # --- 3. determinism lint ----------------------------------------------------
