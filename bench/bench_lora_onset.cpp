@@ -37,7 +37,7 @@ bool solve_point(const core::Scenario& s, PointStats& out) {
     const bool ok =
         r.feasible &&
         core::verify_coverage(s, r.coverage, r.lower_power.powers).feasible &&
-        core::verify_topology(s, r.coverage, r.connectivity).feasible;
+        core::verify_connectivity(s, r.coverage, r.connectivity).feasible;
     out.cover_rs.add(ok ? static_cast<double>(r.coverage_rs_count()) : kInfeasible);
     out.connect_rs.add(ok ? static_cast<double>(r.connectivity_rs_count())
                           : kInfeasible);

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     bench::print_header(
         "Resilience (independent RS failures, 500x500 field)",
         "coverage survival and power overhead vs failure fraction, "
-        "post-repair, verified via verify_coverage/verify_topology");
+        "post-repair, verified via verify_coverage/verify_connectivity");
 
     sim::GeneratorConfig cfg;
     cfg.field_side = 500.0;

@@ -52,13 +52,4 @@ ConnectivityReport verify_connectivity(const Scenario& scenario,
                                        const CoveragePlan& coverage,
                                        const ConnectivityPlan& plan);
 
-/// Alias of verify_connectivity under the paper-facing "topology" name —
-/// the resilience layer's repair invariant is stated as "verify_coverage +
-/// verify_topology pass on the surviving network".
-inline ConnectivityReport verify_topology(const Scenario& scenario,
-                                          const CoveragePlan& coverage,
-                                          const ConnectivityPlan& plan) {
-    return verify_connectivity(scenario, coverage, plan);
-}
-
 }  // namespace sag::core

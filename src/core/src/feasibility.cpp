@@ -6,7 +6,6 @@
 
 #include "sag/core/snr_field.h"
 #include "sag/units/units.h"
-#include "sag/wireless/link.h"
 
 namespace sag::core {
 

@@ -4,7 +4,6 @@
 
 #include "sag/core/snr_field.h"
 #include "sag/geometry/spatial_grid.h"
-#include "sag/wireless/link.h"
 
 namespace sag::core {
 

@@ -15,7 +15,6 @@
 
 #include "sag/core/sag.h"
 #include "sag/core/scenario.h"
-#include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
 #include "sag/resilience/failure.h"
 
@@ -40,23 +39,8 @@ struct DamageReport {
     bool intact() const { return coverage_intact() && connectivity_intact(); }
 };
 
-/// The lower-tier interference field after the failures: built from the
-/// intact deployment, then mutated with one set_power delta per failed
-/// or degraded RS. Dead RSs stay in the field at zero power so RsId
-/// addressing (and the SsId->RsId assignment) stays stable; repair
-/// continues mutating this same field.
-core::SnrField damaged_field(const core::Scenario& scenario,
-                             const core::SagResult& deployment,
-                             const FailureSet& failures);
-
-/// Assess against a field already holding the post-failure powers (the
-/// damaged_field output, possibly further mutated by earlier repairs).
-DamageReport assess_damage(const core::Scenario& scenario,
-                           const core::SagResult& deployment,
-                           const FailureSet& failures,
-                           const core::SnrField& field);
-
-/// Convenience: builds the damaged field internally.
+/// Assess the failures against the intact deployment: the SNR checks run
+/// on the deployment's field with the post-failure powers applied.
 DamageReport assess_damage(const core::Scenario& scenario,
                            const core::SagResult& deployment,
                            const FailureSet& failures);

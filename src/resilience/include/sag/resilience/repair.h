@@ -24,7 +24,7 @@
 // repair() reports the subscribers it still cannot serve in
 // `unrecoverable` — never asserted on. Everything it keeps is
 // re-verified: RepairOutcome::repaired is a SagResult over
-// `covered_scenario`, so verify_coverage / verify_topology run on it
+// `covered_scenario`, so verify_coverage / verify_connectivity run on it
 // directly.
 
 #include <cstddef>

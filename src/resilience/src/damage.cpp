@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sag/core/snr_field.h"
 #include "sag/obs/obs.h"
 
 namespace sag::resilience {
@@ -30,8 +31,10 @@ bool is_dead(const FailureSet& failures, ids::RsId rs) {
                      rs) != failures.coverage_down.end();
 }
 
-}  // namespace
-
+/// The lower-tier interference field after the failures: built from the
+/// intact deployment, then mutated with one set_power delta per failed
+/// or degraded RS. Dead RSs stay in the field at zero power so RsId
+/// addressing (and the SsId->RsId assignment) stays stable.
 core::SnrField damaged_field(const core::Scenario& scenario,
                              const core::SagResult& deployment,
                              const FailureSet& failures) {
@@ -45,10 +48,12 @@ core::SnrField damaged_field(const core::Scenario& scenario,
     return field;
 }
 
+}  // namespace
+
 DamageReport assess_damage(const core::Scenario& scenario,
                            const core::SagResult& deployment,
-                           const FailureSet& failures,
-                           const core::SnrField& field) {
+                           const FailureSet& failures) {
+    const core::SnrField field = damaged_field(scenario, deployment, failures);
     SAG_OBS_SPAN("resilience.assess");
     DamageReport report;
     report.dead_coverage_rs = failures.coverage_down.size();
@@ -116,13 +121,6 @@ DamageReport assess_damage(const core::Scenario& scenario,
     SAG_OBS_COUNT_ADD("resilience.orphaned_ss", report.orphaned.size());
     SAG_OBS_COUNT_ADD("resilience.cut_off_rs", report.cut_off.size());
     return report;
-}
-
-DamageReport assess_damage(const core::Scenario& scenario,
-                           const core::SagResult& deployment,
-                           const FailureSet& failures) {
-    return assess_damage(scenario, deployment, failures,
-                         damaged_field(scenario, deployment, failures));
 }
 
 }  // namespace sag::resilience

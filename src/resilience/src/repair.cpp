@@ -274,7 +274,7 @@ RepairOutcome repair(const core::Scenario& scenario,
     out.repaired.coverage = std::move(power.view.plan);
     out.repaired.lower_power = std::move(power.power);
     out.repaired.connectivity = std::move(conn);
-    const auto topo = core::verify_topology(
+    const auto topo = core::verify_connectivity(
         out.covered_scenario, out.repaired.coverage, out.repaired.connectivity);
     out.repaired.feasible = out.repaired.lower_power.feasible && topo.feasible;
     out.power_after = out.repaired.total_power();

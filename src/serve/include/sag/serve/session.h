@@ -17,7 +17,7 @@
 //     full repair -> re-home-only -> accept-degraded-with-flagged-SSs
 //
 // and *never* crashes or returns a silently wrong plan: after every
-// event the served view either passes verify_coverage + verify_topology
+// event the served view either passes verify_coverage + verify_connectivity
 // or the outcome carries degraded=true with the unserved SSs flagged.
 //
 // Plan-quality drift (excess active RSs / excess total power versus the
@@ -191,7 +191,6 @@ private:
     resilience::RepairState state_;
     resilience::FailureSet failures_;
     std::vector<std::uint64_t> slot_key_;  ///< slot -> session key
-    std::uint64_t next_key_ = 0;
 
     std::vector<double> alloc_;  ///< per pool RS: allocated watts
     core::ConnectivityPlan conn_;

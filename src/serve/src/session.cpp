@@ -42,7 +42,6 @@ void Session::init_from_deployment(const core::SagResult& deployment) {
     reset_pool(deployment.coverage.rs_positions);
     slot_key_.resize(scenario_.subscriber_count());
     for (std::size_t k = 0; k < slot_key_.size(); ++k) slot_key_[k] = k;
-    next_key_ = slot_key_.size();
     for (ids::SsId j : scenario_.ss_ids()) {
         const ids::RsId rs = deployment.coverage.assignment[j];
         if (rs != ids::RsId::invalid() && rs.index() < state_.pool_size()) {
@@ -132,7 +131,6 @@ void Session::apply_mutation(const Event& e) {
             scenario_.subscribers.emplace_back(e.pos, e.distance_request);
             state_.server.push_back(kUnserved);
             slot_key_.push_back(e.key);
-            next_key_ = std::max(next_key_, e.key + 1);
             state_.field.add_subscriber(ids::SsId{scenario_.subscriber_count() - 1});
             backhaul_dirty_ = true;
             break;
@@ -256,6 +254,7 @@ void Session::rebuild_backhaul() {
 }
 
 void Session::run_verify() {
+    SAG_OBS_SPAN("serve.verify");
     const resilience::ActiveView v = state_.view();
     if (v.plan.rs_count() == 0) {
         verified_ = v.covered.empty();
@@ -270,14 +269,17 @@ void Session::run_verify() {
     bool topo_ok = false;
     if (!backhaul_dirty_ && conn_active_ == v.active) {
         topo_ok =
-            core::verify_topology(v.covered_scenario, v.plan, conn_).feasible;
+            core::verify_connectivity(v.covered_scenario, v.plan, conn_).feasible;
     }
     verified_ = cov_ok && topo_ok;
 }
 
 void Session::adopt_or_fail_resolve(EventOutcome& out) {
     std::unique_ptr<core::SagResult> solved;
-    if (pool_) pool_->wait_idle();
+    if (pool_) {
+        SAG_OBS_SPAN("serve.resolve_wait");
+        pool_->wait_idle();
+    }
     {
         exec::MutexLock lock(mutex_);
         solved = std::move(pending_);

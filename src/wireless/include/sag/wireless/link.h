@@ -1,19 +1,9 @@
 #pragma once
 
-#include <span>
-#include <vector>
-
-#include "sag/geometry/vec2.h"
 #include "sag/units/units.h"
 #include "sag/wireless/radio_params.h"
 
 namespace sag::wireless {
-
-/// A radiating station: position and current transmission power.
-struct Transmitter {
-    geom::Vec2 pos;
-    units::Watt power{0.0};
-};
 
 /// Shannon link capacity C = B * log2(1 + Pr / N0), in bps.
 double shannon_capacity(const RadioParams& params, units::Watt rx_power);
@@ -21,26 +11,5 @@ double shannon_capacity(const RadioParams& params, units::Watt rx_power);
 /// Minimum received power that sustains `rate_bps`:
 /// Pr = N0 * (2^(rate/B) - 1). Inverse of shannon_capacity.
 units::Watt min_rx_power_for_rate(const RadioParams& params, double rate_bps);
-
-/// Data rate sustained over distance `dist` at transmit power `tx_power`.
-double rate_over_distance(const RadioParams& params, units::Watt tx_power,
-                          units::Meters dist);
-
-/// Interference-limited SNR at receiver `rx` served by transmitter
-/// `serving` (paper Definition 2): p_serving / (sum of all received powers
-/// - p_serving + extra_noise). Returns +infinity when the denominator is
-/// zero (single active transmitter, no extra noise). `extra_noise` is a
-/// linear power added to the denominator — the same quantity (and unit)
-/// as RadioParams::snr_ambient_noise; the zero default selects the pure
-/// Definition-2 interference-limited model.
-units::SnrRatio interference_snr(const RadioParams& params,
-                                 std::span<const Transmitter> transmitters,
-                                 std::size_t serving, const geom::Vec2& rx,
-                                 units::Watt extra_noise = units::Watt{0.0});
-
-/// Total power received at `rx` from every transmitter in the set.
-units::Watt total_received_power(const RadioParams& params,
-                                 std::span<const Transmitter> transmitters,
-                                 const geom::Vec2& rx);
 
 }  // namespace sag::wireless

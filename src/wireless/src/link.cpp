@@ -1,9 +1,6 @@
 #include "sag/wireless/link.h"
 
 #include <cmath>
-#include <limits>
-
-#include "sag/wireless/two_ray.h"
 
 namespace sag::wireless {
 
@@ -14,37 +11,6 @@ double shannon_capacity(const RadioParams& params, units::Watt rx_power) {
 
 units::Watt min_rx_power_for_rate(const RadioParams& params, double rate_bps) {
     return params.noise_floor * (std::exp2(rate_bps / params.bandwidth_hz) - 1.0);
-}
-
-double rate_over_distance(const RadioParams& params, units::Watt tx_power,
-                          units::Meters dist) {
-    return shannon_capacity(params, received_power(params, tx_power, dist));
-}
-
-units::Watt total_received_power(const RadioParams& params,
-                                 std::span<const Transmitter> transmitters,
-                                 const geom::Vec2& rx) {
-    units::Watt total{0.0};
-    for (const Transmitter& t : transmitters) {
-        total += received_power(params, t.power,
-                                units::Meters{geom::distance(t.pos, rx)});
-    }
-    return total;
-}
-
-units::SnrRatio interference_snr(const RadioParams& params,
-                                 std::span<const Transmitter> transmitters,
-                                 std::size_t serving, const geom::Vec2& rx,
-                                 units::Watt extra_noise) {
-    const Transmitter& s = transmitters[serving];
-    const units::Watt signal = received_power(
-        params, s.power, units::Meters{geom::distance(s.pos, rx)});
-    const units::Watt interference =
-        total_received_power(params, transmitters, rx) - signal + extra_noise;
-    if (interference <= units::Watt{0.0}) {
-        return units::SnrRatio{std::numeric_limits<double>::infinity()};
-    }
-    return signal / interference;
 }
 
 }  // namespace sag::wireless

@@ -4,24 +4,31 @@
 #
 # A lint that never fires is indistinguishable from a lint that works, so
 # this harness proves each rule both accepts and rejects: it copies the
-# script, the sag_lint engine, and the allowlists into a temp tree with
-# its own mini layering manifest, seeds exactly one violation per rule,
-# and asserts the gate fails with that rule's message — then asserts it
-# passes on the clean temp tree AND on the real repository. Covered:
+# script, the sag_lint engine, and the allowlist into a temp tree with
+# its own mini layering manifest and DESIGN.md, seeds exactly one
+# violation per rule, and asserts the gate fails with that rule's
+# message — then asserts it passes on the clean temp tree AND on the
+# real repository. Covered:
 #
 #   * units-param / ids-param / gain-param — plain violations, plus the
 #     evasions a grep lint could not see: a typedef'd/using-aliased
 #     type name, and (as accepts) signatures quoted in comments/strings;
+#   * det-entropy / det-unordered / conc-raw — plain violations, the
+#     src/exec exemption, and (as an accept) the banned names quoted in
+#     a comment or a string;
+#   * digit separators — a units-param or conc-raw violation written
+#     after a `1'000` literal still fails (the stripper must not read
+#     the separator as the start of a char literal);
 #   * raw-escape — an unjustified .raw() fails, a `// SAG_RAW_OK:` one
 #     passes;
 #   * layering — an undeclared include edge fails, a declared-but-unused
-#     manifest edge (dead edge) fails, and deleting a module from the
-#     REAL tools/layering.json makes the real tree fail (every manifest
-#     entry is load-bearing);
-#   * dead-suppression — an allowlist entry that matches nothing fails,
-#     and so does an entry without a `rule-id:` prefix;
-#   * det-entropy / det-unordered / conc-raw — the grep lints, their
-#     src/exec exemption, and rule-named allowlist mechanics;
+#     manifest edge (dead edge) fails, a DESIGN.md layering block that
+#     drifts from the manifest fails, and deleting a module or an edge
+#     from the REAL tools/layering.json makes the real tree fail (every
+#     manifest entry is load-bearing);
+#   * the one allowlist — an allowlisted violation passes; an entry
+#     that matches nothing fails, and so does one without a `rule-id:`
+#     prefix;
 #   * degradation policy — a missing compilation database passes locally
 #     but hard-fails under CI=true.
 #
@@ -35,8 +42,8 @@ repo_root=$(pwd)
 fail=0
 err() { echo "check_static_selftest: $*" >&2; fail=1; }
 
-# sag_lint is check_static.sh's only engine for the param, raw-escape,
-# and layering rules, so the gate (and this harness) needs python3.
+# sag_lint is check_static.sh's only engine for every domain rule, so
+# the gate (and this harness) needs python3.
 if ! command -v python3 >/dev/null 2>&1; then
     echo "check_static_selftest: python3 not found; check_static.sh requires it" >&2
     exit 1
@@ -47,13 +54,12 @@ trap 'rm -rf "$tmp"' EXIT
 
 # Minimal clean tree: the script cds to its own parent, so tools/ must
 # hold the script, the sag_lint engine, the layering manifest, and the
-# allowlists with their repo-relative names.
+# allowlist with their repo-relative names, and the root a DESIGN.md.
 mkdir -p "$tmp/tools" "$tmp/src/core/include/sag/core" "$tmp/src/core/src" \
          "$tmp/src/opt/src" "$tmp/src/sim/src" "$tmp/src/exec/src"
 cp tools/check_static.sh "$tmp/tools/"
 cp -r tools/sag_lint "$tmp/tools/"
-cp tools/check_static_allowlist.txt tools/check_determinism_allowlist.txt \
-   tools/check_concurrency_allowlist.txt "$tmp/tools/"
+cp tools/check_static_allowlist.txt "$tmp/tools/"
 # The temp tree gets its own manifest (the real one's modules don't
 # exist here, and its edges would all be dead). No deps: every declared
 # cross-module include in a seeded file is an illegal edge.
@@ -67,6 +73,17 @@ cat > "$tmp/tools/layering.json" <<'EOF'
   },
   "apex": ["tools"]
 }
+EOF
+# DESIGN.md's layering block mirrors the mini manifest line for line.
+cat > "$tmp/DESIGN.md" <<'EOF'
+## Module layering DAG
+
+```layering
+core ->
+opt ->
+sim ->
+exec ->
+```
 EOF
 cat > "$tmp/src/core/src/clean.cpp" <<'EOF'
 // A benign file: typed parameters, seeded randomness, ordered containers.
@@ -91,18 +108,25 @@ if [ "$status" -ne 0 ]; then
 fi
 
 # --- one seeded violation per rule, each must fail with its message --------
+# expect_failure <case-name> <message-fragment>: the gate must fail on the
+# temp tree as it stands, with that message.
+expect_failure() {
+    local name=$1 fragment=$2
+    run_script
+    if [ "$status" -eq 0 ]; then
+        err "$name: seeded violation was NOT caught"
+    elif ! echo "$out" | grep -qF -- "$fragment"; then
+        err "$name: failed, but without the expected message '$fragment':"
+        echo "$out" >&2
+    fi
+}
+
 # expect_reject <case-name> <violation-file> <message-fragment> <<'EOF' ... EOF
 expect_reject() {
     local name=$1 file=$2 fragment=$3
     mkdir -p "$tmp/$(dirname "$file")"
     cat > "$tmp/$file"
-    run_script
-    if [ "$status" -eq 0 ]; then
-        err "$name: seeded violation in $file was NOT caught"
-    elif ! echo "$out" | grep -qF "$fragment"; then
-        err "$name: failed, but without the expected message '$fragment':"
-        echo "$out" >&2
-    fi
+    expect_failure "$name" "$fragment"
     rm -f "$tmp/$file"
 }
 
@@ -184,6 +208,33 @@ std::mutex g_ok;
 }  // namespace sag::exec
 EOF
 
+# Nor on the banned names quoted in a comment or a string.
+expect_accept "det-conc-comment-string-immunity" "src/sim/src/quoted.cpp" <<'EOF'
+// Never std::mutex or std::random_device here: route through sag::exec.
+namespace sag::sim {
+const char* why() { return "std::mutex and std::random_device are banned"; }
+}  // namespace sag::sim
+EOF
+
+# A digit separator is part of a number, not the start of a char
+# literal: code after `1'000` is still linted.
+expect_reject "units-lint-after-digit-separator" "src/core/src/bad_sep.cpp" \
+    "bare-double power/SNR parameter" <<'EOF'
+namespace sag::core {
+constexpr int kBudget = 1'000;
+double scale(double tx_power, double factor) { return tx_power * factor; }
+}  // namespace sag::core
+EOF
+
+expect_reject "concurrency-lint-after-digit-separator" \
+    "src/sim/src/bad_sep_thread.cpp" \
+    "raw threading primitive(s) outside src/exec/" <<'EOF'
+namespace sag::sim {
+constexpr long kEvents = 1'000;
+std::mutex g_lock;
+}  // namespace sag::sim
+EOF
+
 # --- aliases, comment immunity, raw-escape, layering, suppressions ---------
 # A typedef cannot rename `double` past the units rule: the token
 # engine resolves project-wide aliases before matching. The old grep
@@ -256,38 +307,26 @@ EOF
 sed 's/"core": { "deps": \[\] }/"core": { "deps": ["opt"] }/' \
     "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
 mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
-run_script
-if [ "$status" -eq 0 ]; then
-    err "layering-dead-edge: unused manifest edge core->opt NOT caught"
-elif ! echo "$out" | grep -qF "dead layering edge"; then
-    err "layering-dead-edge: failed without 'dead layering edge':"
-    echo "$out" >&2
-fi
+expect_failure "layering-dead-edge" "dead layering edge"
 sed 's/"core": { "deps": \["opt"\] }/"core": { "deps": [] }/' \
     "$tmp/tools/layering.json" > "$tmp/tools/layering.json.tmp"
 mv "$tmp/tools/layering.json.tmp" "$tmp/tools/layering.json"
 
+# DESIGN.md's layering block must list exactly the manifest's lines.
+cp "$tmp/DESIGN.md" "$tmp/DESIGN.md.orig"
+sed 's/^sim ->$/sim -> core/' "$tmp/DESIGN.md.orig" > "$tmp/DESIGN.md"
+expect_failure "layering-design-drift" "layering block drifts from"
+mv "$tmp/DESIGN.md.orig" "$tmp/DESIGN.md"
+
 # An allowlist entry that matches nothing is dead and fails the gate.
 echo "units-param: src/core/src/no_such_file.cpp" \
     >> "$tmp/tools/check_static_allowlist.txt"
-run_script
-if [ "$status" -eq 0 ]; then
-    err "dead-suppression: stale allowlist entry NOT caught"
-elif ! echo "$out" | grep -qF "dead allowlist entry"; then
-    err "dead-suppression: failed without 'dead allowlist entry':"
-    echo "$out" >&2
-fi
+expect_failure "dead-suppression" "dead allowlist entry"
 cp tools/check_static_allowlist.txt "$tmp/tools/"
 
 # An entry that names no rule is a format error.
 echo "src/core/src/whatever.cpp" >> "$tmp/tools/check_static_allowlist.txt"
-run_script
-if [ "$status" -eq 0 ]; then
-    err "suppression-format: rule-less allowlist entry NOT caught"
-elif ! echo "$out" | grep -qF "must name the rule"; then
-    err "suppression-format: failed without 'must name the rule':"
-    echo "$out" >&2
-fi
+expect_failure "suppression-format" "must name the rule"
 cp tools/check_static_allowlist.txt "$tmp/tools/"
 
 # --- allowlist mechanics: an allowlisted violation passes ------------------
@@ -298,27 +337,17 @@ EOF
 # Whole-file exemption: the rule-named path fragment matches every hit
 # in the file.
 echo "conc-raw: src/sim/src/allowlisted.cpp" \
-    >> "$tmp/tools/check_concurrency_allowlist.txt"
+    >> "$tmp/tools/check_static_allowlist.txt"
 run_script
 if [ "$status" -ne 0 ]; then
     err "allowlisted confinement hit should pass, got exit $status:"
     echo "$out" >&2
 fi
 rm -f "$tmp/src/sim/src/allowlisted.cpp"
-cp tools/check_concurrency_allowlist.txt "$tmp/tools/"
 
-# A dead entry in a grep-lint allowlist (the file it excused is gone)
-# fails too — the shell validates those itself.
-echo "conc-raw: src/sim/src/long_gone.cpp" \
-    >> "$tmp/tools/check_concurrency_allowlist.txt"
-run_script
-if [ "$status" -eq 0 ]; then
-    err "grep-lint dead allowlist entry NOT caught"
-elif ! echo "$out" | grep -qF "dead allowlist entry"; then
-    err "grep-lint dead entry failed without 'dead allowlist entry':"
-    echo "$out" >&2
-fi
-cp tools/check_concurrency_allowlist.txt "$tmp/tools/"
+# Once the file it excused is gone, the same entry is dead and fails.
+expect_failure "dead-conc-raw-entry" "dead allowlist entry"
+cp tools/check_static_allowlist.txt "$tmp/tools/"
 
 # --- degradation policy: missing compile DB is fatal under CI --------------
 out=$( cd "$tmp" && env CI=true bash tools/check_static.sh no-such-build-dir 2>&1 )
@@ -335,10 +364,11 @@ fi
 # --- the real layering manifest is load-bearing ----------------------------
 # Deleting any module from tools/layering.json must fail the real tree:
 # its files become undeclared and every include of it an unknown module.
+# DESIGN.md then drifts too, so the include-graph message is asserted.
 sed '/"wireless": {/d' tools/layering.json > "$tmp/mutated_layering.json"
 mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
               --layering "$tmp/mutated_layering.json" 2>&1)
-if [ $? -eq 0 ]; then
+if ! echo "$mut_out" | grep -qF "src/wireless/ is not a declared module"; then
     err "real tree passed with module 'wireless' deleted from the manifest:"
     echo "$mut_out" >&2
 fi
@@ -347,7 +377,7 @@ sed 's/"graph", "ids", "obs", "opt", "units", "wireless"/"graph", "ids", "obs", 
     tools/layering.json > "$tmp/mutated_layering.json"
 mut_out=$(python3 tools/sag_lint --build-dir no-such-build-dir \
               --layering "$tmp/mutated_layering.json" 2>&1)
-if [ $? -eq 0 ]; then
+if ! echo "$mut_out" | grep -qF 'illegal include edge: module `core` -> `wireless`'; then
     err "real tree passed with edge core->wireless deleted from the manifest:"
     echo "$mut_out" >&2
 fi
@@ -363,5 +393,5 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "check_static_selftest: OK (param/raw-escape/layering/determinism/" \
-     "concurrency rules reject seeded violations, dead suppressions and" \
-     "dead manifest edges fail, clean trees pass)"
+     "concurrency rules reject seeded violations, dead suppressions, dead" \
+     "manifest edges and DESIGN.md drift fail, clean trees pass)"

@@ -342,7 +342,7 @@ TEST(PropagationPipelineTest, LoRaFieldSolvesEndToEnd) {
         verify_coverage(s, result.coverage, result.lower_power.powers);
     EXPECT_TRUE(cov.feasible) << cov.violations << " violations";
     const ConnectivityReport top =
-        verify_topology(s, result.coverage, result.connectivity);
+        verify_connectivity(s, result.coverage, result.connectivity);
     EXPECT_TRUE(top.feasible) << top.detail;
 }
 
@@ -373,7 +373,7 @@ TEST(PropagationPipelineTest, ShadowedFamilySolvesEndToEnd) {
     const CoverageReport cov =
         verify_coverage(s, result.coverage, result.lower_power.powers);
     EXPECT_TRUE(cov.feasible) << cov.violations << " violations";
-    EXPECT_TRUE(verify_topology(s, result.coverage, result.connectivity).feasible);
+    EXPECT_TRUE(verify_connectivity(s, result.coverage, result.connectivity).feasible);
 }
 
 }  // namespace

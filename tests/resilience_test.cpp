@@ -186,8 +186,8 @@ TEST(RepairTest, RepairedNetworkPassesBothVerifiers) {
     EXPECT_TRUE(core::verify_coverage(out.covered_scenario, out.repaired.coverage,
                                       out.repaired.lower_power.powers)
                     .feasible);
-    EXPECT_TRUE(core::verify_topology(out.covered_scenario, out.repaired.coverage,
-                                      out.repaired.connectivity)
+    EXPECT_TRUE(core::verify_connectivity(out.covered_scenario, out.repaired.coverage,
+                                          out.repaired.connectivity)
                     .feasible);
 }
 
@@ -357,9 +357,9 @@ TEST(RepairTest, TenPercentFailureBatchRestoresNinetyPercent) {
                                           out.repaired.lower_power.powers)
                         .feasible)
             << "seed " << seed;
-        ASSERT_TRUE(core::verify_topology(out.covered_scenario,
-                                          out.repaired.coverage,
-                                          out.repaired.connectivity)
+        ASSERT_TRUE(core::verify_connectivity(out.covered_scenario,
+                                              out.repaired.coverage,
+                                              out.repaired.connectivity)
                         .feasible)
             << "seed " << seed;
         for (const double p : out.repaired.lower_power.powers) {

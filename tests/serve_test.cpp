@@ -16,6 +16,7 @@
 #include "sag/core/feasibility.h"
 #include "sag/core/sag.h"
 #include "sag/io/event_io.h"
+#include "sag/obs/obs.h"
 #include "sag/serve/event.h"
 #include "sag/serve/fault.h"
 #include "sag/serve/session.h"
@@ -172,6 +173,31 @@ TEST(ServeSessionTest, MoveWithinReachStaysVerified) {
     EXPECT_EQ(out.level, RepairLevel::Full);
     EXPECT_TRUE(out.verified);
     EXPECT_EQ(out.unserved, 0u);
+}
+
+// Every accepted event re-verifies the served view inside its serve.event
+// span; a rejected event changes nothing and skips the verifiers.
+TEST(ServeSessionTest, VerifySpanRunsOncePerAcceptedEvent) {
+    const core::Scenario scenario = make_scenario(7);
+    Session session(scenario);
+    obs::ScopedRecorder rec;
+    for (int i = 0; i < 3; ++i) {
+        expect_contract(session.apply(ss_move(0, scenario.subscribers[0].pos)));
+    }
+    EXPECT_EQ(session.apply(ss_leave(999)).level, RepairLevel::Rejected);
+
+    const obs::RunReport report = rec.snapshot();
+    const auto named = [](const std::vector<obs::TraceNode>& nodes,
+                          const std::string& name) {
+        return std::find_if(nodes.begin(), nodes.end(),
+                            [&](const obs::TraceNode& n) { return n.name == name; });
+    };
+    const auto event = named(report.trace, "serve.event");
+    ASSERT_NE(event, report.trace.end());
+    EXPECT_EQ(event->count, 4u);
+    const auto verify = named(event->children, "serve.verify");
+    ASSERT_NE(verify, event->children.end());
+    EXPECT_EQ(verify->count, 3u);
 }
 
 // --- Validation: bad events are Rejected, never a crash or a mutation --------

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -212,6 +214,76 @@ TEST(SnrFieldTest, TrackedSubsetOnlySeesItsSubscribers) {
                   1e-12);
     }
 }
+
+/// One subscriber at `rx` with the ambient-noise term off: the pure
+/// interference-limited model of paper Definition 2.
+Scenario single_receiver(const geom::Vec2& rx) {
+    Scenario s;
+    s.field = geom::Rect::centered_square(500.0);
+    s.subscribers = {{rx, 100.0}};
+    s.base_stations = {{{0.0, 200.0}}};
+    s.radio.snr_ambient_noise = units::Watt{0.0};
+    return s;
+}
+
+/// snr_of for the single subscriber served by RS 0, on a fresh field.
+double serving_snr(const Scenario& s, std::span<const geom::Vec2> rs,
+                   std::span<const double> powers) {
+    return SnrField(s, rs, powers).snr_of(SsId{0}, RsId{0});
+}
+
+// Definition 2: the serving RS's received power over the sum of every
+// other RS's received power.
+TEST(SnrFieldTest, InterferenceSnrMatchesDefinition2) {
+    const Scenario s = single_receiver({10.0, 0.0});
+    const std::vector<geom::Vec2> rs = {{0.0, 0.0}, {30.0, 0.0}};
+    const std::vector<double> powers = {10.0, 20.0};
+    const SnrField field(s, rs, powers);
+    const double s0 = (s.received_power(units::Watt{10.0}, units::Meters{10.0}) /
+                       s.received_power(units::Watt{20.0}, units::Meters{20.0}))
+                          .ratio();
+    EXPECT_LE(rel_diff(field.snr_of(SsId{0}, RsId{0}), s0), 1e-12);
+    EXPECT_LE(rel_diff(field.snr_of(SsId{0}, RsId{1}), 1.0 / s0), 1e-12);
+}
+
+TEST(SnrFieldTest, ExtraNoiseLowersSnr) {
+    Scenario s = single_receiver({10.0, 0.0});
+    const std::vector<geom::Vec2> rs = {{0.0, 0.0}, {30.0, 0.0}};
+    const std::vector<double> powers = {10.0, 20.0};
+    const double clean = serving_snr(s, rs, powers);
+    s.radio.snr_ambient_noise = units::Watt{0.065};
+    EXPECT_LT(serving_snr(s, rs, powers), clean);
+}
+
+/// Property: at a fixed receiver, SNR is increasing in the serving power
+/// and decreasing in any interferer's power.
+class SnrMonotoneProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SnrMonotoneProperty, MonotoneInPowers) {
+    std::mt19937_64 rng(GetParam());
+    std::uniform_real_distribution<double> coord(-100.0, 100.0);
+    std::uniform_real_distribution<double> power(1.0, 50.0);
+    for (int trial = 0; trial < 60; ++trial) {
+        std::vector<geom::Vec2> rs;
+        std::vector<double> powers;
+        for (int i = 0; i < 4; ++i) {
+            rs.push_back({coord(rng), coord(rng)});
+            powers.push_back(power(rng));
+        }
+        const Scenario s = single_receiver({coord(rng), coord(rng)});
+        const double base = serving_snr(s, rs, powers);
+
+        auto boosted = powers;
+        boosted[0] *= 2.0;
+        EXPECT_GT(serving_snr(s, rs, boosted), base) << "trial " << trial;
+
+        auto noisier = powers;
+        noisier[2] *= 2.0;
+        EXPECT_LT(serving_snr(s, rs, noisier), base) << "trial " << trial;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SnrMonotoneProperty, ::testing::Values(3, 7, 13));
 
 TEST(SnrFieldOracleTest, MatchesFreeFunctionOnRandomSubsets) {
     const Scenario s = random_scenario(30, 500.0, 41);

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Documentation consistency checks, run by the CI `docs` job.
+# Documentation consistency checks, run by the CI `docs` job and the
+# `check_docs` ctest (tests/CMakeLists.txt).
 #
 #  1. Every relative markdown link in the repo's docs resolves to a file.
 #  2. The sag::obs metrics contract is bidirectionally complete:
@@ -11,11 +12,9 @@
 #     (getenv("SAG_*"), SAG_PERF_TOLERANCE) is documented, every SAG_*
 #     flag the contract names exists in the tree, and the benchmark
 #     families gated by tools/check_perf.py are documented and defined.
-#  4. The module-layering contract is bidirectionally in sync: the
-#     ```layering``` block in DESIGN.md §10 lists exactly the modules
-#     and dependency edges tools/layering.json declares (which sag_lint
-#     in turn holds the include graph to), so a DAG change is always a
-#     design-document diff too.
+#
+# DESIGN.md §10's module-layering block is checked against the layering
+# manifest by sag_lint's layering rule (tools/check_static.sh), not here.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -98,36 +97,8 @@ for bm in $documented_bms; do
         err "benchmark \`$bm\` is documented in $perf but not defined in bench/bench_micro.cpp"
 done
 
-# --- 4. layering manifest <-> DESIGN.md ------------------------------------
-design=DESIGN.md
-manifest=tools/layering.json
-if [ ! -f "$manifest" ]; then
-    err "missing $manifest"
-else
-    # The manifest keeps one module per line (`"name": { "deps": [...] }`),
-    # which sag_lint parses as real JSON; here a sed projection to the
-    # same `module -> dep, dep` shape as the DESIGN.md block suffices.
-    manifest_edges=$(sed -n \
-        's/^[[:space:]]*"\([a-z_]*\)": { "deps": \[\(.*\)\] }.*$/\1 -> \2/p' \
-        "$manifest" | tr -d '"' | sed 's/[[:space:]]*$//' | sort)
-    doc_edges=$(sed -n '/^```layering$/,/^```$/p' "$design" |
-                grep -v '^```' | sed 's/[[:space:]]*$//' | sort)
-    if [ -z "$manifest_edges" ]; then
-        err "$manifest: could not extract any module -> deps lines"
-    fi
-    if [ -z "$doc_edges" ]; then
-        err "$design: no \`\`\`layering block (module DAG section missing)"
-    fi
-    if [ "$manifest_edges" != "$doc_edges" ]; then
-        err "module DAG mismatch between $manifest and $design:"
-        diff <(echo "$manifest_edges") <(echo "$doc_edges") |
-            sed 's/^</  only in manifest: /; s/^>/  only in DESIGN.md: /' |
-            grep -v '^---' >&2
-    fi
-fi
-
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2
     exit 1
 fi
-echo "check_docs: OK ($(echo "$emitted" | wc -l) metrics, $(echo "$perf_flags" | wc -l) perf flags, $(echo "$manifest_edges" | wc -l) layering edges, docs links clean)"
+echo "check_docs: OK ($(echo "$emitted" | wc -l) metrics, $(echo "$perf_flags" | wc -l) perf flags, docs links clean)"

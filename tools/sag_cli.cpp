@@ -33,11 +33,15 @@
 //       deterministic replay fingerprint; schema in docs/SERVING.md).
 //       Exits non-zero if any event breaks the verified-or-degraded
 //       serving contract.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "sag/core/candidates.h"
@@ -59,6 +63,19 @@
 namespace {
 
 using namespace sag;
+
+/// A flag whose value is malformed: main() prints the message and the
+/// usage text, and exits 2.
+struct BadFlag : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/// Finite, integral and within [0, 2^53]: the rule event_io applies to
+/// ids, so every count or index converts to an integer exactly.
+bool is_count(double v) {
+    return std::isfinite(v) && v >= 0.0 && v == std::floor(v) &&
+           v <= 9007199254740992.0 /* 2^53 */;
+}
 
 /// Tiny --key value / --flag argument map.
 class Args {
@@ -82,12 +99,33 @@ public:
     std::string get_or(const std::string& key, const std::string& fallback) const {
         return get(key).value_or(fallback);
     }
-    double num_or(const std::string& key, double fallback) const {
+    /// --key as a real: any finite number.
+    double real_or(const std::string& key, double fallback) const {
         const auto v = get(key);
-        return v ? std::stod(*v) : fallback;
+        return v ? parse(key, *v) : fallback;
+    }
+    /// --key as a count (see is_count).
+    std::uint64_t count_or(const std::string& key, std::uint64_t fallback) const {
+        const auto v = get(key);
+        if (!v) return fallback;
+        const double d = parse(key, *v);
+        if (!is_count(d)) {
+            throw BadFlag("--" + key + " needs a whole number in [0, 2^53], got '" +
+                          *v + "'");
+        }
+        return static_cast<std::uint64_t>(d);
     }
 
 private:
+    static double parse(const std::string& key, const std::string& text) {
+        char* end = nullptr;
+        const double d = std::strtod(text.c_str(), &end);
+        if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(d)) {
+            throw BadFlag("--" + key + " needs a finite number, got '" + text + "'");
+        }
+        return d;
+    }
+
     std::map<std::string, std::string> values_;
 };
 
@@ -117,8 +155,8 @@ int cmd_generate(const Args& args) {
     sim::GeneratorConfig cfg;
     if (propagation == "log_distance") {
         cfg = sim::presets::log_distance_shadowed(
-            30, units::Decibel{args.num_or("shadowing-sigma", 4.0)},
-            static_cast<std::uint64_t>(args.num_or("shadowing-seed", 1)));
+            30, units::Decibel{args.real_or("shadowing-sigma", 4.0)},
+            args.count_or("shadowing-seed", 1));
     } else if (propagation == "lora") {
         cfg = sim::presets::lora_field(30);
     } else if (propagation != "two_ray") {
@@ -126,16 +164,16 @@ int cmd_generate(const Args& args) {
                      propagation.c_str());
         return usage();
     }
-    cfg.field_side = args.num_or("field", cfg.field_side);
-    cfg.subscriber_count = static_cast<std::size_t>(args.num_or("users", 30));
-    cfg.base_station_count = static_cast<std::size_t>(args.num_or("bs", 4));
+    cfg.field_side = args.real_or("field", cfg.field_side);
+    cfg.subscriber_count = args.count_or("users", 30);
+    cfg.base_station_count = args.count_or("bs", 4);
     cfg.snr_threshold_db =
-        sag::units::Decibel{args.num_or("snr", cfg.snr_threshold_db.db())};
+        sag::units::Decibel{args.real_or("snr", cfg.snr_threshold_db.db())};
     const std::string layout = args.get_or("bs-layout", "uniform");
     cfg.bs_layout = layout == "corners"  ? sim::BsLayout::Corners
                     : layout == "center" ? sim::BsLayout::Center
                                          : sim::BsLayout::Uniform;
-    const auto seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
+    const std::uint64_t seed = args.count_or("seed", 1);
     const core::Scenario scenario = sim::generate_scenario(cfg, seed);
     io::save_scenario(*out, scenario);
     std::printf(
@@ -171,7 +209,7 @@ int cmd_solve(const Args& args) {
                     ? core::iac_candidates(scenario)
                     : core::prune_useless_candidates(
                           scenario,
-                          core::gac_candidates(scenario, args.num_or("grid", 15.0)));
+                          core::gac_candidates(scenario, args.real_or("grid", 15.0)));
             coverage = core::solve_ilpqc_coverage(scenario, candidates, opts);
         } else {
             std::fprintf(stderr, "unknown coverage method '%s'\n", method.c_str());
@@ -226,8 +264,14 @@ int cmd_verify(const Args& args) {
         powers.push_back(rs.at("power").as_number());
     }
     for (const auto& a : report.at("assignment").as_array()) {
+        if (!a.is_number() || !is_count(a.as_number()) ||
+            a.as_number() > std::numeric_limits<ids::RsId::underlying>::max()) {
+            throw std::runtime_error("result field 'assignment': entry " +
+                                     std::to_string(coverage.assignment.size()) +
+                                     " is not an RS index");
+        }
         coverage.assignment.push_back(
-            sag::ids::RsId{static_cast<std::size_t>(a.as_number())});
+            ids::RsId{static_cast<std::size_t>(a.as_number())});
     }
 
     const auto check = core::verify_coverage(scenario, coverage, powers);
@@ -250,21 +294,21 @@ int cmd_resilience(const Args& args) {
         return 1;
     }
 
-    const auto seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
+    const std::uint64_t seed = args.count_or("seed", 1);
     const std::string model = args.get_or("model", "independent");
     resilience::FailureSet failures;
     if (model == "independent") {
         resilience::IndependentFailureModel m;
-        m.probability = args.num_or("fraction", 0.1);
+        m.probability = args.real_or("fraction", 0.1);
         failures = resilience::inject_independent(deployment, m, seed);
     } else if (model == "disc") {
         resilience::DiscOutageModel m;
-        m.radius = units::Meters{args.num_or("radius", 100.0)};
+        m.radius = units::Meters{args.real_or("radius", 100.0)};
         failures = resilience::inject_disc_outage(scenario, deployment, m, seed);
     } else if (model == "degrade") {
         resilience::PowerDegradationModel m;
-        m.probability = args.num_or("fraction", 0.1);
-        m.factor = args.num_or("factor", 0.5);
+        m.probability = args.real_or("fraction", 0.1);
+        m.factor = args.real_or("factor", 0.5);
         failures = resilience::inject_power_degradation(deployment, m, seed);
     } else {
         std::fprintf(stderr, "unknown failure model '%s'\n", model.c_str());
@@ -326,12 +370,12 @@ int cmd_serve(const Args& args) {
     }
 
     serve::ServeOptions opts;
-    opts.threads = static_cast<std::size_t>(args.num_or("threads", 1));
-    opts.event_budget_seconds = args.num_or("budget", 0.0);
+    opts.threads = args.count_or("threads", 1);
+    opts.event_budget_seconds = args.real_or("budget", 0.0);
     serve::FaultOptions faults;
-    faults.stage_timeout_probability = args.num_or("fault-stage", 0.0);
-    faults.resolve_timeout_probability = args.num_or("fault-resolve", 0.0);
-    faults.seed = static_cast<std::uint64_t>(args.num_or("fault-seed", 1));
+    faults.stage_timeout_probability = args.real_or("fault-stage", 0.0);
+    faults.resolve_timeout_probability = args.real_or("fault-resolve", 0.0);
+    faults.seed = args.count_or("fault-seed", 1);
     opts.faults = serve::FaultPlan(faults);
 
     serve::Session session(scenario, deployment, opts);
@@ -381,6 +425,9 @@ int main(int argc, char** argv) {
         if (cmd == "verify") return cmd_verify(args);
         if (cmd == "resilience") return cmd_resilience(args);
         if (cmd == "serve") return cmd_serve(args);
+    } catch (const BadFlag& e) {
+        std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
+        return usage();
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -8,7 +8,9 @@ Engine ladder (docs/STATIC_ANALYSIS.md §4.8):
 
   1. builtin token engine — always runs; python3 stdlib only.  Strips
      comments/strings, resolves project-wide type aliases, and applies
-     the parameter rules, the raw-escape audit, the layering check, and
+     the parameter rules, the raw-escape audit, the determinism and
+     concurrency-confinement rules, the layering check (include graph
+     and the DESIGN.md layering block, read relative to --root), and
      dead-suppression detection.
   2. libclang engine — layered on top when the clang python bindings
      and $build_dir/compile_commands.json both exist (the CI static
@@ -16,8 +18,8 @@ Engine ladder (docs/STATIC_ANALYSIS.md §4.8):
      the parameter rules from canonical AST types and the raw-escape
      audit from real receiver types; findings are deduplicated.
 
-tools/check_static.sh prefers this linter and only falls back to its
-grep lints when python3 itself is unavailable.
+This is the only lint engine: tools/check_static.sh runs clang-tidy and
+then this linter, and has no rule of its own.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import sys
 import clang_engine
 import layering
 import param_rules
+import pattern_rules
 import raw_escape
 from core import (
     Finding,
@@ -120,8 +123,10 @@ def main(argv) -> int:
     aliases = param_rules.collect_aliases(audited)
     findings += param_rules.run(audited, aliases)
     findings += raw_escape.run(audited)
+    findings += pattern_rules.run(audited)
     try:
-        findings += layering.run(sources, os.path.join(root, args.layering))
+        findings += layering.run(sources, os.path.join(root, args.layering),
+                                 os.path.join(root, layering.DESIGN_DOC))
     except layering.ManifestError as e:
         print(f"sag_lint: {e}", file=sys.stderr)
         return 2

@@ -18,11 +18,15 @@ RULE_UNITS_PARAM = "units-param"
 RULE_IDS_PARAM = "ids-param"
 RULE_GAIN_PARAM = "gain-param"
 RULE_RAW_ESCAPE = "raw-escape"
+RULE_DET_ENTROPY = "det-entropy"
+RULE_DET_UNORDERED = "det-unordered"
+RULE_CONC_RAW = "conc-raw"
 RULE_LAYERING = "layering"
 RULE_DEAD_SUPPRESSION = "dead-suppression"
 
 # Rules whose findings may be suppressed via tools/check_static_allowlist.txt.
-SUPPRESSIBLE_RULES = (RULE_UNITS_PARAM, RULE_IDS_PARAM, RULE_GAIN_PARAM)
+SUPPRESSIBLE_RULES = (RULE_UNITS_PARAM, RULE_IDS_PARAM, RULE_GAIN_PARAM,
+                      RULE_DET_ENTROPY, RULE_DET_UNORDERED, RULE_CONC_RAW)
 
 SOURCE_EXTS = (".h", ".cpp")
 
@@ -52,7 +56,8 @@ def strip_comments_and_strings(text: str) -> str:
     Every replaced character becomes a space (newlines are kept), so
     byte offsets and line numbers in the stripped text match the
     original.  Handles //, /* */, "..."/'...' with escapes, and C++ raw
-    strings R"delim(...)delim".  This is what makes the token rules
+    strings R"delim(...)delim".  A digit separator (`200'000`) is code,
+    not the start of a char literal.  This is what makes the token rules
     immune to the classic grep false positives: a parameter list quoted
     in a comment or a log string never matches.
     """
@@ -86,7 +91,7 @@ def strip_comments_and_strings(text: str) -> str:
             while i < stop:
                 out.append("\n" if text[i] == "\n" else " ")
                 i += 1
-        elif c == '"' or c == "'":
+        elif c == '"' or (c == "'" and not _digit_separator(text, i)):
             quote = c
             out.append(" ")
             i += 1
@@ -108,6 +113,16 @@ def strip_comments_and_strings(text: str) -> str:
 
 def _ident_char(c: str) -> bool:
     return c.isalnum() or c == "_"
+
+
+def _digit_separator(text: str, i: int) -> bool:
+    """Whether the quote at text[i] sits inside a numeric literal: the
+    token before it starts with a digit (`1'000`, `0x1'FF`), while a
+    char literal's prefix starts with a letter (`L'a'`, `u8'a'`)."""
+    j = i
+    while j > 0 and (_ident_char(text[j - 1]) or text[j - 1] in ".'"):
+        j -= 1
+    return j < i and text[j].isdigit()
 
 
 @dataclass
@@ -168,8 +183,8 @@ class Suppressions:
     """Rule-named allowlist: `rule-id: fixed-string-fragment` per line.
 
     A fragment is matched (substring, fixed) against a finding's
-    `path:line:content` key, exactly like the grep lints' `grep -F`
-    filter.  Every entry must name the rule it suppresses; after a run,
+    `path:line:content` key, like a `grep -F` filter over `grep -n`
+    hits.  Every entry must name the rule it suppresses; after a run,
     entries that matched nothing are dead and reported as findings
     themselves (dead-suppression), so stale entries cannot silently
     mask future violations.

@@ -13,11 +13,14 @@ io/sim at the top).  This rule makes the DAG real:
   * a declared edge that no include exercises is *dead* and fails, so
     the manifest can never drift looser than the code: every entry in
     tools/layering.json is load-bearing, and deleting any one of them
-    makes this check (and with it the static gate) fail.
+    makes this check (and with it the static gate) fail;
+  * the ```layering block in DESIGN.md section 10 lists exactly the
+    manifest's `module -> dep, dep` lines, in both directions, so a DAG
+    change is always a design-document diff too.
 
 Layering findings are not suppressible: the manifest IS the policy, so
-a new edge is legalized by declaring it (and passing review + the
-check_docs.sh DESIGN.md sync), never by allowlisting a violation.
+a new edge is legalized by declaring it (in the manifest and DESIGN.md,
+then passing review), never by allowlisting a violation.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 
 from core import Finding, RULE_LAYERING
 
 MANIFEST_DEFAULT = "tools/layering.json"
+DESIGN_DOC = "DESIGN.md"
 # Matched against ORIGINAL lines: quoted include paths are string
 # literals, so the stripped view blanks them.  A line only counts when
 # its stripped counterpart still carries the directive, which is what
@@ -55,8 +60,8 @@ class ManifestError(Exception):
 
 
 def load_manifest(path: str) -> tuple[dict, list]:
-    """Returns ({module: set(deps)}, [apex dirs]).  Keys starting with
-    '_' are documentation and ignored."""
+    """Returns ({module: [deps in manifest order]}, [apex dirs]).  Keys
+    starting with '_' are documentation and ignored."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -70,13 +75,57 @@ def load_manifest(path: str) -> tuple[dict, list]:
         if name.startswith("_"):
             continue
         deps = spec.get("deps", []) if isinstance(spec, dict) else None
-        if deps is None or not isinstance(deps, list):
-            raise ManifestError(f"{path}: module {name!r} needs a \"deps\" list")
-        modules[name] = set(deps)
+        if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
+            raise ManifestError(
+                f"{path}: module {name!r} needs a \"deps\" list of module names")
+        modules[name] = deps
     apex = data.get("apex", [])
     if not isinstance(apex, list):
         raise ManifestError(f"{path}: \"apex\" must be a list of directories")
     return modules, apex
+
+
+def design_block_findings(modules: dict, manifest_path: str,
+                          design_path: str) -> list:
+    """DESIGN.md's ```layering block must hold exactly the manifest's
+    `module -> dep, dep` lines (any line order)."""
+    try:
+        with open(design_path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except OSError:
+        lines = []
+    block = []  # (lineno, text) inside every ```layering fence
+    inside = False
+    for lineno, line in enumerate(lines, 1):
+        if inside and line.startswith("```"):
+            inside = False
+        elif inside:
+            block.append((lineno, line.rstrip()))
+        elif line == "```layering":
+            inside = True
+    if not block:
+        return [Finding(
+            rule=RULE_LAYERING, path=DESIGN_DOC, line=1,
+            message=("no ```layering block (the module DAG section is "
+                     f"missing); it must list the {manifest_path} edges"))]
+
+    # Multiset match: a line the manifest holds once may appear once.
+    missing = Counter(f"{name} -> {', '.join(deps)}".rstrip()
+                      for name, deps in modules.items())
+    drift = f"the DESIGN.md layering block drifts from {manifest_path}"
+    findings = []
+    for lineno, text in block:
+        if missing[text] > 0:
+            missing[text] -= 1
+            continue
+        findings.append(Finding(
+            rule=RULE_LAYERING, path=DESIGN_DOC, line=lineno,
+            message=f"{drift}: `{text}` is only in DESIGN.md", content=text))
+    for text in sorted(missing.elements()):
+        findings.append(Finding(
+            rule=RULE_LAYERING, path=DESIGN_DOC, line=block[0][0] - 1,
+            message=f"{drift}: `{text}` is only in the manifest", content=text))
+    return findings
 
 
 def module_of(path: str):
@@ -86,9 +135,9 @@ def module_of(path: str):
     return None
 
 
-def run(sources, manifest_path: str) -> list:
+def run(sources, manifest_path: str, design_path: str) -> list:
     modules, apex = load_manifest(manifest_path)
-    findings = []
+    findings = design_block_findings(modules, manifest_path, design_path)
 
     for name, deps in sorted(modules.items()):
         for dep in sorted(deps):
@@ -143,8 +192,8 @@ def run(sources, manifest_path: str) -> list:
                     content=src.line_text(line)))
 
     for name in sorted(modules_with_files):
-        for dep in sorted(modules[name] - {d for (m, d) in used_edges
-                                           if m == name}):
+        for dep in sorted(set(modules[name]) - {d for (m, d) in used_edges
+                                                if m == name}):
             findings.append(Finding(
                 rule=RULE_LAYERING, path=manifest_path, line=1,
                 message=(
