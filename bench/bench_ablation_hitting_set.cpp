@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
     sim::Table table({"disks", "swap1", "swap2", "swap3", "t1(ms)", "t2(ms)",
                       "t3(ms)"});
-    for (const std::size_t n : {10ul, 20ul, 30ul, 40ul, 60ul}) {
+    for (const std::size_t n : {10ul, 20ul, 30ul, 40ul, 60ul, 80ul, 160ul}) {
         bench::SeedAverage count[3], time_ms[3];
         for (int seed = 0; seed < bc.seeds; ++seed) {
             sim::GeneratorConfig cfg;

@@ -38,7 +38,7 @@ void BM_ZoneHittingSet(benchmark::State& state) {
         benchmark::DoNotOptimize(opt::geometric_hitting_set(disks, {}));
     }
 }
-BENCHMARK(BM_ZoneHittingSet)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_ZoneHittingSet)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Arg(160);
 
 void BM_Samc(benchmark::State& state) {
     const auto s = make_scenario(static_cast<std::size_t>(state.range(0)));
@@ -46,7 +46,7 @@ void BM_Samc(benchmark::State& state) {
         benchmark::DoNotOptimize(core::solve_samc(s));
     }
 }
-BENCHMARK(BM_Samc)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_Samc)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Arg(160);
 
 void BM_IlpqcIac(benchmark::State& state) {
     const auto s = make_scenario(static_cast<std::size_t>(state.range(0)));

@@ -12,7 +12,12 @@
 namespace sag::opt {
 
 std::vector<std::vector<std::size_t>> SetCoverInstance::covering_sets() const {
+    std::vector<std::size_t> sizes(element_count, 0);
+    for (const auto& s : sets) {
+        for (const std::size_t e : s) ++sizes[e];
+    }
     std::vector<std::vector<std::size_t>> cov(element_count);
+    for (std::size_t e = 0; e < element_count; ++e) cov[e].reserve(sizes[e]);
     for (std::size_t s = 0; s < sets.size(); ++s) {
         for (const std::size_t e : sets[s]) cov[e].push_back(s);
     }
@@ -28,29 +33,25 @@ bool SetCoverInstance::coverable() const {
 }
 
 std::optional<std::vector<std::size_t>> greedy_set_cover(const SetCoverInstance& inst) {
+    // gain[s] = entries of set s still uncovered, kept current through the
+    // inverse index, so a round scans the gains instead of every set.
+    const auto covering = inst.covering_sets();
+    std::vector<std::size_t> gain(inst.sets.size());
+    for (std::size_t s = 0; s < inst.sets.size(); ++s) gain[s] = inst.sets[s].size();
     std::vector<bool> covered(inst.element_count, false);
     std::size_t uncovered = inst.element_count;
     std::vector<std::size_t> chosen;
     while (uncovered > 0) {
-        std::size_t best_set = inst.sets.size();
-        std::size_t best_gain = 0;
-        for (std::size_t s = 0; s < inst.sets.size(); ++s) {
-            std::size_t gain = 0;
-            for (const std::size_t e : inst.sets[s]) {
-                if (!covered[e]) ++gain;
-            }
-            if (gain > best_gain) {
-                best_gain = gain;
-                best_set = s;
-            }
-        }
-        if (best_set == inst.sets.size()) return std::nullopt;  // uncoverable
+        // The first set of maximal gain.
+        const auto best = std::max_element(gain.begin(), gain.end());
+        if (best == gain.end() || *best == 0) return std::nullopt;  // uncoverable
+        const auto best_set = static_cast<std::size_t>(best - gain.begin());
         chosen.push_back(best_set);
         for (const std::size_t e : inst.sets[best_set]) {
-            if (!covered[e]) {
-                covered[e] = true;
-                --uncovered;
-            }
+            if (covered[e]) continue;
+            covered[e] = true;
+            --uncovered;
+            for (const std::size_t s : covering[e]) --gain[s];
         }
     }
     std::sort(chosen.begin(), chosen.end());

@@ -11,6 +11,7 @@
 #include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
 #include "sag/obs/obs.h"
+#include "sag/opt/hitting_set.h"
 #include "sag/sim/scenario_gen.h"
 #include "sag/exec/thread_pool.h"
 
@@ -177,6 +178,17 @@ TEST(ObsIntegrationTest, SolveSagEmitsPipelinePhaseSpans) {
     EXPECT_GT(report.counters.at("snr_field.deltas.applied"), 0u);
     EXPECT_GT(report.counters.at("pro.drop_probes"), 0u);
     EXPECT_GT(report.gauges.at("sag.total_power"), 0.0);
+}
+
+TEST(ObsIntegrationTest, HittingSetCountsMembershipEntries) {
+    // Candidates: the two centers, each inside its own disk only, and the
+    // two boundary intersections (3, +-4), each inside both disks.
+    const geom::Circle disks[] = {{{0.0, 0.0}, 5.0}, {{6.0, 0.0}, 5.0}};
+    ScopedRecorder rec;
+    EXPECT_EQ(opt::geometric_hitting_set(disks).size(), 1u);
+    const RunReport report = rec.snapshot();
+    EXPECT_EQ(report.counters.at("opt.hitting_set.candidates"), 4u);
+    EXPECT_EQ(report.counters.at("opt.hitting_set.membership_entries"), 6u);
 }
 
 TEST(ObsIntegrationTest, TransactionRollbackCountsRevertedDeltas) {
