@@ -10,6 +10,7 @@
 #include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
 #include "sag/core/ucra.h"
+#include "sag/core/zone_partition.h"
 #include "sag/ids/ids.h"
 #include "sag/obs/obs.h"
 #include "sag/opt/hitting_set.h"
@@ -30,6 +31,19 @@ core::Scenario make_scenario(std::size_t users, double side = 500.0) {
     cfg.snr_threshold_db = units::Decibel{-15.0};
     return sim::generate_scenario(cfg, 97);
 }
+
+/// Zone Partition (Algorithm 2) on the perfbench field shapes: 60 SSs on
+/// the 500 m `dense` field, 300 on the 4 km `churn` city, 2400 on the
+/// 16 km `wide` field.
+void BM_ZonePartition(benchmark::State& state) {
+    const auto users = static_cast<std::size_t>(state.range(0));
+    const double side = users <= 60 ? 500.0 : users <= 300 ? 4000.0 : 16000.0;
+    const auto s = make_scenario(users, side);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(core::zone_partition(s));
+    }
+}
+BENCHMARK(BM_ZonePartition)->Arg(60)->Arg(300)->Arg(2400);
 
 void BM_ZoneHittingSet(benchmark::State& state) {
     const auto s = make_scenario(static_cast<std::size_t>(state.range(0)));

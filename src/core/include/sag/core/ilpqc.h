@@ -15,9 +15,6 @@ struct IlpqcOptions {
     /// Wall-clock limit in seconds (0 disables). Mainly caps the cost of
     /// infeasibility proofs on SNR-tight instances.
     double time_budget_seconds = 0.0;
-    /// Allow solutions that place more RSs than a minimal cover when the
-    /// extra RS is what makes the SNR constraint satisfiable.
-    bool allow_padding = true;
     /// Worker threads for the branch-and-bound: 1 = the serial solver,
     /// 0 = exec default (SAG_THREADS env / hardware concurrency), else
     /// that many. Any value != 1 routes through the deterministic
@@ -31,7 +28,9 @@ struct IlpqcOptions {
 /// Solves the paper's ILPQC (3.1)-(3.5): minimum number of candidate
 /// positions such that every subscriber has an in-range access link and
 /// clears the SNR threshold with all chosen RSs at max power. `candidates`
-/// come from iac_candidates() or gac_candidates(). Returns an infeasible
+/// come from iac_candidates() or gac_candidates(). A plan may place more
+/// RSs than a minimal cover when the extra RS is what makes the SNR
+/// constraint satisfiable. Returns an infeasible
 /// plan (feasible == false) when no choice of candidates works — the
 /// paper's "IAC/GAC returns infeasible model" outcome in Fig. 3d.
 CoveragePlan solve_ilpqc_coverage(const Scenario& scenario,

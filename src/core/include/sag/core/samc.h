@@ -14,12 +14,6 @@ namespace sag::core {
 struct SamcOptions {
     /// Hitting-set quality (local-search swap size etc.).
     opt::HittingSetOptions hitting_set{};
-    /// Cap on relocation combinations tried per Update-RS-Topology round
-    /// (Algorithm 5 Step 3 enumerates subsets of updatable RSs).
-    std::size_t max_update_combinations = 4096;
-    /// Cap on improvement rounds; each committed round strictly shrinks
-    /// the violated-subscriber set, so rounds <= |subscribers| anyway.
-    int max_improvement_rounds = 64;
     /// Extra repair move beyond the paper's Algorithms 4-5: re-serve a
     /// violated subscriber from its nearest in-range RS. Switching the
     /// serving RS changes only that subscriber's SNR (interference is the
@@ -85,7 +79,8 @@ struct SlideResult {
 /// within the common region of their subscribers' feasible/virtual circles
 /// until every zone subscriber clears the SNR threshold, or reports
 /// infeasible when no relocation combination keeps shrinking the violated
-/// set.
+/// set. Runs at most 64 improvement rounds, each trying at most 4096
+/// relocation combinations.
 SlideResult sliding_movement(const Scenario& scenario,
                              std::span<const ids::SsId> subs,
                              const ZoneAssignment& assignment,

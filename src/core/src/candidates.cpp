@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "sag/geometry/grid.h"
-#include "sag/geometry/spatial_grid.h"
+#include "sag/geometry/sweep.h"
 
 namespace sag::core {
 
@@ -12,22 +12,11 @@ std::vector<geom::Vec2> iac_candidates(const Scenario& scenario) {
     std::vector<geom::Vec2> candidates;
     std::vector<bool> isolated(circles.size(), true);
 
-    // Only circle pairs with overlapping disks can intersect: prefilter
-    // pairs through the spatial index (radius = twice the largest circle).
-    double r_top = 0.0;
-    std::vector<geom::Vec2> centers;
-    centers.reserve(circles.size());
-    for (const geom::Circle& c : circles) {
-        r_top = std::max(r_top, c.radius);
-        centers.push_back(c.center);
-    }
-    // Circles are subscriber-ordered, so the pair query comes back typed.
-    const geom::SpatialGridT<ids::SsId> index(std::move(centers),
-                                              std::max(2.0 * r_top, 1.0));
-    for (const auto& [i, j] : index.all_pairs_within(2.0 * r_top)) {
-        const auto pts =
-            geom::circle_intersections(circles[i.index()], circles[j.index()]);
-        if (!pts.empty()) isolated[i.index()] = isolated[j.index()] = false;
+    // Only circles whose disks meet can intersect; circle_intersections
+    // decides which near pairs do.
+    for (const auto& [i, j] : geom::near_pairs(circles, geom::sweep_index(circles))) {
+        const auto pts = geom::circle_intersections(circles[i], circles[j]);
+        if (!pts.empty()) isolated[i] = isolated[j] = false;
         candidates.insert(candidates.end(), pts.begin(), pts.end());
     }
     for (std::size_t i = 0; i < circles.size(); ++i) {

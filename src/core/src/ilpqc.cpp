@@ -73,7 +73,6 @@ CoveragePlan solve_ilpqc_coverage(const Scenario& scenario,
     opt::SetCoverBnBOptions bnb;
     bnb.node_budget = options.node_budget;
     bnb.time_budget_seconds = options.time_budget_seconds;
-    bnb.allow_padding = options.allow_padding;
     bnb.threads = options.threads;
     // A placement larger than one RS per subscriber (plus a little padding
     // slack) is never useful; capping the search keeps infeasibility

@@ -224,9 +224,14 @@ SlideResult sliding_movement(const Scenario& scenario,
     }
 
     // Algorithms 4 Steps 3-5 + 5: relocate multi-cover RSs until clean or
-    // stuck. Each committed round must strictly shrink the violated set.
+    // stuck. Each committed round must strictly shrink the violated set,
+    // so rounds <= |subscribers| anyway; the cap bounds the worst case.
+    constexpr int kMaxImprovementRounds = 64;
+    // Algorithm 5 Step 3 enumerates subsets of the updatable RSs: at most
+    // this many relocation combinations per round.
+    constexpr std::size_t kMaxUpdateCombinations = 4096;
     for (result.rounds = 0;
-         !violated.empty() && result.rounds < options.max_improvement_rounds;
+         !violated.empty() && result.rounds < kMaxImprovementRounds;
          ++result.rounds) {
         std::vector<bool> is_violated(subs.size(), false);
         for (const ids::SsId k : violated) is_violated[k.index()] = true;
@@ -255,7 +260,7 @@ SlideResult sliding_movement(const Scenario& scenario,
         // (moving every updatable RS at once is the natural first try).
         // Each probe is a transaction: move the combination's RSs, read the
         // violated set off the incrementally updated field, roll back.
-        std::size_t budget = options.max_update_combinations;
+        std::size_t budget = kMaxUpdateCombinations;
         std::size_t best_violations = violated.size();
         std::optional<std::vector<geom::Vec2>> best_points;
         bool solved = false;

@@ -1,6 +1,7 @@
 #include "sag/core/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -60,8 +61,8 @@ void Scenario::validate() const {
     if (field.width() <= 0.0 || field.height() <= 0.0)
         throw std::invalid_argument("field must have positive area");
     for (const Subscriber& s : subscribers) {
-        if (s.distance_request <= 0.0)
-            throw std::invalid_argument("distance request must be positive");
+        if (!std::isfinite(s.distance_request) || s.distance_request <= 0.0)
+            throw std::invalid_argument("distance request must be positive and finite");
         if (!field.contains(s.pos, 1e-6))
             throw std::invalid_argument("subscriber outside the field");
         if (s.profile.valid() && s.profile.index() >= profiles.size())

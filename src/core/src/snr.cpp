@@ -3,35 +3,9 @@
 #include <limits>
 
 #include "sag/core/snr_field.h"
-#include "sag/geometry/spatial_grid.h"
+#include "sag/geometry/sweep.h"
 
 namespace sag::core {
-
-namespace {
-
-/// Below this RS count a linear scan beats building a hash grid.
-constexpr std::size_t kGridLookupThreshold = 32;
-
-/// Nearest in-range RS for one subscriber among `candidates` (ascending
-/// ID order, strict < keeps the lowest ID on ties — identical semantics
-/// to the linear scan). invalid() signals no RS in range.
-template <typename Candidates>
-ids::RsId nearest_in_range(const Subscriber& s,
-                           std::span<const geom::Vec2> rs_positions,
-                           const Candidates& candidates) {
-    ids::RsId best = ids::RsId::invalid();
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (const ids::RsId i : candidates) {
-        const double d = geom::distance(rs_positions[i.index()], s.pos);
-        if (d <= s.distance_request + geom::kEps && d < best_dist) {
-            best = i;
-            best_dist = d;
-        }
-    }
-    return best;
-}
-
-}  // namespace
 
 std::vector<double> coverage_snrs(const Scenario& scenario,
                                   std::span<const geom::Vec2> rs_positions,
@@ -49,35 +23,27 @@ std::vector<double> coverage_snrs(const Scenario& scenario,
 std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(
     const Scenario& scenario, std::span<const geom::Vec2> rs_positions,
     std::span<const ids::SsId> subs) {
+    std::vector<geom::Circle> stations;
+    stations.reserve(rs_positions.size());
+    for (const geom::Vec2& p : rs_positions) stations.emplace_back(p, 0.0);
+    const geom::SweepIndex index = geom::sweep_index(stations);
+
     ids::IdVec<ids::SsId, ids::RsId> assignment(subs.size());
-
-    if (rs_positions.size() >= kGridLookupThreshold) {
-        double max_reach = 0.0;
-        for (const ids::SsId j : subs) {
-            max_reach =
-                std::max(max_reach, scenario.subscriber(j).distance_request);
-        }
-        if (max_reach > 0.0) {
-            const geom::SpatialGridT<ids::RsId> grid(
-                {rs_positions.begin(), rs_positions.end()}, max_reach);
-            for (std::size_t k = 0; k < subs.size(); ++k) {
-                const Subscriber& s = scenario.subscriber(subs[k]);
-                const ids::RsId best = nearest_in_range(
-                    s, rs_positions,
-                    grid.query_radius(s.pos, s.distance_request + geom::kEps));
-                if (!best.valid()) return std::nullopt;
-                assignment[ids::SsId{k}] = best;
-            }
-            return assignment;
-        }
-    }
-
-    const auto every_rs = ids::first_ids<ids::RsId>(rs_positions.size());
     for (std::size_t k = 0; k < subs.size(); ++k) {
         const Subscriber& s = scenario.subscriber(subs[k]);
-        const ids::RsId best = nearest_in_range(s, rs_positions, every_rs);
-        if (!best.valid()) return std::nullopt;
-        assignment[ids::SsId{k}] = best;
+        const double reach = s.distance_request + geom::kEps;
+        // The window scans in x order: ties go to the lower RS index.
+        std::size_t best = rs_positions.size();
+        double best_dist = std::numeric_limits<double>::infinity();
+        for (const std::size_t i : geom::x_window(stations, index, s.pos.x, reach)) {
+            const double d = geom::distance(rs_positions[i], s.pos);
+            if (d <= reach && (d < best_dist || (d == best_dist && i < best))) {
+                best = i;
+                best_dist = d;
+            }
+        }
+        if (best == rs_positions.size()) return std::nullopt;
+        assignment[ids::SsId{k}] = ids::RsId{best};
     }
     return assignment;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sag/geometry/spatial_grid.h"
+#include "sag/geometry/sweep.h"
 #include "sag/graph/graph.h"
 
 namespace sag::core {
@@ -18,32 +18,27 @@ ids::IdVec<ids::ZoneId, std::vector<ids::SsId>> zone_partition(
     const double dmax = zone_partition_dmax(scenario);
     const std::size_t n = scenario.subscriber_count();
 
-    // Candidate pairs via the spatial index: d_eff <= dmax implies
-    // dist(s_i, s_j) <= dmax + max(d_i, d_j) <= dmax + d_top, so a single
-    // radius query over-approximates and the exact check filters.
-    double d_top = 0.0;
-    std::vector<geom::Vec2> positions;
-    positions.reserve(n);
+    // d_eff <= dmax implies dist(s_i, s_j) <= dmax + max(d_i, d_j), so the
+    // disks of radius d_j + dmax/2 around the subscribers meet for every
+    // such pair; the exact d_eff test filters the near pairs.
+    std::vector<geom::Circle> reach;
+    reach.reserve(n);
     for (const Subscriber& s : scenario.subscribers) {
-        d_top = std::max(d_top, s.distance_request);
-        positions.push_back(s.pos);
+        reach.emplace_back(s.pos, s.distance_request + dmax / 2.0);
     }
-    const double pair_radius = dmax + d_top;
-    const geom::SpatialGridT<ids::SsId> index(std::move(positions),
-                                              std::max(pair_radius, 1.0));
 
-    // The union-find layer is entity-agnostic: SsIds cross into it as raw
-    // vertex indices and the components come back out retyped.
+    // The union-find layer is entity-agnostic: subscribers cross into it
+    // as raw vertex indices and the components come back out retyped.
     graph::Graph g(n);
-    for (const auto& [i, j] : index.all_pairs_within(pair_radius)) {
-        const Subscriber& si = scenario.subscriber(i);
-        const Subscriber& sj = scenario.subscriber(j);
+    for (const auto& [i, j] : geom::near_pairs(reach, geom::sweep_index(reach))) {
+        const Subscriber& si = scenario.subscribers[i];
+        const Subscriber& sj = scenario.subscribers[j];
         const double dist = geom::distance(si.pos, sj.pos);
         // d_eff: worst-case gap between a station serving one SS and the
         // other SS (an RS may stand d_i inside s_i's circle).
         const double d_eff =
             std::min(dist - si.distance_request, dist - sj.distance_request);
-        if (d_eff <= dmax) g.add_edge(i.index(), j.index());
+        if (d_eff <= dmax) g.add_edge(i, j);
     }
 
     ids::IdVec<ids::ZoneId, std::vector<ids::SsId>> zones;

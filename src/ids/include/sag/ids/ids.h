@@ -301,7 +301,7 @@ static_assert(detail::kZeroOverheadId<ProfileId>);
 
 }  // namespace sag::ids
 
-/// Hashable, so IDs drop into unordered_map/set keyed maps.
+/// Hashable, so IDs can key hashed containers.
 template <class Tag>
 struct std::hash<sag::ids::EntityId<Tag>> {
     std::size_t operator()(sag::ids::EntityId<Tag> id) const noexcept {

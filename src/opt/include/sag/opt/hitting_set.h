@@ -13,21 +13,21 @@ struct HittingSetOptions {
     /// Largest local-search swap: replace `t` chosen points by `t-1`
     /// candidates. Mustafa & Ray's PTAS [SCG'09] uses unbounded swaps;
     /// swaps of size <= 3 already recover their quality at the paper's
-    /// instance sizes (see bench_ablation_hitting_set).
+    /// instance sizes (see bench_ablation_hitting_set). A pass skips its
+    /// 3->2 swaps when chosen-count * candidate-count exceeds 4'000'000: a
+    /// fixed cost guard on the largest neighbourhood that does not bind at
+    /// the ablation's sizes (up to 160 disks).
     int max_swap = 2;
     /// Upper bound on local-search improvement passes.
     int max_passes = 64;
-    /// Skip 3->2 swaps when chosen-count * candidate-count exceeds this: a
-    /// cost guard on the largest neighbourhood. No bench varies it, and it
-    /// does not bind at the ablation's sizes (up to 160 disks).
-    std::size_t swap3_cost_limit = 4'000'000;
 };
 
 /// Candidate hitting points for a disk family: every disk center plus all
 /// pairwise boundary intersection points (deduplicated). Any disk family
 /// with a non-empty hitting set admits one drawn from these candidates.
-/// Only near pairs can intersect; an x-sorted sweep over the centers
-/// finds them, so the cost follows the overlap, not all n^2 pairs.
+/// Only near pairs can intersect; geom::near_pairs (sag/geometry/sweep.h)
+/// sweeps the x-sorted centers for them, so the cost follows the overlap,
+/// not all n^2 pairs.
 std::vector<geom::Vec2> disk_hitting_candidates(std::span<const geom::Circle> disks);
 
 /// Minimum hitting set for closed disks (paper §III-A1 step "Minimum

@@ -16,14 +16,9 @@ namespace sag::opt {
 using RequiredPowerFn =
     std::function<double(std::size_t i, std::span<const double> powers)>;
 
-struct PowerControlOptions {
-    int max_iterations = 10'000;
-    double tolerance = 1e-10;  ///< max per-entry change declaring a fixed point
-};
-
 struct PowerControlResult {
     std::vector<double> powers;
-    bool converged = false;   ///< reached a fixed point within max_iterations
+    bool converged = false;   ///< reached a fixed point within 10'000 iterations
     bool feasible = false;    ///< fixed point respects every cap
     int iterations = 0;
 };
@@ -33,10 +28,10 @@ struct PowerControlResult {
 /// Starting from the floors and iterating a standard interference function
 /// converges monotonically to the *minimal* feasible power vector — i.e.
 /// the exact optimum of the paper's LPQC (3.6)-(3.9) — or detects
-/// infeasibility when the fixed point exceeds a cap.
+/// infeasibility when the fixed point exceeds a cap. A sweep that changes
+/// no entry by 1e-10 or more is the fixed point.
 PowerControlResult fixed_point_power_control(std::span<const double> floors,
                                              std::span<const double> caps,
-                                             const RequiredPowerFn& required,
-                                             const PowerControlOptions& options = {});
+                                             const RequiredPowerFn& required);
 
 }  // namespace sag::opt

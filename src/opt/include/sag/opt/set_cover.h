@@ -61,10 +61,6 @@ struct SetCoverBnBOptions {
     double time_budget_seconds = 0.0;
     /// Hard cap on solution size; defaults to the number of candidates.
     std::size_t max_size = SIZE_MAX;
-    /// When true, the search may pad an already-complete cover with extra
-    /// sets. With an interference oracle a larger placement is occasionally
-    /// feasible when no minimal one is, because it shortens access links.
-    bool allow_padding = true;
     /// Worker threads for solve_set_cover_bnb_parallel: 1 = explore root
     /// branches on the calling thread, 0 = the exec default
     /// (SAG_THREADS env / hardware concurrency). Ignored by the serial
@@ -82,7 +78,10 @@ struct SetCoverBnBResult {
 /// Exact (budget-permitting) minimum set cover subject to a cover oracle,
 /// via iterative-deepening DFS: try target sizes k = LB, LB+1, ... and
 /// enumerate covers of size exactly k, branching on the uncovered element
-/// with the fewest remaining candidates. This reproduces what the paper
+/// with the fewest remaining candidates. A cover that is complete below
+/// size k is padded with extra sets up to k: with an interference oracle a
+/// larger placement is occasionally feasible when no minimal one is,
+/// because it shortens access links. This reproduces what the paper
 /// obtains from Gurobi on the ILPQC (§III-A1), including its practical
 /// memory/time ceiling.
 SetCoverBnBResult solve_set_cover_bnb(const SetCoverInstance& inst,

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 
 #include "sag/exec/thread_pool.h"
+#include "sag/geometry/sweep.h"
 #include "sag/obs/obs.h"
 #include "sag/opt/set_cover.h"
 
@@ -19,59 +19,15 @@ constexpr double kHitEps = 1e-6;
 
 constexpr std::size_t kNone = SIZE_MAX;
 
-/// Disk indices sorted by center x: the one sweep structure behind both
-/// the near-pair enumeration and the membership lists.
-struct SweepIndex {
-    std::vector<std::size_t> by_x;
-    double max_radius = 0.0;
-    /// Added to every x-window and distance bound. It dwarfs the relative
-    /// rounding (2^-52) of the distances compared, so a window never drops
-    /// a pair or a containment that the exact test behind it accepts.
-    double slack = 0.0;
-};
-
-SweepIndex sweep_index(std::span<const geom::Circle> disks) {
-    SweepIndex index;
-    index.by_x.resize(disks.size());
-    std::iota(index.by_x.begin(), index.by_x.end(), std::size_t{0});
-    std::sort(index.by_x.begin(), index.by_x.end(), [&](std::size_t a, std::size_t b) {
-        const double xa = disks[a].center.x;
-        const double xb = disks[b].center.x;
-        return xa != xb ? xa < xb : a < b;
-    });
-    for (const geom::Circle& d : disks) index.max_radius = std::max(index.max_radius, d.radius);
-    index.slack = 1e-9 * (1.0 + index.max_radius);
-    return index;
-}
-
-/// Disk pairs (i < j) whose closed disks may meet, in ascending (i, j)
-/// order: a superset of the pairs circle_intersections() returns points
-/// for, found by sweeping the x-sorted centers.
-std::vector<std::pair<std::size_t, std::size_t>> near_pairs(
-    std::span<const geom::Circle> disks, const SweepIndex& index) {
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    const std::vector<std::size_t>& by_x = index.by_x;
-    for (std::size_t a = 0; a < by_x.size(); ++a) {
-        const geom::Circle& da = disks[by_x[a]];
-        const double window = da.radius + index.max_radius + geom::kEps + index.slack;
-        for (std::size_t b = a + 1; b < by_x.size(); ++b) {
-            const geom::Circle& db = disks[by_x[b]];
-            if (db.center.x - da.center.x > window) break;
-            const double reach = da.radius + db.radius + geom::kEps + index.slack;
-            if (geom::distance_sq(da.center, db.center) > reach * reach) continue;
-            pairs.emplace_back(std::min(by_x[a], by_x[b]), std::max(by_x[a], by_x[b]));
-        }
-    }
-    std::sort(pairs.begin(), pairs.end());
-    return pairs;
-}
+/// The (3,2) cost guard documented on HittingSetOptions::max_swap.
+constexpr std::size_t kSwap3CostLimit = 4'000'000;
 
 std::vector<geom::Vec2> hitting_candidates(std::span<const geom::Circle> disks,
-                                           const SweepIndex& index) {
+                                           const geom::SweepIndex& index) {
     std::vector<geom::Vec2> candidates;
     candidates.reserve(disks.size() * 3);
     for (const geom::Circle& d : disks) candidates.push_back(d.center);
-    for (const auto& [i, j] : near_pairs(disks, index)) {
+    for (const auto& [i, j] : geom::near_pairs(disks, index)) {
         for (const geom::Vec2& p : geom::circle_intersections(disks[i], disks[j])) {
             candidates.push_back(p);
         }
@@ -93,7 +49,7 @@ std::vector<geom::Vec2> hitting_candidates(std::span<const geom::Circle> disks,
 /// are x-sorted, so the disks whose centers lie within reach of a
 /// candidate form a window of the sweep order that only moves right.
 std::vector<std::vector<std::size_t>> hit_lists(std::span<const geom::Circle> disks,
-                                                const SweepIndex& index,
+                                                const geom::SweepIndex& index,
                                                 std::span<const geom::Vec2> candidates) {
     std::vector<std::vector<std::size_t>> sets(candidates.size());
     const std::vector<std::size_t>& by_x = index.by_x;
@@ -164,14 +120,14 @@ struct HitCounts {
 }  // namespace
 
 std::vector<geom::Vec2> disk_hitting_candidates(std::span<const geom::Circle> disks) {
-    return hitting_candidates(disks, sweep_index(disks));
+    return hitting_candidates(disks, geom::sweep_index(disks));
 }
 
 std::vector<geom::Vec2> geometric_hitting_set(std::span<const geom::Circle> disks,
                                               const HittingSetOptions& options) {
     SAG_OBS_SPAN("opt.hitting_set");
     if (disks.empty()) return {};
-    const SweepIndex index = sweep_index(disks);
+    const geom::SweepIndex index = geom::sweep_index(disks);
     const std::vector<geom::Vec2> candidates = hitting_candidates(disks, index);
     SAG_OBS_COUNT_ADD("opt.hitting_set.candidates", candidates.size());
     const SetCoverInstance inst{disks.size(), hit_lists(disks, index, candidates)};
@@ -232,7 +188,7 @@ std::vector<geom::Vec2> geometric_hitting_set(std::span<const geom::Circle> disk
 
         // (3,2): replace three chosen points with two candidates a < b.
         if (options.max_swap >= 3 && !improved &&
-            chosen.size() * candidates.size() <= options.swap3_cost_limit) {
+            chosen.size() * candidates.size() <= kSwap3CostLimit) {
             for (std::size_t i = 0; i < chosen.size() && !improved; ++i) {
                 for (std::size_t j = i + 1; j < chosen.size() && !improved; ++j) {
                     for (std::size_t k = j + 1; k < chosen.size() && !improved; ++k) {

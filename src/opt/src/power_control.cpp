@@ -8,8 +8,9 @@ namespace sag::opt {
 
 PowerControlResult fixed_point_power_control(std::span<const double> floors,
                                              std::span<const double> caps,
-                                             const RequiredPowerFn& required,
-                                             const PowerControlOptions& options) {
+                                             const RequiredPowerFn& required) {
+    constexpr int kMaxIterations = 10'000;
+    constexpr double kTolerance = 1e-10;  // max per-entry change at a fixed point
     const std::size_t n = floors.size();
     if (caps.size() != n) throw std::invalid_argument("floors/caps size mismatch");
 
@@ -20,7 +21,7 @@ PowerControlResult fixed_point_power_control(std::span<const double> floors,
     }
 
     bool capped = false;
-    for (; result.iterations < options.max_iterations; ++result.iterations) {
+    for (; result.iterations < kMaxIterations; ++result.iterations) {
         double max_change = 0.0;
         capped = false;
         for (std::size_t i = 0; i < n; ++i) {
@@ -37,7 +38,7 @@ PowerControlResult fixed_point_power_control(std::span<const double> floors,
             max_change = std::max(max_change, std::abs(want - result.powers[i]));
             result.powers[i] = want;  // Gauss–Seidel update: converges faster
         }
-        if (max_change < options.tolerance) {
+        if (max_change < kTolerance) {
             result.converged = true;
             ++result.iterations;
             break;

@@ -199,7 +199,7 @@ struct Search {
         if (!spend_node()) return false;
         if (uncovered == 0) {
             if (chosen.size() == target_size) return check_leaf();
-            return options.allow_padding ? pad(0) : false;
+            return pad(0);
         }
         if (chosen.size() >= target_size) return false;
 

@@ -114,10 +114,6 @@ struct RepairState {
 core::ConnectivityPlan rebuild_backhaul(const ActiveView& view);
 
 struct RepairOptions {
-    /// Power/verify rounds: a failed verification drops the offending
-    /// newly-added SSs and retries, so each round strictly shrinks the
-    /// instance toward the guaranteed-feasible surviving core.
-    int max_rounds = 4;
     /// Stage-2 budget of patched-in relays; 0 disables patching.
     std::size_t max_new_relays = 8;
 };

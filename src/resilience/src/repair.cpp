@@ -254,7 +254,11 @@ RepairOutcome repair(const core::Scenario& scenario,
     Reescalation power;
     {
         SAG_OBS_SPAN("resilience.repair.power");
-        power = state.reescalate(options.max_rounds);
+        // A failed verification drops the offending newly-added SSs and
+        // retries, so each round strictly shrinks the instance toward the
+        // guaranteed-feasible surviving core.
+        constexpr int kMaxRounds = 4;
+        power = state.reescalate(kMaxRounds);
         out.rounds = power.rounds;
         for (const std::size_t k : power.shed) out.unrecoverable.push_back(ids::SsId{k});
         SAG_OBS_COUNT_ADD("resilience.repair_rounds",

@@ -79,8 +79,6 @@ struct ServeOptions {
     double event_budget_seconds = 0.0;
     /// Stage-2 budget of relays patched in per event.
     std::size_t max_new_relays_per_event = 2;
-    /// Power/verify shed-retry rounds per event (resilience-style).
-    int max_power_rounds = 3;
     /// Drift budget: background re-solve triggers when the active RS
     /// count exceeds the last full solve's by more than this...
     std::size_t drift_excess_rs = 4;
@@ -90,10 +88,9 @@ struct ServeOptions {
     /// Events between a re-solve trigger and its atomic adoption (the
     /// fixed horizon that keeps threaded runs byte-identical).
     std::size_t resolve_horizon = 32;
-    /// Initial / maximum retry backoff after a failed re-solve, in
-    /// events; the backoff doubles per failure up to the maximum.
+    /// Initial retry backoff after a failed re-solve, in events; the
+    /// backoff doubles per failure up to 1024 events.
     std::size_t resolve_backoff_start = 16;
-    std::size_t resolve_backoff_max = 1024;
     /// >= 2 runs re-solves on a background exec::ThreadPool worker;
     /// 0 or 1 solves inline at the trigger event (same adoption
     /// horizon, so the outcome stream is identical).

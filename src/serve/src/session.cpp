@@ -230,8 +230,8 @@ void Session::patch(EventOutcome& out) {
 
 void Session::reallocate_power(EventOutcome& out) {
     SAG_OBS_SPAN("serve.power");
-    const resilience::Reescalation r =
-        state_.reescalate(options_.max_power_rounds);
+    constexpr int kMaxPowerRounds = 3;  // shed-retry rounds per event
+    const resilience::Reescalation r = state_.reescalate(kMaxPowerRounds);
     std::fill(alloc_.begin(), alloc_.end(), 0.0);
     for (std::size_t i = 0; i < r.view.active.size(); ++i) {
         alloc_[r.view.active[i]] = r.power.powers[i];
@@ -291,10 +291,9 @@ void Session::adopt_or_fail_resolve(EventOutcome& out) {
         // Retry with doubling event-count backoff: the next trigger can
         // fire once the backoff window has passed.
         SAG_OBS_COUNT("serve.resolves.failed");
+        constexpr std::size_t kResolveBackoffMax = 1024;
         next_resolve_allowed_ = event_index_ + resolve_backoff_;
-        resolve_backoff_ =
-            std::min(resolve_backoff_ * 2,
-                     std::max<std::size_t>(1, options_.resolve_backoff_max));
+        resolve_backoff_ = std::min(resolve_backoff_ * 2, kResolveBackoffMax);
         return;
     }
     adopt_plan(*solved, out);

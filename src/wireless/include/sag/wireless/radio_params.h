@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 
 #include "sag/units/units.h"
@@ -51,9 +52,19 @@ struct RadioParams {
         return tx_gain * rx_gain * ht * ht * hr * hr;
     }
 
-    /// Throws std::invalid_argument when any constant is non-physical or
-    /// the noise terms are mutually inconsistent.
+    /// Throws std::invalid_argument when any constant is non-finite or
+    /// non-physical, or the noise terms are mutually inconsistent.
     void validate() const {
+        // Every comparison below is false on NaN, so finiteness comes first.
+        const double constants[] = {tx_gain, rx_gain, tx_height.meters(),
+                                    rx_height.meters(), alpha, max_power.watts(),
+                                    noise_floor.watts(), bandwidth_hz,
+                                    reference_distance.meters(),
+                                    ignorable_noise.watts(), snr_ambient_noise.watts()};
+        for (const double c : constants) {
+            if (!std::isfinite(c))
+                throw std::invalid_argument("radio constants must be finite");
+        }
         if (alpha < 1.0 || alpha > 6.0) throw std::invalid_argument("alpha out of range");
         if (max_power <= units::Watt{0.0})
             throw std::invalid_argument("max_power must be positive");
@@ -65,6 +76,10 @@ struct RadioParams {
         if (tx_gain <= 0.0 || rx_gain <= 0.0 || tx_height <= units::Meters{0.0} ||
             rx_height <= units::Meters{0.0})
             throw std::invalid_argument("gains/heights must be positive");
+        // Zero is legal: nothing is ignorable, so d_max is infinite and the
+        // field is one zone.
+        if (ignorable_noise < units::Watt{0.0})
+            throw std::invalid_argument("ignorable_noise must be non-negative");
         if (snr_ambient_noise < units::Watt{0.0})
             throw std::invalid_argument("snr_ambient_noise must be non-negative");
         // The ambient SNR-denominator term models thermal noise plus

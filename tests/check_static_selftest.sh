@@ -13,9 +13,10 @@
 #   * units-param / ids-param / gain-param — plain violations, plus the
 #     evasions a grep lint could not see: a typedef'd/using-aliased
 #     type name, and (as accepts) signatures quoted in comments/strings;
-#   * det-entropy / det-unordered / conc-raw — plain violations, the
-#     src/exec exemption, and (as an accept) the banned names quoted in
-#     a comment or a string;
+#   * det-entropy / det-unordered / conc-raw — plain violations (an
+#     unordered container in src/opt and in src/geometry), the src/exec
+#     exemption, and (as an accept) the banned names quoted in a comment
+#     or a string;
 #   * digit separators — a units-param or conc-raw violation written
 #     after a `1'000` literal still fails (the stripper must not read
 #     the separator as the start of a char literal);
@@ -69,7 +70,8 @@ cat > "$tmp/tools/layering.json" <<'EOF'
     "core": { "deps": [] },
     "opt": { "deps": [] },
     "sim": { "deps": [] },
-    "exec": { "deps": [] }
+    "exec": { "deps": [] },
+    "geometry": { "deps": [] }
   },
   "apex": ["tools"]
 }
@@ -83,6 +85,7 @@ core ->
 opt ->
 sim ->
 exec ->
+geometry ->
 ```
 EOF
 cat > "$tmp/src/core/src/clean.cpp" <<'EOF'
@@ -178,7 +181,7 @@ unsigned roll() {
 EOF
 
 expect_reject "determinism-lint-unordered" "src/opt/src/bad_unordered.cpp" \
-    "unordered container(s) in solver result-construction paths" <<'EOF'
+    "unordered container(s) in src/" <<'EOF'
 #include <unordered_map>
 #include <vector>
 namespace sag::opt {
@@ -188,6 +191,19 @@ std::vector<int> chosen_order(const std::unordered_map<int, int>& scores) {
     return out;
 }
 }  // namespace sag::opt
+EOF
+
+# Outside the solver layers too: a hash-bucket neighbour index in
+# src/geometry is rejected like one in src/core.
+expect_reject "determinism-lint-unordered-geometry" "src/geometry/src/bad_cells.cpp" \
+    "unordered container(s) in src/" <<'EOF'
+#include <cstddef>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+namespace sag::geom {
+std::unordered_map<std::int64_t, std::vector<std::size_t>> g_cells;
+}  // namespace sag::geom
 EOF
 
 expect_reject "concurrency-confinement-lint" "src/sim/src/bad_thread.cpp" \

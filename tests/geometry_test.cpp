@@ -1,12 +1,18 @@
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <random>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sag/geometry/circle.h"
 #include "sag/geometry/grid.h"
 #include "sag/geometry/region.h"
+#include "sag/geometry/sweep.h"
 #include "sag/geometry/vec2.h"
 
 namespace sag::geom {
@@ -285,6 +291,138 @@ TEST_P(RegionProperty, FindsCommonPointWhenWitnessExists) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionProperty, ::testing::Values(11, 22, 33, 44));
+
+// ---- Neighbour sweep ------------------------------------------------------
+
+using Pairs = std::vector<std::pair<std::size_t, std::size_t>>;
+
+Pairs sweep_pairs(std::span<const Circle> disks) {
+    return near_pairs(disks, sweep_index(disks));
+}
+
+std::vector<std::size_t> window(std::span<const Circle> disks, double x, double reach) {
+    const SweepIndex index = sweep_index(disks);
+    const std::span<const std::size_t> w = x_window(disks, index, x, reach);
+    return {w.begin(), w.end()};
+}
+
+TEST(SweepTest, EmptyInput) {
+    const SweepIndex index = sweep_index({});
+    EXPECT_TRUE(index.by_x.empty());
+    EXPECT_TRUE(near_pairs({}, index).empty());
+    EXPECT_TRUE(x_window({}, index, 0.0, 100.0).empty());
+}
+
+TEST(SweepTest, PairsEachReportedOnceSorted) {
+    // Given out of x order: the pairs still come back as ascending (i < j).
+    const Circle disks[] = {{{6, 0}, 1.75}, {{0, 0}, 1.75}, {{3, 0}, 1.75}};
+    EXPECT_EQ(sweep_index(disks).by_x, (std::vector<std::size_t>{1, 2, 0}));
+    EXPECT_EQ(sweep_pairs(disks), (Pairs{{0, 2}, {1, 2}}));
+}
+
+TEST(SweepTest, InclusiveBoundary) {
+    // 0 and 1 are externally tangent; 1 and 2 miss by 0.01.
+    const Circle disks[] = {{{0, 0}, 4.0}, {{10, 0}, 6.0}, {{20, 0}, 3.99}};
+    EXPECT_EQ(sweep_pairs(disks), (Pairs{{0, 1}}));
+    EXPECT_EQ(window(disks, 5.0, 5.0), (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(window(disks, 5.0, 4.99), (std::vector<std::size_t>{}));
+    EXPECT_EQ(window(disks, 10.0, 0.0), (std::vector<std::size_t>{1}));
+    // Apart by less than kEps past tangency still counts as near.
+    const Circle grazing[] = {{{0, 0}, 4.0}, {{10.0 + 5e-10, 0}, 6.0}};
+    EXPECT_EQ(sweep_pairs(grazing), (Pairs{{0, 1}}));
+}
+
+TEST(SweepTest, NegativeCoordinates) {
+    const Circle disks[] = {{{-100, -100}, 3.0}, {{-95, -100}, 3.0}, {{100, 100}, 3.0}};
+    EXPECT_EQ(sweep_pairs(disks), (Pairs{{0, 1}}));
+    EXPECT_EQ(window(disks, -100.0, 6.0), (std::vector<std::size_t>{0, 1}));
+}
+
+/// Property: near_pairs is exactly the brute-force double loop over the
+/// documented bound, and every x_window holds the disks within reach
+/// along x and nothing beyond reach + slack.
+class SweepProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SweepProperty, MatchesBruteForce) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::mt19937_64 rng(GetParam());
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    struct Family {
+        int n;
+        double side;     ///< centers uniform in a square of this side,
+        double offset;   ///< shifted by this along both axes,
+        double lattice;  ///< and snapped to a lattice of this pitch (0: off)
+        double r_min;    ///< radii uniform in [r_min, r_max]
+        double r_max;
+    };
+    const Family families[] = {
+        {200, 1000.0, 0.0, 0.0, 0.0, 40.0},
+        {200, 1000.0, 0.0, 0.0, 80.0, 80.0},
+        // Duplicate centers, and radius 5 makes lattice neighbours
+        // exactly tangent.
+        {150, 100.0, 0.0, 10.0, 5.0, 5.0},
+        {200, 1000.0, -2000.0, 0.0, 30.0, 40.0},  // every coordinate negative
+        {200, 200.0, 0.0, 10.0, 0.0, 0.0},        // points: only duplicates pair
+        {60, 1000.0, 0.0, 0.0, kInf, kInf},       // every pair is near
+        {0, 1000.0, 0.0, 0.0, 0.0, 0.0},
+    };
+    for (std::size_t f = 0; f < std::size(families); ++f) {
+        const Family& fam = families[f];
+        std::vector<Circle> disks;
+        for (int i = 0; i < fam.n; ++i) {
+            Vec2 c{(unit(rng) - 0.5) * fam.side + fam.offset,
+                   (unit(rng) - 0.5) * fam.side + fam.offset};
+            if (fam.lattice > 0.0) {
+                c = {fam.lattice * std::round(c.x / fam.lattice),
+                     fam.lattice * std::round(c.y / fam.lattice)};
+            }
+            const double r = fam.r_min == fam.r_max
+                                 ? fam.r_min
+                                 : fam.r_min + (fam.r_max - fam.r_min) * unit(rng);
+            disks.push_back({c, r});
+        }
+        const SweepIndex index = sweep_index(disks);
+        Pairs brute;
+        for (std::size_t i = 0; i < disks.size(); ++i) {
+            for (std::size_t j = i + 1; j < disks.size(); ++j) {
+                const double reach =
+                    disks[i].radius + disks[j].radius + kEps + index.slack;
+                if (distance_sq(disks[i].center, disks[j].center) <= reach * reach) {
+                    brute.emplace_back(i, j);
+                }
+            }
+        }
+        EXPECT_EQ(near_pairs(disks, index), brute) << "family " << f;
+
+        // Probes at random abscissas and at a window edge on a center.
+        std::vector<std::pair<double, double>> probes;
+        for (const double reach : {0.0, 12.0, 80.0, 400.0}) {
+            probes.emplace_back((unit(rng) - 0.5) * fam.side + fam.offset, reach);
+            if (!disks.empty()) {
+                const double edge = disks[rng() % disks.size()].center.x + reach;
+                probes.emplace_back(edge, reach);
+            }
+        }
+        for (const auto& [x, reach] : probes) {
+            const std::span<const std::size_t> w = x_window(disks, index, x, reach);
+            std::vector<std::size_t> in_window(w.begin(), w.end());
+            for (const std::size_t i : in_window) {
+                EXPECT_LE(std::abs(disks[i].center.x - x), reach + 2.0 * index.slack)
+                    << "family " << f << " reach " << reach;
+            }
+            std::sort(in_window.begin(), in_window.end());
+            for (std::size_t i = 0; i < disks.size(); ++i) {
+                if (std::abs(disks[i].center.x - x) <= reach) {
+                    EXPECT_TRUE(
+                        std::binary_search(in_window.begin(), in_window.end(), i))
+                        << "family " << f << " reach " << reach << " disk " << i;
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SweepProperty, ::testing::Values(101, 202, 303, 404));
 
 }  // namespace
 }  // namespace sag::geom

@@ -202,8 +202,8 @@ TEST(MbmcSubtreeDetail, IndependentBranchesKeepOwnDistances) {
 }
 
 TEST(ZonePartitionDetail, SpatialIndexMatchesBruteForce) {
-    // The spatial-grid fast path must produce the same zones as the
-    // definitional all-pairs construction.
+    // The near pairs of the neighbour sweep must produce the same zones
+    // as the definitional all-pairs construction.
     sim::GeneratorConfig cfg;
     cfg.field_side = 2500.0;
     cfg.subscriber_count = 80;

@@ -120,7 +120,6 @@ TEST(BnBTest, PaddingFindsOversizedFeasibleSolution) {
         return std::find(chosen.begin(), chosen.end(), 1u) != chosen.end();
     };
     SetCoverBnBOptions opts;
-    opts.allow_padding = true;
     const auto r = solve_set_cover_bnb(inst, oracle, opts);
     ASSERT_TRUE(r.feasible);
     EXPECT_EQ(r.chosen.size(), 2u);

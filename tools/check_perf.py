@@ -33,6 +33,7 @@ import sys
 # variants are diagnostics, not gates.
 GATED_PREFIXES = (
     "BM_SnrFieldDeltaIncremental",
+    "BM_ZonePartition",
     "BM_ZoneHittingSet",
     "BM_Samc",
     "BM_IlpqcIac",

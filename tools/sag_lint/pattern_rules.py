@@ -10,8 +10,7 @@ that out of src/:
                  or a default-constructed (unseeded) std::mt19937.  An
                  explicitly seeded std::mt19937_64 is the one sanctioned
                  randomness and does not match.
-  det-unordered  no unordered_map/unordered_set in the solver
-                 result-construction layers src/core and src/opt: their
+  det-unordered  no unordered_map/unordered_set anywhere in src/: their
                  iteration order is implementation-defined.
   conc-raw       no raw std::thread/std::mutex/std::condition_variable,
                  lock helper or threading header in src/ outside
@@ -60,10 +59,9 @@ RULES = (
     PatternRule(
         RULE_DET_UNORDERED,
         re.compile(r"unordered_(?:map|set)"),
-        ("src/core/", "src/opt/"), (),
-        "unordered container(s) in solver result-construction paths "
-        "(src/core, src/opt): `{hit}`; use an ordered container or a "
-        "sorted vector"),
+        ("src/",), (),
+        "unordered container(s) in src/: `{hit}`; use an ordered "
+        "container or a sorted vector"),
     PatternRule(
         RULE_CONC_RAW,
         re.compile(
