@@ -23,11 +23,12 @@ namespace {
 
 using namespace sag;
 
-core::Scenario make_scenario(std::size_t users, double side = 500.0) {
+core::Scenario make_scenario(std::size_t users, double side = 500.0,
+                             std::size_t base_stations = 4) {
     sim::GeneratorConfig cfg;
     cfg.field_side = side;
     cfg.subscriber_count = users;
-    cfg.base_station_count = 4;
+    cfg.base_station_count = base_stations;
     cfg.snr_threshold_db = units::Decibel{-15.0};
     return sim::generate_scenario(cfg, 97);
 }
@@ -91,14 +92,20 @@ void BM_OptimalPowerFixedPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimalPowerFixedPoint)->Arg(10)->Arg(20)->Arg(40);
 
+/// MBMC (Algorithm 7) on a SAMC plan: 10-40 SSs on the 500 m / 4-BS
+/// field, then the perfbench shapes: 300 SSs on the 4 km / 9-BS `churn`
+/// city and 2400 on the 16 km / 64-BS `wide` field (~2240 coverage RSs).
 void BM_Mbmc(benchmark::State& state) {
-    const auto s = make_scenario(static_cast<std::size_t>(state.range(0)));
+    const auto users = static_cast<std::size_t>(state.range(0));
+    const auto s = users <= 40    ? make_scenario(users)
+                   : users <= 300 ? make_scenario(users, 4000.0, 9)
+                                  : make_scenario(users, 16000.0, 64);
     const auto plan = core::solve_samc(s).plan;
     for (auto _ : state) {
         benchmark::DoNotOptimize(core::solve_mbmc(s, plan));
     }
 }
-BENCHMARK(BM_Mbmc)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_Mbmc)->Arg(10)->Arg(20)->Arg(40)->Arg(300)->Arg(2400);
 
 // --- snr_field_delta: single-RS-move SNR re-evaluation, scratch vs
 // incremental, at the paper's 800x800 m preset. One RS per 8 subscribers

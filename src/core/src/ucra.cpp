@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "sag/geometry/sweep.h"
 #include "sag/graph/mst.h"
 #include "sag/graph/steiner.h"
 #include "sag/graph/tree.h"
@@ -19,10 +22,134 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Throws std::invalid_argument unless `coverage` assigns every subscriber
+/// of `scenario` to one of its RSs. The infeasible plans some coverage
+/// solvers return hold RsId::invalid() entries.
+void require_assignment(const Scenario& scenario, const CoveragePlan& coverage) {
+    if (coverage.assignment.size() != scenario.subscriber_count())
+        throw std::invalid_argument("coverage assignment size differs from subscriber count");
+    for (const ids::SsId j : scenario.ss_ids()) {
+        if (coverage.assignment[j].index() >= coverage.rs_count())
+            throw std::invalid_argument("subscriber not assigned to a coverage RS");
+    }
+}
+
+/// Algorithm 7 Steps 3-5: the MST over the usable BSs and the coverage
+/// RSs at `pos`, with each RS linked only to its nearest usable BS.
+/// Returns each RS's tree parent as a plan node: a BS index, or bs_count
+/// plus an RS index. MST vertices: 0 = a virtual super-root, whose
+/// zero-weight edges to the BSs let one Prim run yield the multi-rooted
+/// forest; 1..B' = usable_bs; then the RSs.
+std::vector<std::size_t> coverage_tree_parents(const Scenario& scenario,
+                                               std::span<const ids::BsId> usable_bs,
+                                               std::span<const geom::Vec2> pos, double dmin) {
+    const std::size_t nb = usable_bs.size();
+    const std::size_t first_rs = 1 + nb;
+    const std::size_t cov_count = pos.size();
+    const auto hop_weight = [&](double dist) {
+        // Paper weight w1 = ceil(len/dmin) - 1 (relays needed on the edge);
+        // the epsilon*dist term only breaks ties toward shorter edges.
+        return std::ceil(dist / dmin - 1e-9) - 1.0 + 1e-6 * dist / dmin;
+    };
+    // Algorithm 7 Step 3: each RS links only to its *nearest* usable BS.
+    std::vector<std::size_t> nearest(cov_count);  // MST vertex of that BS
+    std::vector<double> bs_weight(cov_count);
+    std::vector<geom::Circle> reach(cov_count);  // RS, nearest-BS distance
+    for (std::size_t i = 0; i < cov_count; ++i) {
+        std::size_t best_b = 0;
+        double best_d = kInf;
+        for (std::size_t b = 0; b < nb; ++b) {
+            const double d =
+                geom::distance(pos[i], scenario.base_station(usable_bs[b]).pos);
+            if (d < best_d) {
+                best_d = d;
+                best_b = b;
+            }
+        }
+        nearest[i] = 1 + best_b;
+        bs_weight[i] = hop_weight(best_d);
+        reach[i] = {pos[i], best_d};
+    }
+
+    // The RS-RS arcs j -> i that can lower i's key, grouped by source j
+    // (CSR). BS keys are at most 0 and ties go to the lower index, so Prim
+    // takes every BS before any RS of non-negative key; once they are all
+    // in, each outside RS i has key <= bs_weight[i], and only a strictly
+    // lighter arc lowers it. hop_weight never decreases with distance, so
+    // such an arc is shorter than i's nearest-BS distance r: it lies in
+    // i's x-window, within r in y, and within r of i (each test widened by
+    // the window's slack, which dwarfs the rounding of the lengths).
+    struct Arc {
+        std::size_t to;
+        double weight;
+    };
+    std::vector<std::pair<std::size_t, Arc>> found;  // (source, arc)
+    std::vector<std::size_t> arc_begin(cov_count + 1, 0);
+    const geom::SweepIndex index = geom::sweep_index(reach);
+    for (std::size_t i = 0; i < cov_count; ++i) {
+        const double r = reach[i].radius + index.slack;
+        for (const std::size_t j : geom::x_window(reach, index, pos[i].x, reach[i].radius)) {
+            if (std::abs(pos[j].y - pos[i].y) > r) continue;
+            if (j == i || geom::distance_sq(pos[i], pos[j]) > r * r) continue;
+            const double w = hop_weight(geom::distance(pos[i], pos[j]));
+            if (w < bs_weight[i]) {
+                found.push_back({j, {first_rs + i, w}});
+                ++arc_begin[j + 1];
+            }
+        }
+    }
+    std::partial_sum(arc_begin.begin(), arc_begin.end(), arc_begin.begin());
+    std::vector<Arc> arcs(found.size());
+    std::vector<std::size_t> fill(arc_begin.begin(), arc_begin.end() - 1);
+    for (const auto& [j, arc] : found) arcs[fill[j]++] = arc;
+
+    std::size_t bs_in_tree = 0;
+    const auto mst_parent = graph::prim_mst(first_rs + cov_count, 0, [&](std::size_t u,
+                                                                         auto&& relax) {
+        if (u == 0) {
+            for (std::size_t b = 1; b <= nb; ++b) relax(b, 0.0);
+        } else if (u <= nb) {
+            ++bs_in_tree;
+            for (std::size_t i = 0; i < cov_count; ++i) {
+                if (nearest[i] == u) relax(first_rs + i, bs_weight[i]);
+            }
+        } else {
+            const std::size_t i = u - first_rs;
+            relax(nearest[i], bs_weight[i]);
+            if (bs_in_tree < nb) {
+                // Taken ahead of a BS, so i's key is negative: it lies
+                // within ~1e-9 d_min of a BS or of an RS taken before it.
+                // RSs whose BS is still outside have infinite keys that
+                // any arc lowers, so offer the full dense row.
+                for (std::size_t j = 0; j < cov_count; ++j) {
+                    if (j != i) relax(first_rs + j, hop_weight(geom::distance(pos[i], pos[j])));
+                }
+                return;
+            }
+            for (std::size_t a = arc_begin[i]; a < arc_begin[i + 1]; ++a) {
+                relax(arcs[a].to, arcs[a].weight);
+            }
+        }
+    });
+
+    const std::size_t bs_count = scenario.base_station_count();
+    std::vector<std::size_t> parent(cov_count);
+    for (std::size_t i = 0; i < cov_count; ++i) {
+        const std::size_t v = mst_parent[first_rs + i];
+        if (v == first_rs + i || v == 0) {
+            // Unreachable should not happen: every RS has a BS edge.
+            throw std::logic_error("coverage RS not connected to any base station");
+        }
+        parent[i] = v <= nb ? usable_bs[v - 1].index() : bs_count + (v - first_rs);
+    }
+    return parent;
+}
+
 /// Shared MBMC/MUST construction over a restricted set of usable BSs.
 ConnectivityPlan build_connectivity(const Scenario& scenario,
                                     const CoveragePlan& coverage,
                                     std::span<const ids::BsId> usable_bs) {
+    require_assignment(scenario, coverage);
     const std::size_t bs_count = scenario.base_stations.size();
     const std::size_t cov_count = coverage.rs_count();
     const double dmin = coverage.rs_count() > 0 && !scenario.subscribers.empty()
@@ -49,9 +176,9 @@ ConnectivityPlan build_connectivity(const Scenario& scenario,
     if (usable_bs.empty()) {
         // No usable BS root: nothing can be rooted. Return an explicit
         // infeasible plan (each coverage RS its own parent) instead of
-        // letting the MST run rootless — with nb == 0 the nearest-BS edge
-        // write below would alias a coverage-RS slot and the Prim pass
-        // would end in a logic_error deep inside the solver.
+        // letting the MST run rootless — with nb == 0 the MST's nearest-BS
+        // links would alias a coverage-RS vertex and the Prim pass would
+        // end in a logic_error deep inside the solver.
         for (std::size_t i = 0; i < cov_count; ++i) {
             plan.parent[bs_count + i] = bs_count + i;
         }
@@ -59,55 +186,8 @@ ConnectivityPlan build_connectivity(const Scenario& scenario,
         return plan;
     }
 
-    // MST vertices: 0 = virtual super-root, 1..B' = usable BSs, then the
-    // coverage RSs. The super-root ties the BS roots together with
-    // zero-weight edges so one Prim run yields the multi-rooted forest.
-    const std::size_t nb = usable_bs.size();
-    const std::size_t nv = 1 + nb + cov_count;
-    std::vector<std::vector<double>> w(nv, std::vector<double>(nv, kInf));
-    const auto hop_weight = [&](double dist) {
-        // Paper weight w1 = ceil(len/dmin) - 1 (relays needed on the edge);
-        // the epsilon*dist term only breaks ties toward shorter edges.
-        return std::ceil(dist / dmin - 1e-9) - 1.0 + 1e-6 * dist / dmin;
-    };
-    for (std::size_t b = 0; b < nb; ++b) w[0][1 + b] = w[1 + b][0] = 0.0;
-    for (std::size_t i = 0; i < cov_count; ++i) {
-        const geom::Vec2& pi = coverage.rs_positions[i];
-        // Complete graph among coverage RSs.
-        for (std::size_t j = i + 1; j < cov_count; ++j) {
-            const double d = geom::distance(pi, coverage.rs_positions[j]);
-            w[1 + nb + i][1 + nb + j] = w[1 + nb + j][1 + nb + i] = hop_weight(d);
-        }
-        // Algorithm 7 Step 3: each RS links only to its *nearest* usable BS.
-        std::size_t best_b = 0;
-        double best_d = kInf;
-        for (std::size_t b = 0; b < nb; ++b) {
-            const double d =
-                geom::distance(pi, scenario.base_station(usable_bs[b]).pos);
-            if (d < best_d) {
-                best_d = d;
-                best_b = b;
-            }
-        }
-        w[1 + nb + i][1 + best_b] = w[1 + best_b][1 + nb + i] = hop_weight(best_d);
-    }
-
-    const auto mst_parent = graph::prim_mst_dense(w, 0);
-    // Translate MST vertices to plan node indices.
-    const auto to_plan = [&](std::size_t v) -> std::size_t {
-        if (v == 0) throw std::logic_error("super-root has no plan node");
-        if (v <= nb) return usable_bs[v - 1].index();
-        return bs_count + (v - 1 - nb);
-    };
-    std::vector<std::size_t> cov_tree_parent(cov_count);  // plan node index
-    for (std::size_t i = 0; i < cov_count; ++i) {
-        const std::size_t v = 1 + nb + i;
-        if (mst_parent[v] == v || mst_parent[v] == 0) {
-            // Unreachable should not happen: every RS has a BS edge.
-            throw std::logic_error("coverage RS not connected to any base station");
-        }
-        cov_tree_parent[i] = to_plan(mst_parent[v]);
-    }
+    const std::vector<std::size_t> cov_tree_parent =  // plan node index
+        coverage_tree_parents(scenario, usable_bs, coverage.rs_positions, dmin);
 
     // Feasible distance of each coverage RS: min distance request over the
     // subscribers it serves; then the subtree minimum governs each edge
@@ -164,6 +244,42 @@ ConnectivityPlan build_connectivity(const Scenario& scenario,
     return plan;
 }
 
+/// Fills `chain` with the connectivity RSs of the steinerized chain above
+/// plan node `node`, bottom up, and returns the first node above them: the
+/// node's parent in the coverage-RS tree (a coverage RS or a BS).
+std::size_t walk_chain(const ConnectivityPlan& plan, std::size_t node,
+                       std::vector<std::size_t>& chain) {
+    chain.clear();
+    std::size_t cur = plan.parent[node];
+    while (plan.kinds[cur] == NodeKind::ConnectivityRs) {
+        chain.push_back(cur);
+        cur = plan.parent[cur];
+    }
+    return cur;
+}
+
+/// Algorithm 8's chain powering, shared by both UCPO variants: zeroes every
+/// connectivity RS, then gives each relay on the chain above coverage RS i
+/// the power `power(i, section)`, where section is the chain's equal
+/// section length (edge length / N_i). Single-hop edges have no relay.
+template <typename Power>
+void power_chains(std::size_t bs_count, std::size_t cov_count, ConnectivityPlan& plan,
+                  Power&& power) {
+    for (std::size_t v = 0; v < plan.node_count(); ++v) {
+        if (plan.kinds[v] == NodeKind::ConnectivityRs) plan.powers[v] = 0.0;
+    }
+    std::vector<std::size_t> chain;
+    for (std::size_t i = 0; i < cov_count; ++i) {
+        const std::size_t top = walk_chain(plan, bs_count + i, chain);
+        if (chain.empty()) continue;
+        const double edge_len =
+            geom::distance(plan.positions[bs_count + i], plan.positions[top]);
+        const std::size_t sections = chain.size() + 1;  // N_i segments
+        const double p = power(i, units::Meters{edge_len / static_cast<double>(sections)}).watts();
+        for (const std::size_t v : chain) plan.powers[v] = p;
+    }
+}
+
 }  // namespace
 
 ConnectivityPlan solve_mbmc(const Scenario& scenario, const CoveragePlan& coverage) {
@@ -184,115 +300,67 @@ ConnectivityPlan solve_must(const Scenario& scenario, const CoveragePlan& covera
 void allocate_power_ucpo(const Scenario& scenario, const CoveragePlan& coverage,
                          ConnectivityPlan& plan) {
     SAG_OBS_SPAN("ucra.ucpo");
-    const std::size_t bs_count = scenario.base_stations.size();
-    const std::size_t cov_count = coverage.rs_count();
-    for (std::size_t v = 0; v < plan.node_count(); ++v) {
-        if (plan.kinds[v] == NodeKind::ConnectivityRs) plan.powers[v] = 0.0;
+    require_assignment(scenario, coverage);
+    // P^i_rs: strictest received-power requirement among i's subscribers.
+    std::vector<units::Watt> p_rs(coverage.rs_count(), units::Watt{0.0});
+    for (const ids::SsId j : scenario.ss_ids()) {
+        units::Watt& p = p_rs[coverage.assignment[j].index()];
+        p = std::max(p, scenario.min_rx_power(j));
     }
-
-    for (std::size_t i = 0; i < cov_count; ++i) {
-        // P^i_rs: strictest received-power requirement among i's subscribers.
-        units::Watt p_rs{0.0};
-        for (const ids::SsId j : scenario.ss_ids()) {
-            if (coverage.assignment[j] == ids::RsId{i}) {
-                p_rs = std::max(p_rs, scenario.min_rx_power(j));
-            }
-        }
-        // Walk the steinerized chain above coverage RS i up to its tree
-        // parent (first non-connectivity node).
-        std::vector<std::size_t> chain;
-        std::size_t cur = plan.parent[bs_count + i];
-        while (plan.kinds[cur] == NodeKind::ConnectivityRs) {
-            chain.push_back(cur);
-            cur = plan.parent[cur];
-        }
-        if (chain.empty()) continue;  // single-hop edge: no connectivity RS
-        SAG_OBS_COUNT("ucra.ucpo.chains");
-        const double edge_len =
-            geom::distance(plan.positions[bs_count + i], plan.positions[cur]);
-        const std::size_t sections = chain.size() + 1;  // N_i segments
-        const units::Meters seg{edge_len / static_cast<double>(sections)};
-        const units::Watt p_need = scenario.tx_power_for(p_rs, seg);
-        if (p_need > scenario.rs_max_power()) SAG_OBS_COUNT("ucra.ucpo.clamped");
-        const units::Watt p = std::min(p_need, scenario.rs_max_power());
-        for (const std::size_t v : chain) plan.powers[v] = p.watts();
-    }
+    const units::Watt p_max = scenario.rs_max_power();
+    power_chains(scenario.base_stations.size(), coverage.rs_count(), plan,
+                 [&](std::size_t i, units::Meters seg) {
+                     SAG_OBS_COUNT("ucra.ucpo.chains");
+                     const units::Watt p_need = scenario.tx_power_for(p_rs[i], seg);
+                     if (p_need > p_max) SAG_OBS_COUNT("ucra.ucpo.clamped");
+                     return std::min(p_need, p_max);
+                 });
 }
 
 void allocate_power_ucpo_aggregated(const Scenario& scenario,
                                     const CoveragePlan& coverage,
                                     ConnectivityPlan& plan) {
     SAG_OBS_SPAN("ucra.ucpo_aggregated");
+    require_assignment(scenario, coverage);
     const std::size_t bs_count = scenario.base_stations.size();
     const std::size_t cov_count = coverage.rs_count();
-    for (std::size_t v = 0; v < plan.node_count(); ++v) {
-        if (plan.kinds[v] == NodeKind::ConnectivityRs) plan.powers[v] = 0.0;
-    }
 
     // Each coverage RS's own aggregate data rate: the sum of the Shannon
     // rates its subscribers' required received powers correspond to.
-    std::vector<double> own_rate(cov_count, 0.0);
+    std::vector<double> subtree_rate(cov_count, 0.0);
     for (const ids::SsId j : scenario.ss_ids()) {
-        own_rate[coverage.assignment[j].index()] +=
+        subtree_rate[coverage.assignment[j].index()] +=
             wireless::shannon_capacity(scenario.radio, scenario.min_rx_power(j));
     }
 
-    // Recover the coverage-RS tree from the plan: the parent of coverage
-    // RS i is the first non-connectivity ancestor above its chain.
-    std::vector<std::size_t> cov_parent(cov_count, cov_count);  // local index
+    // Recover the coverage-RS tree from the plan (a BS above the chain
+    // makes coverage RS i a root), then add each subtree's rate into its
+    // parent in reverse topological order: children before parents, and
+    // siblings always summed in the same order.
+    std::vector<std::size_t> cov_parent(cov_count);  // local index
+    std::vector<std::size_t> chain;
     for (std::size_t i = 0; i < cov_count; ++i) {
-        std::size_t cur = plan.parent[bs_count + i];
-        while (cur < plan.node_count() && plan.kinds[cur] == NodeKind::ConnectivityRs) {
-            cur = plan.parent[cur];
-        }
-        if (cur >= bs_count && cur < bs_count + cov_count) {
-            cov_parent[i] = cur - bs_count;
-        }
+        const std::size_t top = walk_chain(plan, bs_count + i, chain);
+        cov_parent[i] = top >= bs_count && top < bs_count + cov_count ? top - bs_count : i;
     }
-    // Subtree rates, accumulated leaf-to-root. Iterate until stable (the
-    // tree depth bounds the passes; cov_count passes is a safe cap).
-    std::vector<double> subtree_rate = own_rate;
-    std::vector<std::size_t> order(cov_count);
-    for (std::size_t i = 0; i < cov_count; ++i) order[i] = i;
-    // Depth-sort so children accumulate before parents.
-    const auto depth_of = [&](std::size_t i) {
-        std::size_t d = 0, cur = i;
-        while (cov_parent[cur] != cov_count && d <= cov_count) {
-            cur = cov_parent[cur];
-            ++d;
-        }
-        return d;
-    };
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return depth_of(a) > depth_of(b); });
-    for (const std::size_t i : order) {
-        if (cov_parent[i] != cov_count) subtree_rate[cov_parent[i]] += subtree_rate[i];
+    const graph::RootedTree cov_tree(std::move(cov_parent));
+    const auto& topo = cov_tree.topological_order();
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+        if (!cov_tree.is_root(*it)) subtree_rate[cov_tree.parent(*it)] += subtree_rate[*it];
     }
 
-    for (std::size_t i = 0; i < cov_count; ++i) {
-        std::vector<std::size_t> chain;
-        std::size_t cur = plan.parent[bs_count + i];
-        while (plan.kinds[cur] == NodeKind::ConnectivityRs) {
-            chain.push_back(cur);
-            cur = plan.parent[cur];
-        }
-        if (chain.empty()) continue;
-        const double edge_len =
-            geom::distance(plan.positions[bs_count + i], plan.positions[cur]);
-        const units::Meters seg{edge_len / static_cast<double>(chain.size() + 1)};
+    const units::Watt p_max = scenario.rs_max_power();
+    power_chains(bs_count, cov_count, plan, [&](std::size_t i, units::Meters seg) {
         const units::Watt p_req =
             wireless::min_rx_power_for_rate(scenario.radio, subtree_rate[i]);
-        const units::Watt p =
-            std::min(scenario.tx_power_for(p_req, seg), scenario.rs_max_power());
-        for (const std::size_t v : chain) plan.powers[v] = p.watts();
-    }
+        return std::min(scenario.tx_power_for(p_req, seg), p_max);
+    });
 }
 
 void allocate_power_max(const Scenario& scenario, ConnectivityPlan& plan) {
+    const double p_max = scenario.rs_max_power().watts();
     for (std::size_t v = 0; v < plan.node_count(); ++v) {
-        if (plan.kinds[v] == NodeKind::ConnectivityRs) {
-            plan.powers[v] = scenario.rs_max_power().watts();
-        }
+        if (plan.kinds[v] == NodeKind::ConnectivityRs) plan.powers[v] = p_max;
     }
 }
 

@@ -27,7 +27,7 @@ ids::IdVec<ids::ZoneId, std::vector<ids::SsId>> zone_partition(
         reach.emplace_back(s.pos, s.distance_request + dmax / 2.0);
     }
 
-    // The union-find layer is entity-agnostic: subscribers cross into it
+    // The graph layer is entity-agnostic: subscribers cross into it
     // as raw vertex indices and the components come back out retyped.
     graph::Graph g(n);
     for (const auto& [i, j] : geom::near_pairs(reach, geom::sweep_index(reach))) {

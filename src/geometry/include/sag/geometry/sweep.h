@@ -12,8 +12,8 @@
 namespace sag::geom {
 
 /// The library's one neighbour index: disk indices sorted by center x.
-/// Zone Partition, IAC candidates, nearest-RS assignment and the hitting
-/// set all sweep it. It holds raw indices into the disk span it was built
+/// Zone Partition, IAC candidates, nearest-RS assignment, the hitting set
+/// and MBMC's sparse MST all sweep it. It holds raw indices into the disk span it was built
 /// from, and every query takes that same span. Centers must be finite and
 /// radii non-negative; a radius may be infinite (every pair is then near).
 struct SweepIndex {

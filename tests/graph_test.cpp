@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 
@@ -8,52 +11,9 @@
 #include "sag/graph/mst.h"
 #include "sag/graph/steiner.h"
 #include "sag/graph/tree.h"
-#include "sag/graph/union_find.h"
 
 namespace sag::graph {
 namespace {
-
-TEST(UnionFindTest, InitiallyAllSingletons) {
-    UnionFind uf(5);
-    EXPECT_EQ(uf.set_count(), 5u);
-    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(uf.set_size(i), 1u);
-    EXPECT_FALSE(uf.connected(0, 1));
-}
-
-TEST(UnionFindTest, UniteMergesAndCounts) {
-    UnionFind uf(6);
-    EXPECT_TRUE(uf.unite(0, 1));
-    EXPECT_TRUE(uf.unite(2, 3));
-    EXPECT_TRUE(uf.unite(0, 2));
-    EXPECT_FALSE(uf.unite(1, 3));  // already joined
-    EXPECT_EQ(uf.set_count(), 3u);
-    EXPECT_EQ(uf.set_size(3), 4u);
-    EXPECT_TRUE(uf.connected(1, 2));
-    EXPECT_FALSE(uf.connected(0, 5));
-}
-
-TEST(UnionFindTest, TransitivityProperty) {
-    std::mt19937_64 rng(42);
-    UnionFind uf(64);
-    std::uniform_int_distribution<std::size_t> pick(0, 63);
-    for (int i = 0; i < 100; ++i) uf.unite(pick(rng), pick(rng));
-    // connected() must agree with find() equality everywhere.
-    for (std::size_t a = 0; a < 64; a += 7) {
-        for (std::size_t b = 0; b < 64; b += 5) {
-            EXPECT_EQ(uf.connected(a, b), uf.find(a) == uf.find(b));
-        }
-    }
-    std::size_t sum = 0;
-    std::vector<bool> seen(64, false);
-    for (std::size_t v = 0; v < 64; ++v) {
-        const std::size_t r = uf.find(v);
-        if (!seen[r]) {
-            seen[r] = true;
-            sum += uf.set_size(r);
-        }
-    }
-    EXPECT_EQ(sum, 64u);
-}
 
 TEST(GraphTest, AddEdgeAndAdjacency) {
     Graph g(4);
@@ -83,63 +43,88 @@ TEST(GraphTest, ConnectedComponents) {
     EXPECT_EQ(total, 6u);
 }
 
-TEST(KruskalTest, KnownMst) {
-    Graph g(4);
-    g.add_edge(0, 1, 1.0);
-    g.add_edge(1, 2, 2.0);
-    g.add_edge(2, 3, 3.0);
-    g.add_edge(0, 3, 10.0);
-    g.add_edge(0, 2, 2.5);
-    const auto mst = kruskal_mst(g);
-    EXPECT_EQ(mst.size(), 3u);
-    EXPECT_DOUBLE_EQ(total_weight(mst), 6.0);
-}
+/// Reference: the textbook O(n^2) Prim over a full weight matrix
+/// (weights[i][j], symmetric, +infinity for "no edge"). graph::prim_mst
+/// must return exactly its parent array, ties included.
+std::vector<std::size_t> prim_dense_oracle(const std::vector<std::vector<double>>& weights,
+                                           std::size_t root) {
+    const std::size_t n = weights.size();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<std::size_t> parent(n);
+    std::iota(parent.begin(), parent.end(), std::size_t{0});
+    std::vector<double> best(n, kInf);
+    std::vector<bool> in_tree(n, false);
+    best[root] = 0.0;
 
-TEST(KruskalTest, DisconnectedGraphYieldsForest) {
-    Graph g(4);
-    g.add_edge(0, 1, 1.0);
-    g.add_edge(2, 3, 2.0);
-    const auto forest = kruskal_mst(g);
-    EXPECT_EQ(forest.size(), 2u);
-}
-
-TEST(PrimDenseTest, MatchesKruskalOnRandomGraphs) {
-    std::mt19937_64 rng(7);
-    std::uniform_real_distribution<double> weight(0.1, 100.0);
-    for (int trial = 0; trial < 25; ++trial) {
-        const std::size_t n = 2 + static_cast<std::size_t>(trial % 9);
-        std::vector<std::vector<double>> w(n, std::vector<double>(n));
-        Graph g(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = i + 1; j < n; ++j) {
-                const double x = weight(rng);
-                w[i][j] = w[j][i] = x;
-                g.add_edge(i, j, x);
+    for (std::size_t it = 0; it < n; ++it) {
+        std::size_t u = n;
+        double u_cost = kInf;
+        for (std::size_t v = 0; v < n; ++v) {
+            if (!in_tree[v] && best[v] < u_cost) {
+                u = v;
+                u_cost = best[v];
             }
         }
-        const auto parent = prim_mst_dense(w, 0);
-        double prim_total = 0.0;
-        for (std::size_t v = 1; v < n; ++v) prim_total += w[v][parent[v]];
-        EXPECT_NEAR(prim_total, total_weight(kruskal_mst(g)), 1e-9)
-            << "trial " << trial;
+        if (u == n) break;  // remaining vertices unreachable
+        in_tree[u] = true;
+        for (std::size_t v = 0; v < n; ++v) {
+            if (!in_tree[v] && weights[u][v] < best[v]) {
+                best[v] = weights[u][v];
+                parent[v] = u;
+            }
+        }
+    }
+    return parent;
+}
+
+/// graph::prim_mst offering every finite entry of row u of the matrix.
+std::vector<std::size_t> prim_over(const std::vector<std::vector<double>>& w,
+                                   std::size_t root) {
+    return prim_mst(w.size(), root, [&](std::size_t u, auto&& relax) {
+        for (std::size_t v = 0; v < w.size(); ++v) {
+            if (std::isfinite(w[u][v])) relax(v, w[u][v]);
+        }
+    });
+}
+
+TEST(PrimTest, MatchesDenseOracle) {
+    // Small integer weights (many ties, some negative), missing edges and
+    // isolated vertices: the parent arrays must be equal, ties included.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    std::mt19937_64 rng(7);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::size_t n = 1 + rng() % 12;
+        const std::uint64_t missing = rng() % 4;  // out of 4
+        std::vector<std::vector<double>> w(n, std::vector<double>(n, inf));
+        std::vector<bool> isolated(n);
+        for (std::size_t v = 0; v < n; ++v) isolated[v] = rng() % 8 == 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = i + 1; j < n; ++j) {
+                if (isolated[i] || isolated[j] || rng() % 4 < missing) continue;
+                w[i][j] = w[j][i] = static_cast<double>(rng() % 6) - 1.0;
+            }
+        }
+        const std::size_t root = rng() % n;
+        EXPECT_EQ(prim_over(w, root), prim_dense_oracle(w, root)) << "trial " << trial;
     }
 }
 
-TEST(PrimDenseTest, UnreachableVertexStaysRootless) {
+TEST(PrimTest, UnreachableVertexStaysRootless) {
     constexpr double inf = std::numeric_limits<double>::infinity();
     std::vector<std::vector<double>> w{{inf, 1.0, inf},
                                        {1.0, inf, inf},
                                        {inf, inf, inf}};
-    const auto parent = prim_mst_dense(w, 0);
+    const auto parent = prim_over(w, 0);
+    EXPECT_EQ(parent[0], 0u);
     EXPECT_EQ(parent[1], 0u);
     EXPECT_EQ(parent[2], 2u);  // disconnected: parent == self
 }
 
-TEST(PrimDenseTest, RejectsBadInput) {
-    std::vector<std::vector<double>> w{{0.0, 1.0}, {1.0, 0.0}};
-    EXPECT_THROW((void)prim_mst_dense(w, 5), std::out_of_range);
-    std::vector<std::vector<double>> ragged{{0.0, 1.0}, {1.0}};
-    EXPECT_THROW((void)prim_mst_dense(ragged, 0), std::invalid_argument);
+TEST(PrimTest, RejectsBadInput) {
+    const auto none = [](std::size_t, auto&&) {};
+    EXPECT_THROW((void)prim_mst(2, 5, none), std::out_of_range);
+    const auto past_end = [](std::size_t, auto&& relax) { relax(2, 1.0); };
+    EXPECT_THROW((void)prim_mst(2, 0, past_end), std::out_of_range);
 }
 
 TEST(RootedTreeTest, StructureAccessors) {

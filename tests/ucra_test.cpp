@@ -1,3 +1,9 @@
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "sag/core/feasibility.h"
@@ -87,6 +93,42 @@ TEST(MbmcTest, RssChainThroughEachOther) {
     while (plan.kinds[cur] == NodeKind::ConnectivityRs) cur = plan.parent[cur];
     EXPECT_EQ(cur, 1u);
     EXPECT_TRUE(verify_connectivity(s, cov, plan).feasible);
+}
+
+TEST(MbmcTest, EarlyRsRelaxesFullRow) {
+    // RS 0 sits 3e-9 m from BS 0, so its hop weight is negative and Prim
+    // takes it before BS 1. RS 1 is nearer BS 1 (by 4e-9 m), but both of
+    // its candidate edges weigh 33.000033333333334: BS 1's, and RS 0's,
+    // which RS 0 offers while BS 1 is still outside the tree. Dense Prim
+    // keeps that first strict improvement, so RS 1 roots through RS 0.
+    Scenario s = linear_scenario();
+    s.base_stations = {{{0.0, 0.0}}, {{2000.0 - 4e-9, 0.0}}};
+    s.subscribers = {{{3e-9, 0.0}, 30.0}, {{1000.0, 0.0}, 30.0}};
+    const auto cov = plan_of({{3e-9, 0.0}, {1000.0, 0.0}}, {RsId{0}, RsId{1}});
+    const auto plan = solve_mbmc(s, cov);
+    ASSERT_TRUE(plan.feasible);
+    std::size_t cur = plan.parent[3];
+    while (plan.kinds[cur] == NodeKind::ConnectivityRs) cur = plan.parent[cur];
+    EXPECT_EQ(cur, 2u);  // RS 0, not BS 1
+    EXPECT_EQ(plan.parent[2], 0u);
+}
+
+TEST(MbmcTest, RejectsUnassignedSubscriber) {
+    // An infeasible coverage plan may leave subscribers on RsId::invalid().
+    const Scenario s = linear_scenario();
+    const std::vector<CoveragePlan> bad = {
+        plan_of({{200.0, 0.0}}, {RsId::invalid()}),   // unassigned
+        plan_of({{200.0, 0.0}}, {RsId{1}}),           // past rs_count()
+        plan_of({{200.0, 0.0}}, {}),                  // too short
+        plan_of({{200.0, 0.0}}, {RsId{0}, RsId{0}}),  // too long
+    };
+    auto conn = solve_mbmc(s, plan_of({{200.0, 0.0}}, {RsId{0}}));
+    for (const CoveragePlan& cov : bad) {
+        EXPECT_THROW((void)solve_mbmc(s, cov), std::invalid_argument);
+        EXPECT_THROW((void)solve_must(s, cov, BsId{0}), std::invalid_argument);
+        EXPECT_THROW(allocate_power_ucpo(s, cov, conn), std::invalid_argument);
+        EXPECT_THROW(allocate_power_ucpo_aggregated(s, cov, conn), std::invalid_argument);
+    }
 }
 
 TEST(MustTest, RestrictsToChosenBs) {
@@ -211,6 +253,119 @@ TEST_P(MbmcProperty, TreesVerify) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MbmcProperty, ::testing::Values(3, 6, 9, 12, 15));
+
+// ---- Golden byte-identity -------------------------------------------------
+//
+// Pins the exact MBMC / MUST trees and UCPO powers of seeded families. The
+// digests were recorded from the dense-matrix Prim, so the sparse build
+// must reproduce it bit for bit, ties included.
+
+/// Uniform double in [0, 1) from the top 53 bits of one raw engine word.
+/// mt19937_64's word sequence is fixed by the standard, so these families
+/// are the same under every standard library.
+double unit(std::mt19937_64& rng) {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+}
+
+/// A scenario and a coverage plan of the density SAMC gives: `n`
+/// subscribers, one RS per subscriber for the first 7n/8 of them, the rest
+/// sharing an RS. Uniform positions with requests in [30, 40), or every
+/// site on a 10 m lattice with every request 30 m, some RSs repeated
+/// verbatim and some placed exactly on a BS (exact weight ties, negative
+/// hop weights).
+struct Family {
+    Scenario scenario;
+    CoveragePlan coverage;
+};
+
+Family golden_family(std::size_t n, double side, std::size_t bs, bool lattice,
+                     std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    const auto site = [&] {
+        const geom::Vec2 p{(unit(rng) - 0.5) * side, (unit(rng) - 0.5) * side};
+        return lattice ? geom::Vec2{10.0 * std::round(p.x / 10.0), 10.0 * std::round(p.y / 10.0)}
+                       : p;
+    };
+    Family f;
+    Scenario& s = f.scenario;
+    s.field = geom::Rect::centered_square(side);
+    for (std::size_t b = 0; b < bs; ++b) s.base_stations.push_back({site()});
+    for (std::size_t j = 0; j < n; ++j) {
+        s.subscribers.push_back({site(), lattice ? 30.0 : 30.0 + 10.0 * unit(rng)});
+    }
+    const std::size_t rs = n - n / 8;
+    CoveragePlan& cov = f.coverage;
+    for (std::size_t i = 0; i < rs; ++i) {
+        geom::Vec2 p = s.subscribers[i].pos;
+        if (lattice && i % 5 == 1) p = cov.rs_positions[i - 1];   // duplicate RS
+        if (lattice && i % 7 == 3) p = s.base_stations[i % bs].pos;  // RS on a BS
+        cov.rs_positions.push_back(p);
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+        cov.assignment.push_back(RsId{j < rs ? j : (j * 7919) % rs});
+    }
+    cov.feasible = true;
+    return f;
+}
+
+/// FNV-1a over 64-bit words: positions, kinds, parents and powers.
+std::uint64_t plan_digest(const ConnectivityPlan& plan) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto add = [&](std::uint64_t v) {
+        for (int b = 0; b < 64; b += 8) {
+            h ^= (v >> b) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    add(plan.node_count());
+    for (std::size_t v = 0; v < plan.node_count(); ++v) {
+        add(std::bit_cast<std::uint64_t>(plan.positions[v].x));
+        add(std::bit_cast<std::uint64_t>(plan.positions[v].y));
+        add(static_cast<std::uint64_t>(plan.kinds[v]));
+        add(plan.parent[v]);
+        add(std::bit_cast<std::uint64_t>(plan.powers[v]));
+    }
+    return h;
+}
+
+struct MbmcGoldenRow {
+    std::size_t subscribers;
+    double side;
+    std::size_t base_stations;
+    bool lattice;
+    std::uint64_t seed;
+    std::uint64_t mbmc;  ///< digest of solve_mbmc + allocate_power_ucpo
+    std::uint64_t must;  ///< digest of solve_must(BS 0) + allocate_power_ucpo
+};
+
+constexpr MbmcGoldenRow kMbmcGolden[] = {
+    {60, 500.0, 4, false, 1, 0x29b113b13ce2b088ULL, 0x4668bfe4ad6086a0ULL},
+    {300, 4000.0, 9, false, 2, 0xf0f74c5dd6f4394fULL, 0x35faca715f91d239ULL},
+    {1000, 8000.0, 16, false, 3, 0xfea28551427350acULL, 0x781f298d8811a316ULL},
+    {120, 300.0, 4, true, 4, 0xc665e6c6dba5566fULL, 0xf92ee6ff34dc14dbULL},
+};
+
+TEST(MbmcGolden, ByteIdenticalOnSeededFamilies) {
+    for (const MbmcGoldenRow& g : kMbmcGolden) {
+        const Family f =
+            golden_family(g.subscribers, g.side, g.base_stations, g.lattice, g.seed);
+        ConnectivityPlan mbmc = solve_mbmc(f.scenario, f.coverage);
+        allocate_power_ucpo(f.scenario, f.coverage, mbmc);
+        ConnectivityPlan must = solve_must(f.scenario, f.coverage, BsId{0});
+        allocate_power_ucpo(f.scenario, f.coverage, must);
+        const std::uint64_t mbmc_digest = plan_digest(mbmc);
+        const std::uint64_t must_digest = plan_digest(must);
+        SCOPED_TRACE(::testing::Message()
+                     << g.subscribers << " subscribers, side " << g.side << ", "
+                     << g.base_stations << " BSs, lattice " << g.lattice << ", seed "
+                     << g.seed << std::hex << ": mbmc 0x" << mbmc_digest << ", must 0x"
+                     << must_digest);
+        EXPECT_TRUE(mbmc.feasible);
+        EXPECT_TRUE(must.feasible);
+        EXPECT_EQ(mbmc_digest, g.mbmc);
+        EXPECT_EQ(must_digest, g.must);
+    }
+}
 
 }  // namespace
 }  // namespace sag::core
