@@ -11,6 +11,7 @@
 #include "sag/core/power.h"
 #include "sag/core/samc.h"
 #include "sag/core/ucra.h"
+#include "sag/sim/paper_presets.h"
 
 int main(int argc, char** argv) {
     using namespace sag;
@@ -24,11 +25,7 @@ int main(int argc, char** argv) {
     for (const double alpha : {2.0, 2.5, 3.0, 3.5, 4.0}) {
         bench::SeedAverage cov, conn, pl, ph, ok;
         for (int seed = 0; seed < bc.seeds; ++seed) {
-            sim::GeneratorConfig cfg;
-            cfg.field_side = 500.0;
-            cfg.subscriber_count = 30;
-            cfg.base_station_count = 4;
-            cfg.snr_threshold_db = units::Decibel{-15.0};
+            sim::GeneratorConfig cfg = sim::presets::field500(30);
             cfg.radio.alpha = alpha;
             // The default ambient noise is calibrated for alpha = 3; keep
             // the noise-only SNR at the 40 m boundary constant across the

@@ -8,6 +8,7 @@
 
 #include "sag/core/candidates.h"
 #include "sag/core/ilpqc.h"
+#include "sag/sim/paper_presets.h"
 
 int main(int argc, char** argv) {
     using namespace sag;
@@ -22,11 +23,8 @@ int main(int argc, char** argv) {
           std::size_t{100'000}, std::size_t{1'000'000}}) {
         bench::SeedAverage rs, proven, time_ms;
         for (int seed = 0; seed < bc.seeds; ++seed) {
-            sim::GeneratorConfig cfg;
-            cfg.field_side = 500.0;
-            cfg.subscriber_count = 35;
-            cfg.snr_threshold_db = units::Decibel{-15.0};
-            const auto s = sim::generate_scenario(cfg, 9100 + seed);
+            const auto s =
+                sim::generate_scenario(sim::presets::field500(35), 9100 + seed);
             const auto cands =
                 core::prune_useless_candidates(s, core::gac_candidates(s, 15.0));
             core::IlpqcOptions opts;

@@ -5,7 +5,7 @@
 #include "bench_common.h"
 
 #include "sag/opt/hitting_set.h"
-#include "sag/sim/scenario_gen.h"
+#include "sag/sim/paper_presets.h"
 
 int main(int argc, char** argv) {
     using namespace sag;
@@ -20,10 +20,8 @@ int main(int argc, char** argv) {
     for (const std::size_t n : {10ul, 20ul, 30ul, 40ul, 60ul, 80ul, 160ul}) {
         bench::SeedAverage count[3], time_ms[3];
         for (int seed = 0; seed < bc.seeds; ++seed) {
-            sim::GeneratorConfig cfg;
-            cfg.field_side = 500.0;
-            cfg.subscriber_count = n;
-            const auto s = sim::generate_scenario(cfg, 9000 + seed);
+            const auto s =
+                sim::generate_scenario(sim::presets::field500(n), 9000 + seed);
             const auto disks = s.feasible_circles();
             for (int swap = 1; swap <= 3; ++swap) {
                 opt::HittingSetOptions opts;

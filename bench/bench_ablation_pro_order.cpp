@@ -7,6 +7,7 @@
 
 #include "sag/core/power.h"
 #include "sag/core/samc.h"
+#include "sag/sim/paper_presets.h"
 
 int main(int argc, char** argv) {
     using namespace sag;
@@ -20,9 +21,7 @@ int main(int argc, char** argv) {
     for (const std::size_t users : {10ul, 20ul, 30ul, 40ul, 50ul}) {
         bench::SeedAverage min_delta, first_index, optimal, baseline;
         for (int seed = 0; seed < bc.seeds; ++seed) {
-            sim::GeneratorConfig cfg;
-            cfg.field_side = 500.0;
-            cfg.subscriber_count = users;
+            sim::GeneratorConfig cfg = sim::presets::field500(users);
             cfg.snr_threshold_db = units::Decibel{-11.5};
             const auto s = sim::generate_scenario(cfg, 9200 + seed);
             const auto plan = core::solve_samc(s).plan;

@@ -8,6 +8,7 @@
 
 #include "sag/core/samc.h"
 #include "sag/core/ucra.h"
+#include "sag/sim/paper_presets.h"
 
 int main(int argc, char** argv) {
     using namespace sag;
@@ -21,12 +22,8 @@ int main(int argc, char** argv) {
     for (const std::size_t users : {10ul, 20ul, 30ul, 40ul, 50ul, 60ul, 70ul}) {
         bench::SeedAverage paper_p, agg_p, gap, base_p;
         for (int seed = 0; seed < bc.seeds; ++seed) {
-            sim::GeneratorConfig cfg;
-            cfg.field_side = 800.0;
-            cfg.subscriber_count = users;
-            cfg.base_station_count = 4;
-            cfg.snr_threshold_db = units::Decibel{-15.0};
-            const auto s = sim::generate_scenario(cfg, 9400 + seed);
+            const auto s =
+                sim::generate_scenario(sim::presets::field800(users), 9400 + seed);
             const auto cov = core::solve_samc(s).plan;
             if (!cov.feasible) {
                 paper_p.add(bench::kInfeasible);

@@ -35,7 +35,7 @@
 #include "sag/serve/event.h"
 #include "sag/serve/fault.h"
 #include "sag/serve/session.h"
-#include "sag/sim/scenario_gen.h"
+#include "sag/sim/paper_presets.h"
 #include "sag/sim/stopwatch.h"
 
 namespace {
@@ -278,12 +278,8 @@ RunResult run(const core::Scenario& scenario,
 int main(int argc, char** argv) {
     const ChurnConfig cfg = parse(argc, argv);
 
-    sim::GeneratorConfig gen;
-    gen.field_side = 500.0;
-    gen.subscriber_count = cfg.subscribers;
-    gen.base_station_count = 4;
-    const core::Scenario scenario =
-        sim::generate_scenario(gen, static_cast<int>(cfg.seed));
+    const core::Scenario scenario = sim::generate_scenario(
+        sim::presets::field500(cfg.subscribers), static_cast<int>(cfg.seed));
     const core::SagResult deployment = core::solve_sag(scenario);
     if (!deployment.feasible) {
         std::fprintf(stderr, "seed scenario infeasible; pick another seed\n");

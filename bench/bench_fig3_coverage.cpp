@@ -10,6 +10,7 @@
 #include "sag/core/feasibility.h"
 #include "sag/core/ilpqc.h"
 #include "sag/core/samc.h"
+#include "sag/sim/paper_presets.h"
 
 namespace {
 
@@ -59,16 +60,8 @@ double samc_count(const core::Scenario& s) {
     return static_cast<double>(result.plan.rs_count());
 }
 
-sim::GeneratorConfig base_config(double side, std::size_t users, double snr_db) {
-    sim::GeneratorConfig cfg;
-    cfg.field_side = side;
-    cfg.subscriber_count = users;
-    cfg.base_station_count = 4;
-    cfg.snr_threshold_db = units::Decibel{snr_db};
-    return cfg;
-}
-
-void user_sweep(const char* figure, const char* label, double side, double snr_db,
+void user_sweep(const char* figure, const char* label,
+                sim::GeneratorConfig (*preset)(std::size_t users),
                 const std::vector<std::size_t>& user_counts, double grid,
                 const BenchConfig& bc) {
     bench::print_header(figure, label);
@@ -77,8 +70,7 @@ void user_sweep(const char* figure, const char* label, double side, double snr_d
     for (const std::size_t users : user_counts) {
         SeedAverage iac, gac, samc;
         for (int seed = 0; seed < bc.seeds; ++seed) {
-            const auto s = sim::generate_scenario(base_config(side, users, snr_db),
-                                                  1000 + seed);
+            const auto s = sim::generate_scenario(preset(users), 1000 + seed);
             iac.add(iac_count(s, b));
             gac.add(gac_count(s, grid, b));
             samc.add(samc_count(s));
@@ -101,8 +93,8 @@ void snr_sweep(const BenchConfig& bc) {
     for (double snr = -14.0; snr <= -10.0 + 1e-9; snr += 0.5) {
         SeedAverage iac, gac, samc;
         for (int seed = 0; seed < bc.seeds; ++seed) {
-            const auto s =
-                sim::generate_scenario(base_config(500.0, 30, snr), 2000 + seed);
+            const auto s = sim::generate_scenario(
+                sim::presets::snr_sweep_point(units::Decibel{snr}), 2000 + seed);
             iac.add(iac_count(s, b));
             gac.add(gac_count(s, 15.0, b));
             samc.add(samc_count(s));
@@ -127,8 +119,8 @@ void grid_sweep(const BenchConfig& bc) {
     SeedAverage iac, samc;
     std::vector<core::Scenario> scenarios;
     for (int seed = 0; seed < bc.seeds; ++seed) {
-        scenarios.push_back(
-            sim::generate_scenario(base_config(500.0, 30, -11.55), 3000 + seed));
+        scenarios.push_back(sim::generate_scenario(
+            sim::presets::snr_sweep_point(units::Decibel{-11.55}), 3000 + seed));
         iac.add(iac_count(scenarios.back(), b));
         samc.add(samc_count(scenarios.back()));
     }
@@ -151,12 +143,12 @@ int main(int argc, char** argv) {
     std::printf("Fig. 3 reproduction (seeds per point: %d%s)\n\n", bc.seeds,
                 bc.fast ? ", fast mode" : "");
 
-    user_sweep("Fig 3(a)", "500x500, SNR=-15dB: #coverage RSs vs users", 500.0,
-               -15.0, {15, 20, 25, 30, 35, 40, 45, 50}, 15.0, bc);
-    user_sweep("Fig 3(b)", "800x800, SNR=-15dB: #coverage RSs vs users", 800.0,
-               -15.0, {20, 30, 40, 50, 60, 70}, 20.0, bc);
-    user_sweep("Fig 3(c)", "800x800, SNR=-40dB: #coverage RSs vs users", 800.0,
-               -40.0, {50, 55, 60, 65, 70}, 20.0, bc);
+    user_sweep("Fig 3(a)", "500x500, SNR=-15dB: #coverage RSs vs users",
+               sim::presets::field500, {15, 20, 25, 30, 35, 40, 45, 50}, 15.0, bc);
+    user_sweep("Fig 3(b)", "800x800, SNR=-15dB: #coverage RSs vs users",
+               sim::presets::field800, {20, 30, 40, 50, 60, 70}, 20.0, bc);
+    user_sweep("Fig 3(c)", "800x800, SNR=-40dB: #coverage RSs vs users",
+               sim::presets::field800_relaxed, {50, 55, 60, 65, 70}, 20.0, bc);
     snr_sweep(bc);
     grid_sweep(bc);
     return 0;

@@ -18,19 +18,16 @@
 #include "sag/core/power.h"
 #include "sag/core/samc.h"
 #include "sag/core/ucra.h"
+#include "sag/sim/paper_presets.h"
 
 namespace sag::bench {
 
-inline void run_field_suite(const char* figure, double side,
+inline void run_field_suite(const char* figure,
+                            sim::GeneratorConfig (*preset)(std::size_t users),
                             const std::vector<std::size_t>& user_counts,
                             double grid, const BenchConfig& bc) {
     const std::size_t iac_nodes = bc.fast ? 50'000 : 400'000;
     const std::size_t gac_nodes = bc.fast ? 30'000 : 200'000;
-
-    sim::GeneratorConfig cfg;
-    cfg.field_side = side;
-    cfg.base_station_count = 4;
-    cfg.snr_threshold_db = units::Decibel{-15.0};
 
     sim::Table power_low({"users", "baseline", "PRO", "optimal"});
     sim::Table runtimes(
@@ -39,7 +36,7 @@ inline void run_field_suite(const char* figure, double side,
     sim::Table power_high({"users", "baseline", "UCPO"});
 
     for (const std::size_t users : user_counts) {
-        cfg.subscriber_count = users;
+        const sim::GeneratorConfig cfg = preset(users);
         SeedAverage base_l, pro_l, opt_l;
         SeedAverage t_samc, t_iac, t_gac, n_iac, n_gac;
         SeedAverage must_rs[4], mbmc_rs;

@@ -16,6 +16,7 @@
 #include "sag/core/ilpqc.h"
 #include "sag/core/samc.h"
 #include "sag/core/ucra.h"
+#include "sag/sim/paper_presets.h"
 
 namespace {
 
@@ -50,11 +51,9 @@ void dump(const std::filesystem::path& out_dir, const char* name,
     }
     std::printf("  wrote %s\n", path.c_str());
 
-    io::SvgOptions svg_opts;
-    svg_opts.title = name;
     const std::string svg_path = (out_dir / (std::string("fig6_") + name + ".svg")).string();
     std::ofstream svg(svg_path);
-    svg << io::render_deployment_svg(s, cov, plan, svg_opts);
+    svg << io::render_deployment_svg(s, cov, plan, name);
     std::printf("  wrote %s\n", svg_path.c_str());
 }
 
@@ -75,13 +74,8 @@ int main(int argc, char** argv) {
     bench::print_header("Fig 6", "tree topologies, 300x300 (plot axes +-300), "
                                  "30 users, 4 corner BSs, SNR=-15dB");
 
-    sim::GeneratorConfig cfg;
-    cfg.field_side = 600.0;  // the paper plots axes [-300, 300]
-    cfg.subscriber_count = 30;
-    cfg.base_station_count = 4;
-    cfg.bs_layout = sim::BsLayout::Corners;
-    cfg.snr_threshold_db = units::Decibel{-15.0};
-    const auto s = sim::generate_scenario(cfg, 4242);
+    // 600x600 so the paper's plot axes [-300, 300] fit, 4 corner BSs.
+    const auto s = sim::generate_scenario(sim::presets::topology_showcase(), 4242);
 
     core::IlpqcOptions iopts;
     iopts.node_budget = bc.fast ? 50'000 : 400'000;

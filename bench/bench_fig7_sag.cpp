@@ -10,6 +10,7 @@
 #include "sag/core/candidates.h"
 #include "sag/core/ilpqc.h"
 #include "sag/core/sag.h"
+#include "sag/sim/paper_presets.h"
 
 namespace {
 
@@ -24,7 +25,7 @@ double darp_total(const core::Scenario& s, const core::CoveragePlan& plan) {
     return darp.feasible ? darp.total_power() : kInfeasible;
 }
 
-void field_sweep(const char* figure, double side,
+void field_sweep(const char* figure, sim::GeneratorConfig (*preset)(std::size_t users),
                  const std::vector<std::size_t>& user_counts, double grid,
                  const BenchConfig& bc) {
     bench::print_header(figure, "total power: SAG vs SAMC/IAC/GAC + DARP");
@@ -32,14 +33,9 @@ void field_sweep(const char* figure, double side,
     const std::size_t iac_nodes = bc.fast ? 50'000 : 400'000;
     const std::size_t gac_nodes = bc.fast ? 30'000 : 200'000;
 
-    sim::GeneratorConfig cfg;
-    cfg.field_side = side;
-    cfg.base_station_count = 4;
-    cfg.snr_threshold_db = units::Decibel{-15.0};
-
     exec::ThreadPool pool(static_cast<std::size_t>(bc.threads));
     for (const std::size_t users : user_counts) {
-        cfg.subscriber_count = users;
+        const sim::GeneratorConfig cfg = preset(users);
         // Evaluate seeds in parallel into per-seed slots (deterministic
         // regardless of thread count), reduce serially.
         struct SeedResult {
@@ -100,8 +96,11 @@ int main(int argc, char** argv) {
     const sag::bench::ReportScope report_scope(bc);
     std::printf("Fig. 7 reproduction (seeds per point: %d%s)\n\n", bc.seeds,
                 bc.fast ? ", fast mode" : "");
-    field_sweep("Fig 7(a)", 300.0, {5, 10, 15, 20, 25, 30, 35, 40}, 15.0, bc);
-    field_sweep("Fig 7(b)", 500.0, {5, 10, 15, 20, 25, 30, 35, 40, 45, 50}, 15.0, bc);
-    field_sweep("Fig 7(c)", 800.0, {20, 30, 40, 50, 60, 70}, 20.0, bc);
+    field_sweep("Fig 7(a)", sim::presets::field300, {5, 10, 15, 20, 25, 30, 35, 40},
+                15.0, bc);
+    field_sweep("Fig 7(b)", sim::presets::field500,
+                {5, 10, 15, 20, 25, 30, 35, 40, 45, 50}, 15.0, bc);
+    field_sweep("Fig 7(c)", sim::presets::field800, {20, 30, 40, 50, 60, 70}, 20.0,
+                bc);
     return 0;
 }

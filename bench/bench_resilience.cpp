@@ -19,6 +19,7 @@
 #include "sag/resilience/damage.h"
 #include "sag/resilience/failure.h"
 #include "sag/resilience/repair.h"
+#include "sag/sim/paper_presets.h"
 
 int main(int argc, char** argv) {
     using namespace sag;
@@ -45,10 +46,7 @@ int main(int argc, char** argv) {
         "coverage survival and power overhead vs failure fraction, "
         "post-repair, verified via verify_coverage/verify_connectivity");
 
-    sim::GeneratorConfig cfg;
-    cfg.field_side = 500.0;
-    cfg.subscriber_count = bc.fast ? 20 : 30;
-    cfg.base_station_count = 4;
+    const sim::GeneratorConfig cfg = sim::presets::field500(bc.fast ? 20 : 30);
 
     const std::vector<double> fractions = {0.0,  0.05, 0.10, 0.15,
                                            0.20, 0.25, 0.30};

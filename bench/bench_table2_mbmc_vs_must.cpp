@@ -7,6 +7,7 @@
 
 #include "sag/core/samc.h"
 #include "sag/core/ucra.h"
+#include "sag/sim/paper_presets.h"
 
 int main(int argc, char** argv) {
     using namespace sag;
@@ -20,11 +21,8 @@ int main(int argc, char** argv) {
     for (std::size_t n_bs = 1; n_bs <= 4; ++n_bs) {
         bench::SeedAverage must[4], mbmc;
         for (int seed = 0; seed < bc.seeds; ++seed) {
-            sim::GeneratorConfig cfg;
-            cfg.field_side = 500.0;
-            cfg.subscriber_count = 30;
+            sim::GeneratorConfig cfg = sim::presets::field500(30);
             cfg.base_station_count = n_bs;
-            cfg.snr_threshold_db = units::Decibel{-15.0};
             const auto s = sim::generate_scenario(cfg, 8000 + seed);
             const auto cov = core::solve_samc(s).plan;
             if (!cov.feasible) {

@@ -76,9 +76,6 @@ struct Scenario {
     ids::IdRange<ids::SsId> ss_ids() const {
         return ids::first_ids<ids::SsId>(subscribers.size());
     }
-    ids::IdRange<ids::BsId> bs_ids() const {
-        return ids::first_ids<ids::BsId>(base_stations.size());
-    }
 
     /// β as a typed linear power ratio.
     units::SnrRatio snr_threshold() const;

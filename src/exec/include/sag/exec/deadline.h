@@ -8,17 +8,16 @@
 // arithmetic; auditing "what happens when the budget expires" meant
 // reading each copy. A Deadline is that concept once: armed from a
 // seconds budget (<= 0 keeps the repo-wide "0 disables" convention and
-// yields an unlimited deadline), polled with expired(), and — for the
-// serve layer's fault-injection harness — expirable *deterministically*
-// via expired_now(), which never reads the clock and therefore replays
-// byte-identically across runs and thread counts.
+// yields an unlimited deadline) and polled with expired(). The serve
+// layer's injected stage timeouts do not go through a Deadline: they set
+// bits of serve::StageGate::forced_mask, which never reads the clock and
+// therefore replays byte-identically across runs and thread counts.
 //
 // Copying a Deadline copies the absolute expiry instant, so one deadline
 // threaded through nested stages gives every stage the same cutoff (the
 // degradation-ladder contract of docs/SERVING.md).
 
 #include <chrono>
-#include <limits>
 
 namespace sag::exec {
 
@@ -43,38 +42,12 @@ public:
         return d;
     }
 
-    /// Already expired, without ever touching the clock: the
-    /// deterministic "injected solver timeout" used to drive degradation
-    /// paths in tests and the churn soak harness.
-    static Deadline expired_now() {
-        Deadline d;
-        d.armed_ = true;
-        d.forced_ = true;
-        return d;
-    }
-
-    bool unlimited() const { return !armed_; }
-
-    /// One clock read per call (none when unlimited or force-expired).
-    bool expired() const {
-        if (!armed_) return false;
-        return forced_ || Clock::now() > at_;
-    }
-
-    /// Seconds until expiry: +inf when unlimited, 0 when already past.
-    double remaining_seconds() const {
-        if (!armed_) return std::numeric_limits<double>::infinity();
-        if (forced_) return 0.0;
-        const auto left = at_ - Clock::now();
-        return left > Clock::duration::zero()
-                   ? std::chrono::duration<double>(left).count()
-                   : 0.0;
-    }
+    /// One clock read per call (none when unlimited).
+    bool expired() const { return armed_ && Clock::now() > at_; }
 
 private:
     Clock::time_point at_{};
     bool armed_ = false;
-    bool forced_ = false;
 };
 
 }  // namespace sag::exec

@@ -28,10 +28,6 @@ struct Circle {
     bool contains(const Vec2& p, double eps = kEps) const {
         return distance_sq(center, p) <= (radius + eps) * (radius + eps);
     }
-    /// True when `p` lies on the boundary circle within `eps`.
-    bool on_boundary(const Vec2& p, double eps = 1e-6) const;
-    /// Point on the boundary at angle `theta` (radians, CCW from +x).
-    Vec2 point_at_angle(double theta) const;
 };
 
 /// Intersection points of two circles' boundaries.
@@ -39,9 +35,6 @@ struct Circle {
 /// the other, 1 point when (nearly) tangent, 2 otherwise. Coincident
 /// circles return 0 points (infinite intersection is not representable).
 std::vector<Vec2> circle_intersections(const Circle& a, const Circle& b);
-
-/// True when the closed disks of `a` and `b` share at least one point.
-bool disks_overlap(const Circle& a, const Circle& b, double eps = kEps);
 
 /// Axis-aligned rectangle [min.x, max.x] x [min.y, max.y].
 struct Rect {
@@ -61,9 +54,5 @@ struct Rect {
         return {{-side / 2, -side / 2}, {side / 2, side / 2}};
     }
 };
-
-/// Smallest axis-aligned rectangle containing all `points`
-/// (empty input -> degenerate rect at the origin).
-Rect bounding_box(const std::vector<Vec2>& points);
 
 }  // namespace sag::geom

@@ -13,8 +13,4 @@ namespace sag::geom {
 /// clamped inside), so the whole field is covered.
 std::vector<Vec2> grid_centers(const Rect& field, double cell_size);
 
-/// Number of grid centers grid_centers() would return, without
-/// materializing them — used to budget ILP candidate counts.
-std::size_t grid_center_count(const Rect& field, double cell_size);
-
 }  // namespace sag::geom

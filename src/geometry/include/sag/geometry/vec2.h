@@ -23,9 +23,6 @@ struct Vec2 {
     constexpr Vec2& operator*=(double s) { x *= s; y *= s; return *this; }
     constexpr bool operator==(const Vec2& o) const = default;
 
-    constexpr double dot(const Vec2& o) const { return x * o.x + y * o.y; }
-    /// Z-component of the 3-D cross product; >0 when `o` is counterclockwise of *this.
-    constexpr double cross(const Vec2& o) const { return x * o.y - y * o.x; }
     constexpr double norm_sq() const { return x * x + y * y; }
     double norm() const { return std::hypot(x, y); }
 
@@ -33,11 +30,6 @@ struct Vec2 {
     Vec2 normalized() const {
         const double n = norm();
         return n > 0.0 ? Vec2{x / n, y / n} : Vec2{1.0, 0.0};
-    }
-    /// Counterclockwise rotation by `radians`.
-    Vec2 rotated(double radians) const {
-        const double c = std::cos(radians), s = std::sin(radians);
-        return {x * c - y * s, x * s + y * c};
     }
 };
 

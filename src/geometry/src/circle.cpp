@@ -1,6 +1,5 @@
 #include "sag/geometry/circle.h"
 
-#include <algorithm>
 #include <cmath>
 #include <ostream>
 
@@ -8,14 +7,6 @@ namespace sag::geom {
 
 std::ostream& operator<<(std::ostream& os, const Vec2& v) {
     return os << '(' << v.x << ", " << v.y << ')';
-}
-
-bool Circle::on_boundary(const Vec2& p, double eps) const {
-    return std::abs(distance(center, p) - radius) <= eps;
-}
-
-Vec2 Circle::point_at_angle(double theta) const {
-    return center + Vec2{std::cos(theta), std::sin(theta)} * radius;
 }
 
 std::vector<Vec2> circle_intersections(const Circle& a, const Circle& b) {
@@ -35,22 +26,6 @@ std::vector<Vec2> circle_intersections(const Circle& a, const Circle& b) {
     const double h = std::sqrt(h_sq);
     const Vec2 perp{-dir.y, dir.x};
     return {foot + perp * h, foot - perp * h};
-}
-
-bool disks_overlap(const Circle& a, const Circle& b, double eps) {
-    return distance(a.center, b.center) <= a.radius + b.radius + eps;
-}
-
-Rect bounding_box(const std::vector<Vec2>& points) {
-    if (points.empty()) return {};
-    Rect box{points.front(), points.front()};
-    for (const Vec2& p : points) {
-        box.min.x = std::min(box.min.x, p.x);
-        box.min.y = std::min(box.min.y, p.y);
-        box.max.x = std::max(box.max.x, p.x);
-        box.max.y = std::max(box.max.y, p.y);
-    }
-    return box;
 }
 
 }  // namespace sag::geom

@@ -13,11 +13,6 @@ std::size_t cells_along(double extent, double cell_size) {
 
 }  // namespace
 
-std::size_t grid_center_count(const Rect& field, double cell_size) {
-    if (cell_size <= 0.0) throw std::invalid_argument("grid cell_size must be positive");
-    return cells_along(field.width(), cell_size) * cells_along(field.height(), cell_size);
-}
-
 std::vector<Vec2> grid_centers(const Rect& field, double cell_size) {
     if (cell_size <= 0.0) throw std::invalid_argument("grid cell_size must be positive");
     const std::size_t nx = cells_along(field.width(), cell_size);

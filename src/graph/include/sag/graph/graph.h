@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace sag::graph {
@@ -23,15 +22,11 @@ public:
     explicit Graph(std::size_t vertex_count = 0);
 
     std::size_t vertex_count() const { return adj_.size(); }
-    std::size_t edge_count() const { return edges_.size(); }
 
     /// Adds an undirected edge; self-loops are rejected (throws).
     void add_edge(std::size_t u, std::size_t v, double weight = 1.0);
 
-    std::span<const Edge> edges() const { return edges_; }
-    /// Indices into edges() of the edges incident to `v`.
-    std::span<const std::size_t> incident_edges(std::size_t v) const { return adj_[v]; }
-    /// The endpoint of edge `e` that is not `v`.
+    /// The endpoint of edge `e` (in add_edge order) that is not `v`.
     std::size_t other_end(std::size_t e, std::size_t v) const;
 
     /// Connected components as vertex-index lists (BFS).

@@ -24,14 +24,8 @@ public:
     /// Vertices ordered so every parent precedes its children.
     const std::vector<std::size_t>& topological_order() const { return topo_; }
 
-    /// Path from `v` up to (and including) its root.
-    std::vector<std::size_t> path_to_root(std::size_t v) const;
-
     /// Depth of `v` (root has depth 0).
     std::size_t depth(std::size_t v) const;
-
-    /// All vertices in the subtree rooted at `v` (including `v`).
-    std::vector<std::size_t> subtree(std::size_t v) const;
 
 private:
     std::vector<std::size_t> parent_;

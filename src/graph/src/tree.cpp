@@ -23,15 +23,6 @@ RootedTree::RootedTree(std::vector<std::size_t> parent)
     if (topo_.size() != n) throw std::invalid_argument("parent array contains a cycle");
 }
 
-std::vector<std::size_t> RootedTree::path_to_root(std::size_t v) const {
-    std::vector<std::size_t> path{v};
-    while (!is_root(v)) {
-        v = parent_[v];
-        path.push_back(v);
-    }
-    return path;
-}
-
 std::size_t RootedTree::depth(std::size_t v) const {
     std::size_t d = 0;
     while (!is_root(v)) {
@@ -39,14 +30,6 @@ std::size_t RootedTree::depth(std::size_t v) const {
         ++d;
     }
     return d;
-}
-
-std::vector<std::size_t> RootedTree::subtree(std::size_t v) const {
-    std::vector<std::size_t> out{v};
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        for (const std::size_t c : children_[out[i]]) out.push_back(c);
-    }
-    return out;
 }
 
 }  // namespace sag::graph

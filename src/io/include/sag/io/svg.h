@@ -1,32 +1,22 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "sag/core/deployment.h"
 #include "sag/core/scenario.h"
 
 namespace sag::io {
 
-/// Rendering options for deployment SVGs.
-struct SvgOptions {
-    double canvas_px = 720.0;      ///< width/height of the square canvas
-    bool draw_feasible_circles = true;  ///< dashed subscriber coverage circles
-    bool draw_tree_edges = true;        ///< relay-tree links
-    bool draw_access_links = true;      ///< subscriber -> serving RS links
-    std::string title;             ///< optional caption rendered at the top
-};
-
-/// Renders a deployment as a standalone SVG document — the direct visual
-/// analogue of the paper's Fig. 6 scatter plots: subscribers as hollow
-/// circles, base stations as filled squares, coverage RSs as filled
-/// circles, connectivity RSs as diamonds, tree edges as lines.
+/// Renders a deployment as a standalone 720 px square SVG document — the
+/// direct visual analogue of the paper's Fig. 6 scatter plots:
+/// subscribers as hollow circles inside their dashed feasible circles,
+/// base stations as filled squares, coverage RSs as filled circles,
+/// connectivity RSs as diamonds, tree edges and subscriber access links
+/// as lines. A non-empty `title` is rendered as a caption at the top.
 std::string render_deployment_svg(const core::Scenario& scenario,
                                   const core::CoveragePlan& coverage,
                                   const core::ConnectivityPlan& connectivity,
-                                  const SvgOptions& options = {});
-
-/// Scenario-only render (no deployment yet): subscribers, circles, BSs.
-std::string render_scenario_svg(const core::Scenario& scenario,
-                                const SvgOptions& options = {});
+                                  std::string_view title = {});
 
 }  // namespace sag::io

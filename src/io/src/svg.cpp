@@ -15,26 +15,28 @@ constexpr const char* kCoverageRs = "#2166ac";
 constexpr const char* kConnectivityRs = "#e08214";
 constexpr const char* kTreeEdge = "#b0b0b0";
 constexpr const char* kAccessLink = "#cfe0ef";
+/// Width and height of the square canvas.
+constexpr double kCanvasPx = 720.0;
 
 class Canvas {
 public:
-    Canvas(const geom::Rect& world, double canvas_px)
-        : world_(world), px_(canvas_px) {
-        const double margin = 0.06 * canvas_px;
-        scale_ = (canvas_px - 2 * margin) /
+    explicit Canvas(const geom::Rect& world) : world_(world) {
+        const double margin = 0.06 * kCanvasPx;
+        scale_ = (kCanvasPx - 2 * margin) /
                  std::max(world.width(), world.height());
         offset_ = margin;
     }
 
     double x(double wx) const { return offset_ + (wx - world_.min.x) * scale_; }
     /// SVG y grows downward; world y grows upward.
-    double y(double wy) const { return px_ - offset_ - (wy - world_.min.y) * scale_; }
+    double y(double wy) const {
+        return kCanvasPx - offset_ - (wy - world_.min.y) * scale_;
+    }
     double len(double w) const { return w * scale_; }
-    double size() const { return px_; }
+    double size() const { return kCanvasPx; }
 
 private:
     geom::Rect world_;
-    double px_;
     double scale_;
     double offset_;
 };
@@ -82,17 +84,17 @@ void diamond(std::ostringstream& os, const Canvas& c, const geom::Vec2& p,
 }
 
 std::ostringstream document_open(const core::Scenario& scenario, const Canvas& c,
-                                 const SvgOptions& options) {
+                                 std::string_view title) {
     std::ostringstream os;
     os << "<svg xmlns='http://www.w3.org/2000/svg' width='" << c.size()
        << "' height='" << c.size() << "' viewBox='0 0 " << c.size() << ' ' << c.size()
        << "'>\n";
     os << "<rect width='100%' height='100%' fill='white'/>\n";
-    if (!options.title.empty()) {
+    if (!title.empty()) {
         os << "<text x='" << c.size() / 2
            << "' y='18' text-anchor='middle' font-family='sans-serif' "
               "font-size='14'>"
-           << options.title << "</text>\n";
+           << title << "</text>\n";
     }
     // Field boundary.
     os << "<rect x='" << c.x(scenario.field.min.x) << "' y='"
@@ -102,12 +104,35 @@ std::ostringstream document_open(const core::Scenario& scenario, const Canvas& c
     return os;
 }
 
-void draw_scenario_layer(std::ostringstream& os, const Canvas& c,
-                         const core::Scenario& scenario, const SvgOptions& options) {
-    if (options.draw_feasible_circles) {
-        for (const sag::ids::SsId j : scenario.ss_ids()) {
-            world_circle(os, c, scenario.feasible_circle(j), kSubscriber, "3,3");
+}  // namespace
+
+std::string render_deployment_svg(const core::Scenario& scenario,
+                                  const core::CoveragePlan& coverage,
+                                  const core::ConnectivityPlan& connectivity,
+                                  std::string_view title) {
+    const Canvas c(scenario.field);
+    std::ostringstream os = document_open(scenario, c, title);
+
+    // Edges first so markers draw on top.
+    for (std::size_t v = 0; v < connectivity.node_count(); ++v) {
+        if (connectivity.parent[v] != v) {
+            line(os, c, connectivity.positions[v],
+                 connectivity.positions[connectivity.parent[v]], kTreeEdge, 1.2);
         }
+    }
+    for (const sag::ids::SsId j : scenario.ss_ids()) {
+        if (j.index() < coverage.assignment.size() &&
+            coverage.assignment[j].valid() &&
+            coverage.assignment[j].index() < coverage.rs_count()) {
+            line(os, c, scenario.subscriber(j).pos,
+                 coverage.rs_position(coverage.assignment[j]), kAccessLink, 1.0,
+                 "2,2");
+        }
+    }
+
+    // The scenario layer: feasible circles, subscribers, base stations.
+    for (const sag::ids::SsId j : scenario.ss_ids()) {
+        world_circle(os, c, scenario.feasible_circle(j), kSubscriber, "3,3");
     }
     for (const auto& sub : scenario.subscribers) {
         circle(os, c, sub.pos, 3.5, "white", kSubscriber);
@@ -115,48 +140,6 @@ void draw_scenario_layer(std::ostringstream& os, const Canvas& c,
     for (const auto& bs : scenario.base_stations) {
         square(os, c, bs.pos, 5.0, kBaseStation);
     }
-}
-
-}  // namespace
-
-std::string render_scenario_svg(const core::Scenario& scenario,
-                                const SvgOptions& options) {
-    const Canvas c(scenario.field, options.canvas_px);
-    std::ostringstream os = document_open(scenario, c, options);
-    draw_scenario_layer(os, c, scenario, options);
-    os << "</svg>\n";
-    return os.str();
-}
-
-std::string render_deployment_svg(const core::Scenario& scenario,
-                                  const core::CoveragePlan& coverage,
-                                  const core::ConnectivityPlan& connectivity,
-                                  const SvgOptions& options) {
-    const Canvas c(scenario.field, options.canvas_px);
-    std::ostringstream os = document_open(scenario, c, options);
-
-    // Edges first so markers draw on top.
-    if (options.draw_tree_edges) {
-        for (std::size_t v = 0; v < connectivity.node_count(); ++v) {
-            if (connectivity.parent[v] != v) {
-                line(os, c, connectivity.positions[v],
-                     connectivity.positions[connectivity.parent[v]], kTreeEdge, 1.2);
-            }
-        }
-    }
-    if (options.draw_access_links) {
-        for (const sag::ids::SsId j : scenario.ss_ids()) {
-            if (j.index() < coverage.assignment.size() &&
-                coverage.assignment[j].valid() &&
-                coverage.assignment[j].index() < coverage.rs_count()) {
-                line(os, c, scenario.subscriber(j).pos,
-                     coverage.rs_position(coverage.assignment[j]), kAccessLink, 1.0,
-                     "2,2");
-            }
-        }
-    }
-
-    draw_scenario_layer(os, c, scenario, options);
 
     for (std::size_t v = 0; v < connectivity.node_count(); ++v) {
         switch (connectivity.kinds[v]) {

@@ -153,9 +153,6 @@ private:
     Recorder recorder_;
 };
 
-/// True when a sink is installed (the runtime on/off switch).
-inline bool enabled() { return Recorder::current() != nullptr; }
-
 }  // namespace sag::obs
 
 #define SAG_OBS_CONCAT_INNER(a, b) a##b

@@ -24,7 +24,6 @@ struct MilpProblem {
 
 struct MilpOptions {
     std::size_t node_limit = 200'000;
-    double integrality_tol = 1e-6;
     /// Prune nodes whose LP bound is within this of the incumbent
     /// (objective granularity; 1 - eps is right for pure cardinality
     /// objectives, 0 for general ones).

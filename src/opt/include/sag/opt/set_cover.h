@@ -25,14 +25,6 @@ struct SetCoverInstance {
 /// empty optional when some element is uncoverable.
 std::optional<std::vector<std::size_t>> greedy_set_cover(const SetCoverInstance& inst);
 
-/// Greedy set *multicover*: element e must be covered by at least
-/// `demand[e]` distinct sets (each set counts once per element). Returns
-/// nullopt when some demand is unsatisfiable. Supports the dual-relay
-/// coverage extension (every subscriber covered by two RSs, after the
-/// 802.16j dual-relay MMR architecture the paper's related work cites).
-std::optional<std::vector<std::size_t>> greedy_set_multicover(
-    const SetCoverInstance& inst, std::span<const std::size_t> demand);
-
 /// Extra acceptance test applied to complete covers. The SAG ILPQC uses
 /// this to impose the quadratic SNR constraint (3.5): a cover is a valid
 /// relay placement only if every subscriber's SNR clears the threshold

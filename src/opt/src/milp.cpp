@@ -12,6 +12,9 @@ namespace sag::opt {
 
 namespace {
 
+/// A binary whose LP value lies within this of 0 or 1 counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+
 /// Branching state: per-variable lower/upper bounds imposed so far
 /// (only for binaries: 0/1 fixings).
 struct Node {
@@ -75,7 +78,7 @@ MilpResult solve_milp(const MilpProblem& problem, const MilpOptions& options) {
 
         // Most-fractional binary.
         std::size_t branch_var = n;
-        double worst_frac = options.integrality_tol;
+        double worst_frac = kIntegralityTol;
         for (std::size_t i = 0; i < n; ++i) {
             if (!p.binary[i]) continue;
             const double frac = std::abs(relaxed.x[i] - std::round(relaxed.x[i]));

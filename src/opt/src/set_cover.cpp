@@ -58,45 +58,6 @@ std::optional<std::vector<std::size_t>> greedy_set_cover(const SetCoverInstance&
     return chosen;
 }
 
-std::optional<std::vector<std::size_t>> greedy_set_multicover(
-    const SetCoverInstance& inst, std::span<const std::size_t> demand) {
-    if (demand.size() != inst.element_count) {
-        throw std::invalid_argument("demand size mismatch");
-    }
-    std::vector<std::size_t> remaining(demand.begin(), demand.end());
-    std::size_t total_remaining = 0;
-    for (const std::size_t d : remaining) total_remaining += d;
-
-    std::vector<bool> used(inst.sets.size(), false);
-    std::vector<std::size_t> chosen;
-    while (total_remaining > 0) {
-        std::size_t best_set = inst.sets.size();
-        std::size_t best_gain = 0;
-        for (std::size_t s = 0; s < inst.sets.size(); ++s) {
-            if (used[s]) continue;  // a set can serve each element once
-            std::size_t gain = 0;
-            for (const std::size_t e : inst.sets[s]) {
-                if (remaining[e] > 0) ++gain;
-            }
-            if (gain > best_gain) {
-                best_gain = gain;
-                best_set = s;
-            }
-        }
-        if (best_set == inst.sets.size()) return std::nullopt;  // demand unmet
-        used[best_set] = true;
-        chosen.push_back(best_set);
-        for (const std::size_t e : inst.sets[best_set]) {
-            if (remaining[e] > 0) {
-                --remaining[e];
-                --total_remaining;
-            }
-        }
-    }
-    std::sort(chosen.begin(), chosen.end());
-    return chosen;
-}
-
 std::size_t disjoint_elements_lower_bound(const SetCoverInstance& inst) {
     const auto covering = inst.covering_sets();
     std::vector<bool> set_used(inst.sets.size(), false);

@@ -138,7 +138,6 @@ struct RepairOutcome {
     double power_before = 0.0;    ///< P_total of the intact deployment
     double power_after = 0.0;     ///< P_total of the repaired network
 
-    bool full_recovery() const { return unrecoverable.empty(); }
     /// Repaired-over-intact total power (the bench's overhead curve);
     /// 0/0 reports 1 (an empty network repaired to an empty network).
     double power_overhead() const {

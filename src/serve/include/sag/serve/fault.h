@@ -5,10 +5,11 @@
 // so the soak harness corrupts its own inputs: a FaultPlan decides,
 // purely from (seed, event index), which events carry an injected stage
 // timeout (the gate reports expired without any clock read — see
-// exec::Deadline::expired_now) and which background re-solves "time
-// out" and must retry with backoff. Because every decision is a hash of
-// the seed and the index — never a clock or a shared RNG stream — a
-// faulted run replays byte-identically across runs and thread counts.
+// StageGate::forced_mask in serve/session.h) and which background
+// re-solves "time out" and must retry with backoff. Because every
+// decision is a hash of the seed and the index — never a clock or a
+// shared RNG stream — a faulted run replays byte-identically across
+// runs and thread counts.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,12 +36,6 @@ public:
     /// No faults (the default for production sessions).
     FaultPlan() = default;
     explicit FaultPlan(const FaultOptions& options) : options_(options) {}
-
-    bool enabled() const {
-        return options_.stage_timeout_probability > 0.0 ||
-               options_.resolve_timeout_probability > 0.0 ||
-               options_.corrupt_probability > 0.0;
-    }
 
     /// Bitmask over RepairStage: bit s set means stage s's gate reports
     /// expired for this event (deterministically, without a clock read).

@@ -32,7 +32,7 @@
 // Determinism: with the default unlimited event budget the Session
 // reads no clocks and draws no unseeded randomness; the degradation
 // paths are exercised via FaultPlan's injected stage timeouts
-// (exec::Deadline::expired_now — forced expiry without a clock read).
+// (StageGate::forced_mask — forced expiry without a clock read).
 // Schema, ladder, drift budget, and report format: docs/SERVING.md.
 
 #include <cstddef>

@@ -5,13 +5,12 @@
 namespace sag::sim {
 
 /// Canned generator configurations matching the paper's evaluation
-/// settings (§IV-A), so users and tests can name an experiment instead of
-/// re-typing its parameters. Field sides are 300/500/800, SNR −15 dB
-/// unless the figure says otherwise, distance requests U[30, 40], 4 BSs.
+/// settings (§IV-A), so benches and tests name an experiment instead of
+/// re-typing its parameters. Each preset starts from GeneratorConfig's
+/// defaults, which are the §IV base: 500x500, 30 users, 4 uniform BSs,
+/// distance requests U[30, 40], SNR −15 dB. Field sides are 300/500/800
+/// unless the figure says otherwise.
 namespace presets {
-
-/// Base settings shared by all §IV experiments.
-GeneratorConfig evaluation_base();
 
 /// Fig. 3(a) / Fig. 4: 500x500 at -15 dB with `users` subscribers.
 GeneratorConfig field500(std::size_t users);

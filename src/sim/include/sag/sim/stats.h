@@ -1,27 +1,23 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 namespace sag::sim {
 
-/// Streaming mean/variance accumulator (Welford), used to average the 10
+/// Streaming mean accumulator (Welford's update), used to average the 10
 /// test runs behind every plotted point (paper §IV).
 class RunningStat {
 public:
-    void add(double x);
+    void add(double x) {
+        ++count_;
+        mean_ += (x - mean_) / static_cast<double>(count_);
+    }
     std::size_t count() const { return count_; }
     double mean() const { return mean_; }
-    double variance() const;  ///< sample variance; 0 when count < 2
-    double stddev() const;
 
 private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
 };
-
-double mean(std::span<const double> xs);
-double stddev(std::span<const double> xs);
 
 }  // namespace sag::sim

@@ -6,9 +6,8 @@
 
 namespace sag::sim {
 
-/// Column-aligned text table with optional CSV export. Every benchmark
-/// binary prints one of these per paper table/figure so EXPERIMENTS.md can
-/// quote rows verbatim.
+/// Column-aligned text table. Every benchmark binary prints one of these
+/// per paper table/figure so EXPERIMENTS.md can quote rows verbatim.
 class Table {
 public:
     explicit Table(std::vector<std::string> headers);
@@ -20,9 +19,6 @@ public:
     void add_numeric_row(const std::vector<double>& values, int precision = 2);
 
     void print(std::ostream& os) const;
-    void write_csv(std::ostream& os) const;
-
-    std::size_t row_count() const { return rows_.size(); }
 
 private:
     std::vector<std::string> headers_;

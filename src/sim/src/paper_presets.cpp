@@ -4,26 +4,14 @@
 
 namespace sag::sim::presets {
 
-GeneratorConfig evaluation_base() {
-    GeneratorConfig cfg;
-    cfg.field_side = 500.0;
-    cfg.subscriber_count = 30;
-    cfg.base_station_count = 4;
-    cfg.min_distance_request = 30.0;
-    cfg.max_distance_request = 40.0;
-    cfg.snr_threshold_db = units::Decibel{-15.0};
-    cfg.bs_layout = BsLayout::Uniform;
-    return cfg;
-}
-
 GeneratorConfig field500(std::size_t users) {
-    GeneratorConfig cfg = evaluation_base();
+    GeneratorConfig cfg;
     cfg.subscriber_count = users;
     return cfg;
 }
 
 GeneratorConfig field800(std::size_t users) {
-    GeneratorConfig cfg = evaluation_base();
+    GeneratorConfig cfg;
     cfg.field_side = 800.0;
     cfg.subscriber_count = users;
     return cfg;
@@ -36,20 +24,20 @@ GeneratorConfig field800_relaxed(std::size_t users) {
 }
 
 GeneratorConfig field300(std::size_t users) {
-    GeneratorConfig cfg = evaluation_base();
+    GeneratorConfig cfg;
     cfg.field_side = 300.0;
     cfg.subscriber_count = users;
     return cfg;
 }
 
 GeneratorConfig snr_sweep_point(units::Decibel snr_threshold) {
-    GeneratorConfig cfg = evaluation_base();
+    GeneratorConfig cfg;
     cfg.snr_threshold_db = snr_threshold;
     return cfg;
 }
 
 GeneratorConfig topology_showcase() {
-    GeneratorConfig cfg = evaluation_base();
+    GeneratorConfig cfg;
     cfg.field_side = 600.0;
     cfg.bs_layout = BsLayout::Corners;
     return cfg;
@@ -57,7 +45,7 @@ GeneratorConfig topology_showcase() {
 
 GeneratorConfig log_distance_shadowed(std::size_t users, units::Decibel sigma,
                                       std::uint64_t shadowing_seed) {
-    GeneratorConfig cfg = evaluation_base();
+    GeneratorConfig cfg;
     cfg.subscriber_count = users;
     auto model = std::make_shared<wireless::LogDistanceModel>();
     // PL(d0) = -10 log10 G reproduces the two-ray median channel exactly,
@@ -73,7 +61,7 @@ GeneratorConfig log_distance_shadowed(std::size_t users, units::Decibel sigma,
 }
 
 GeneratorConfig lora_field(std::size_t users) {
-    GeneratorConfig cfg = evaluation_base();
+    GeneratorConfig cfg;
     cfg.subscriber_count = users;
     // Long LoRa access links: low-rate subscribers a couple hundred
     // meters out, the regime the SF9 budget is built for.

@@ -52,16 +52,4 @@ void Table::print(std::ostream& os) const {
     for (const auto& row : rows_) print_row(row);
 }
 
-void Table::write_csv(std::ostream& os) const {
-    const auto csv_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c > 0) os << ',';
-            os << row[c];
-        }
-        os << '\n';
-    };
-    csv_row(headers_);
-    for (const auto& row : rows_) csv_row(row);
-}
-
 }  // namespace sag::sim

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -92,8 +91,6 @@ public:
     /// non-physical or inconsistent with `params`.
     virtual void validate(const RadioParams& params) const { (void)params; }
 
-    virtual std::shared_ptr<const PropagationModel> clone() const = 0;
-
     // --- Kernel-derived queries (non-virtual by design; see class doc) ---
 
     /// Median linear path gain at distance `dist` (shadowing excluded).
@@ -130,9 +127,6 @@ public:
         k.clamp_m = params.reference_distance.meters();
         return k;
     }
-    std::shared_ptr<const PropagationModel> clone() const override {
-        return std::make_shared<TwoRayModel>(*this);
-    }
 };
 
 /// Log-distance path loss with optional seeded lognormal shadowing:
@@ -150,9 +144,6 @@ public:
     std::string_view kind() const override { return "log_distance"; }
     GainKernel kernel(const RadioParams& params) const override;
     void validate(const RadioParams& params) const override;
-    std::shared_ptr<const PropagationModel> clone() const override {
-        return std::make_shared<LogDistanceModel>(*this);
-    }
 };
 
 /// LoRa-style link budget: free-space-referenced log-distance path loss
@@ -177,9 +168,6 @@ public:
     std::optional<units::Watt> rx_sensitivity(
         const RadioParams& params, const RadioProfile& profile) const override;
     void validate(const RadioParams& params) const override;
-    std::shared_ptr<const PropagationModel> clone() const override {
-        return std::make_shared<LoRaLinkBudgetModel>(*this);
-    }
 
     /// Demodulation SNR floor per spreading factor (dB), SF in [7, 12].
     static units::Decibel snr_limit(int sf);
@@ -192,10 +180,6 @@ public:
 /// The process-wide default model (two-ray): what a Scenario without an
 /// explicit propagation block means.
 const PropagationModel& two_ray_model();
-
-/// Factory by kind string (default-constructed parameters); throws
-/// std::invalid_argument on an unknown kind.
-std::shared_ptr<const PropagationModel> make_model(std::string_view kind);
 
 // --- Model-parametric link helpers (mirror two_ray.h's free functions) ---
 

@@ -74,17 +74,4 @@ inline RadioProfile router_profile() {
     return p;
 }
 
-/// Client-class profile: power backed off `backoff` dB from P_max, a
-/// consumer-grade (noisier) receiver front end, 10% airtime.
-inline RadioProfile client_profile(const RadioParams& params,
-                                   units::Decibel backoff = units::Decibel{6.0},
-                                   units::Decibel noise_figure = units::Decibel{6.0}) {
-    RadioProfile p;
-    p.name = "client";
-    p.max_power = params.max_power / units::from_db(backoff).ratio();
-    p.noise_figure = noise_figure;
-    p.duty_cycle = 0.1;
-    return p;
-}
-
 }  // namespace sag::wireless

@@ -137,14 +137,6 @@ const PropagationModel& two_ray_model() {
     return model;
 }
 
-std::shared_ptr<const PropagationModel> make_model(std::string_view kind) {
-    if (kind == "two_ray") return std::make_shared<TwoRayModel>();
-    if (kind == "log_distance") return std::make_shared<LogDistanceModel>();
-    if (kind == "lora") return std::make_shared<LoRaLinkBudgetModel>();
-    throw std::invalid_argument("unknown propagation model kind: " +
-                                std::string(kind));
-}
-
 // --- Free helpers ---
 
 units::Watt received_power(const PropagationModel& model, const RadioParams& params,

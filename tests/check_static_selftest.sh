@@ -4,11 +4,11 @@
 #
 # A lint that never fires is indistinguishable from a lint that works, so
 # this harness proves each rule both accepts and rejects: it copies the
-# script, the sag_lint engine, and the allowlist into a temp tree with
-# its own mini layering manifest and DESIGN.md, seeds exactly one
-# violation per rule, and asserts the gate fails with that rule's
-# message — then asserts it passes on the clean temp tree AND on the
-# real repository. Covered:
+# script, the sag_lint engine, and the allowlist's comment header into a
+# temp tree with its own mini layering manifest and DESIGN.md, seeds
+# exactly one violation per rule, and asserts the gate fails with that
+# rule's message — then asserts it passes on the clean temp tree AND on
+# the real repository. Covered:
 #
 #   * units-param / ids-param / gain-param — plain violations, plus the
 #     evasions a grep lint could not see: a typedef'd/using-aliased
@@ -30,6 +30,13 @@
 #   * the one allowlist — an allowlisted violation passes; an entry
 #     that matches nothing fails, and so does one without a `rule-id:`
 #     prefix;
+#   * dead-api — a public-header function called only from tests/,
+#     named only in a comment or string, or referenced only by its own
+#     out-of-line definition fails; one called from bench/, only from
+#     perfbench/, or by another inline function of its header passes;
+#     an allowlisted one passes, and its entry is dead once it goes;
+#   * doc-names — a backticked `module::name` with no code behind it
+#     fails, a real one passes;
 #   * degradation policy — a missing compilation database passes locally
 #     but hard-fails under CI=true.
 #
@@ -60,7 +67,13 @@ mkdir -p "$tmp/tools" "$tmp/src/core/include/sag/core" "$tmp/src/core/src" \
          "$tmp/src/opt/src" "$tmp/src/sim/src" "$tmp/src/exec/src"
 cp tools/check_static.sh "$tmp/tools/"
 cp -r tools/sag_lint "$tmp/tools/"
-cp tools/check_static_allowlist.txt "$tmp/tools/"
+# The allowlist's comment header only: the real entries name headers
+# that do not exist here, so every one of them would be dead.
+reset_allowlist() {
+    awk '!/^#/ { exit } { print }' tools/check_static_allowlist.txt \
+        > "$tmp/tools/check_static_allowlist.txt"
+}
+reset_allowlist
 # The temp tree gets its own manifest (the real one's modules don't
 # exist here, and its edges would all be dead). No deps: every declared
 # cross-module include in a seeded file is an illegal edge.
@@ -338,12 +351,12 @@ mv "$tmp/DESIGN.md.orig" "$tmp/DESIGN.md"
 echo "units-param: src/core/src/no_such_file.cpp" \
     >> "$tmp/tools/check_static_allowlist.txt"
 expect_failure "dead-suppression" "dead allowlist entry"
-cp tools/check_static_allowlist.txt "$tmp/tools/"
+reset_allowlist
 
 # An entry that names no rule is a format error.
 echo "src/core/src/whatever.cpp" >> "$tmp/tools/check_static_allowlist.txt"
 expect_failure "suppression-format" "must name the rule"
-cp tools/check_static_allowlist.txt "$tmp/tools/"
+reset_allowlist
 
 # --- allowlist mechanics: an allowlisted violation passes ------------------
 cat > "$tmp/src/sim/src/allowlisted.cpp" <<'EOF'
@@ -363,7 +376,106 @@ rm -f "$tmp/src/sim/src/allowlisted.cpp"
 
 # Once the file it excused is gone, the same entry is dead and fails.
 expect_failure "dead-conc-raw-entry" "dead allowlist entry"
-cp tools/check_static_allowlist.txt "$tmp/tools/"
+reset_allowlist
+
+# --- dead-api: a public-header function needs a non-test caller ------------
+# seed_header <<'EOF' ... EOF writes the probe header the cases share.
+seed_header() {
+    cat > "$tmp/src/core/include/sag/core/probe.h"
+}
+seed_header <<'EOF'
+#pragma once
+namespace sag::core {
+int probe_count(int n);
+}  // namespace sag::core
+EOF
+
+expect_reject "dead-api-test-only-caller" "tests/probe_test.cpp" \
+    '`probe_count` has no caller' <<'EOF'
+#include "sag/core/probe.h"
+int use_probe() { return sag::core::probe_count(3); }
+EOF
+
+expect_accept "dead-api-bench-caller" "bench/probe_bench.cpp" <<'EOF'
+#include "sag/core/probe.h"
+int main() { return sag::core::probe_count(3); }
+EOF
+
+# perfbench/ is read as a caller, never linted.
+expect_accept "dead-api-perfbench-only-caller" "perfbench/probe_bench.cpp" <<'EOF'
+#include "sag/core/probe.h"
+int main() { return sag::core::probe_count(3); }
+EOF
+
+expect_reject "dead-api-comment-string-only" "src/core/src/probe_doc.cpp" \
+    '`probe_count` has no caller' <<'EOF'
+// probe_count(3) is what a bench would call.
+namespace sag::core {
+const char* probe_usage() { return "probe_count(n)"; }
+}  // namespace sag::core
+EOF
+
+# An out-of-line definition, free or member, is not a reference.
+seed_header <<'EOF'
+#pragma once
+namespace sag::core {
+int probe_count(int n);
+struct Probe {
+    int twice(int n) const;
+};
+}  // namespace sag::core
+EOF
+expect_reject "dead-api-own-definition-only" "src/core/src/probe.cpp" \
+    '`probe_count` has no caller' <<'EOF'
+#include "sag/core/probe.h"
+namespace sag::core {
+int probe_count(int n) { return n + 1; }
+}  // namespace sag::core
+EOF
+expect_reject "dead-api-own-member-definition-only" "src/core/src/probe.cpp" \
+    '`twice` has no caller' <<'EOF'
+#include "sag/core/probe.h"
+namespace sag::core {
+int Probe::twice(int n) const { return 2 * n; }
+}  // namespace sag::core
+EOF
+
+# An inline function called by another inline function of its header
+# is alive while that caller is.
+seed_header <<'EOF'
+#pragma once
+namespace sag::core {
+inline int probe_base(int n) { return 2 * n; }
+inline int probe_count(int n) { return probe_base(n) + 1; }
+}  // namespace sag::core
+EOF
+expect_accept "dead-api-inline-same-header-caller" "bench/probe_bench.cpp" <<'EOF'
+#include "sag/core/probe.h"
+int main() { return sag::core::probe_count(3); }
+EOF
+
+# An allowlisted test oracle passes; once it is deleted (expect_accept
+# removes the header again), its entry is dead and fails.
+echo "dead-api: int probe_oracle(" >> "$tmp/tools/check_static_allowlist.txt"
+expect_accept "dead-api-allowlisted-oracle" \
+    "src/core/include/sag/core/probe.h" <<'EOF'
+#pragma once
+namespace sag::core {
+int probe_oracle(int n);
+}  // namespace sag::core
+EOF
+expect_failure "dead-api-entry-of-deleted-function" "dead allowlist entry"
+reset_allowlist
+
+# --- doc-names: backticked module-qualified names name code ----------------
+expect_accept "doc-names-real" "README.md" <<'EOF'
+Call `sag::core::clean_helper` or `core::clean_helper(n)`.
+EOF
+
+expect_reject "doc-names-stale" "README.md" \
+    '`solve_everything` is not an identifier' <<'EOF'
+Call `core::solve_everything` first.
+EOF
 
 # --- degradation policy: missing compile DB is fatal under CI --------------
 out=$( cd "$tmp" && env CI=true bash tools/check_static.sh no-such-build-dir 2>&1 )
@@ -409,5 +521,6 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "check_static_selftest: OK (param/raw-escape/layering/determinism/" \
-     "concurrency rules reject seeded violations, dead suppressions, dead" \
-     "manifest edges and DESIGN.md drift fail, clean trees pass)"
+     "concurrency/dead-api/doc-names rules reject seeded violations, dead" \
+     "suppressions, dead manifest edges and DESIGN.md drift fail, clean" \
+     "trees pass)"

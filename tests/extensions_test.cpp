@@ -1,70 +1,16 @@
-// Tests for the optional extensions: greedy multicover, PRO selection
-// ablation mode, and aggregation-aware UCPO.
+// Tests for the optional extensions: PRO selection ablation mode and
+// aggregation-aware UCPO.
 #include <gtest/gtest.h>
 
 #include "sag/core/power.h"
 #include "sag/core/samc.h"
 #include "sag/core/ucra.h"
 #include "sag/ids/ids.h"
-#include "sag/opt/set_cover.h"
 #include "sag/sim/scenario_gen.h"
 #include "sag/wireless/link.h"
 
 namespace sag {
 namespace {
-
-TEST(MulticoverTest, DemandTwoRequiresDistinctSets) {
-    // One element, two sets covering it: both must be chosen.
-    opt::SetCoverInstance inst{1, {{0}, {0}}};
-    const std::vector<std::size_t> demand{2};
-    const auto chosen = opt::greedy_set_multicover(inst, demand);
-    ASSERT_TRUE(chosen.has_value());
-    EXPECT_EQ(chosen->size(), 2u);
-}
-
-TEST(MulticoverTest, InsufficientSupplyFails) {
-    opt::SetCoverInstance inst{1, {{0}}};
-    const std::vector<std::size_t> demand{2};
-    EXPECT_FALSE(opt::greedy_set_multicover(inst, demand).has_value());
-}
-
-TEST(MulticoverTest, ZeroDemandElementsIgnored) {
-    opt::SetCoverInstance inst{2, {{0}, {1}}};
-    const std::vector<std::size_t> demand{1, 0};
-    const auto chosen = opt::greedy_set_multicover(inst, demand);
-    ASSERT_TRUE(chosen.has_value());
-    EXPECT_EQ(*chosen, (std::vector<std::size_t>{0}));
-}
-
-TEST(MulticoverTest, MixedDemandsSatisfied) {
-    opt::SetCoverInstance inst{3, {{0, 1}, {0, 2}, {1, 2}, {0}}};
-    const std::vector<std::size_t> demand{2, 1, 2};
-    const auto chosen = opt::greedy_set_multicover(inst, demand);
-    ASSERT_TRUE(chosen.has_value());
-    // Verify the demands directly.
-    std::vector<std::size_t> covered(3, 0);
-    for (const std::size_t s : *chosen) {
-        for (const std::size_t e : inst.sets[s]) ++covered[e];
-    }
-    for (std::size_t e = 0; e < 3; ++e) EXPECT_GE(covered[e], demand[e]);
-}
-
-TEST(MulticoverTest, RejectsDemandSizeMismatch) {
-    opt::SetCoverInstance inst{2, {{0, 1}}};
-    const std::vector<std::size_t> demand{1};
-    EXPECT_THROW((void)opt::greedy_set_multicover(inst, demand),
-                 std::invalid_argument);
-}
-
-TEST(MulticoverTest, ReducesToPlainCoverWithUnitDemand) {
-    opt::SetCoverInstance inst{4, {{0, 1}, {2}, {2, 3}, {1, 3}}};
-    const std::vector<std::size_t> demand(4, 1);
-    const auto multi = opt::greedy_set_multicover(inst, demand);
-    const auto plain = opt::greedy_set_cover(inst);
-    ASSERT_TRUE(multi.has_value());
-    ASSERT_TRUE(plain.has_value());
-    EXPECT_EQ(*multi, *plain);
-}
 
 class ProSelectionTest : public ::testing::TestWithParam<int> {};
 

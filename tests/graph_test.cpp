@@ -19,8 +19,8 @@ TEST(GraphTest, AddEdgeAndAdjacency) {
     Graph g(4);
     g.add_edge(0, 1, 2.5);
     g.add_edge(1, 2, 1.0);
-    EXPECT_EQ(g.edge_count(), 2u);
-    EXPECT_EQ(g.incident_edges(1).size(), 2u);
+    EXPECT_EQ(g.connected_components(),
+              (std::vector<std::vector<std::size_t>>{{0, 1, 2}, {3}}));
     EXPECT_EQ(g.other_end(0, 0), 1u);
     EXPECT_EQ(g.other_end(0, 1), 0u);
 }
@@ -137,10 +137,9 @@ TEST(RootedTreeTest, StructureAccessors) {
     EXPECT_TRUE(t.is_root(0));
     EXPECT_FALSE(t.is_root(3));
     EXPECT_EQ(t.children(0).size(), 2u);
+    EXPECT_EQ(t.children(1), (std::vector<std::size_t>{3}));
+    EXPECT_EQ(t.parent(3), 1u);
     EXPECT_EQ(t.depth(3), 2u);
-    EXPECT_EQ(t.path_to_root(3), (std::vector<std::size_t>{3, 1, 0}));
-    EXPECT_EQ(t.subtree(1), (std::vector<std::size_t>{1, 3}));
-    EXPECT_EQ(t.subtree(0).size(), 4u);
 }
 
 TEST(RootedTreeTest, TopologicalOrderParentsFirst) {

@@ -244,22 +244,7 @@ TEST(PropagationTest, LoRaReferencePathLossIsFreeSpace) {
     EXPECT_NEAR(m.reference_path_loss().db(), fspl, 1e-9);
 }
 
-// --- Factory + validation -------------------------------------------------
-
-TEST(PropagationTest, MakeModelResolvesEveryKind) {
-    EXPECT_EQ(make_model("two_ray")->kind(), "two_ray");
-    EXPECT_EQ(make_model("log_distance")->kind(), "log_distance");
-    EXPECT_EQ(make_model("lora")->kind(), "lora");
-    EXPECT_THROW((void)make_model("okumura_hata"), std::invalid_argument);
-}
-
-TEST(PropagationTest, CloneIsIndependentDeepCopy) {
-    LogDistanceModel m;
-    m.exponent = 4.2;
-    const auto copy = m.clone();
-    m.exponent = 2.0;
-    EXPECT_EQ(static_cast<const LogDistanceModel&>(*copy).exponent, 4.2);
-}
+// --- Validation -------------------------------------------------------------
 
 TEST(PropagationTest, ValidateRejectsNonPhysicalParameters) {
     const RadioParams params = paper_radio();

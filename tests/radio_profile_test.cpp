@@ -56,22 +56,12 @@ TEST(RadioProfileTest, ValidateRejectsNonPhysicalProfiles) {
     EXPECT_THROW(p.validate(params), std::invalid_argument);
 }
 
-TEST(RadioProfileTest, RouterAndClientFactories) {
+TEST(RadioProfileTest, RouterFactory) {
     const RadioParams params;
     const RadioProfile router = router_profile();
     EXPECT_EQ(router.name, "router");
     EXPECT_FALSE(router.max_power.has_value());
     EXPECT_NO_THROW(router.validate(params));
-
-    const RadioProfile client = client_profile(params);
-    EXPECT_EQ(client.name, "client");
-    ASSERT_TRUE(client.max_power.has_value());
-    // 6 dB backoff from P_max.
-    EXPECT_NEAR(client.max_power->watts(),
-                params.max_power.watts() / std::pow(10.0, 0.6), 1e-12);
-    EXPECT_DOUBLE_EQ(client.noise_figure.db(), 6.0);
-    EXPECT_DOUBLE_EQ(client.duty_cycle, 0.1);
-    EXPECT_NO_THROW(client.validate(params));
 }
 
 }  // namespace

@@ -170,7 +170,7 @@ TEST(RepairTest, NoOpOnEmptyFailureSet) {
     const Deployed d = deploy(21);
     ASSERT_TRUE(d.result.feasible);
     const RepairOutcome out = repair(d.scenario, d.result, FailureSet{});
-    EXPECT_TRUE(out.full_recovery());
+    EXPECT_TRUE(out.unrecoverable.empty());
     EXPECT_EQ(out.covered.size(), d.scenario.subscriber_count());
     EXPECT_TRUE(out.repaired.feasible);
     EXPECT_EQ(out.new_relays, 0u);
@@ -274,7 +274,7 @@ TEST(RepairTest, EquidistantOrphanGoesToLowerSlot) {
         FailureSet f;
         f.coverage_down = {ids::RsId{0}};
         const RepairOutcome out = repair(s, d, f);
-        ASSERT_TRUE(out.full_recovery());
+        ASSERT_TRUE(out.unrecoverable.empty());
         EXPECT_EQ(out.reassigned, 1u);
         ASSERT_EQ(out.covered.front(), ids::SsId{0});
         const core::CoveragePlan& plan = out.repaired.coverage;
@@ -298,7 +298,7 @@ TEST(RepairTest, PartialRecoveryPowersAreTheOptimumOfTheRepairedPlan) {
         RepairOptions opts;
         opts.max_new_relays = 0;
         const RepairOutcome out = repair(d.scenario, d.result, f, opts);
-        if (out.full_recovery()) continue;
+        if (out.unrecoverable.empty()) continue;
         ++partial;
         const core::PowerAllocation optimum =
             core::allocate_power_optimal(out.covered_scenario, out.repaired.coverage);

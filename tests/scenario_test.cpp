@@ -201,8 +201,10 @@ TEST(CandidatesTest, IacContainsIntersectionsOfOverlappingCircles) {
     const auto cands = iac_candidates(s);
     EXPECT_EQ(cands.size(), 2u);  // two boundary intersections
     for (const auto& p : cands) {
-        EXPECT_TRUE(s.feasible_circle(ids::SsId{0}).on_boundary(p, 1e-6));
-        EXPECT_TRUE(s.feasible_circle(ids::SsId{1}).on_boundary(p, 1e-6));
+        for (const ids::SsId j : s.ss_ids()) {
+            const geom::Circle c = s.feasible_circle(j);
+            EXPECT_NEAR(geom::distance(c.center, p), c.radius, 1e-6);
+        }
     }
 }
 

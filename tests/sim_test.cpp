@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <thread>
@@ -11,28 +12,19 @@
 namespace sag::sim {
 namespace {
 
-TEST(RunningStatTest, MeanAndVariance) {
+TEST(RunningStatTest, MeanAndCount) {
     RunningStat s;
     for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
     EXPECT_EQ(s.count(), 8u);
     EXPECT_NEAR(s.mean(), 5.0, 1e-12);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
 }
 
 TEST(RunningStatTest, DegenerateCases) {
     RunningStat s;
     EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     s.add(3.5);
     EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(StatsTest, SpanHelpers) {
-    const double xs[] = {1.0, 2.0, 3.0};
-    EXPECT_NEAR(mean(xs), 2.0, 1e-12);
-    EXPECT_NEAR(stddev(xs), 1.0, 1e-12);
-    EXPECT_DOUBLE_EQ(mean(std::span<const double>{}), 0.0);
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {
@@ -56,15 +48,8 @@ TEST(TableTest, PrintAlignsColumns) {
     EXPECT_NE(out.find("users"), std::string::npos);
     EXPECT_NE(out.find("20.0"), std::string::npos);
     EXPECT_NE(out.find("11.5"), std::string::npos);
-    EXPECT_EQ(t.row_count(), 2u);
-}
-
-TEST(TableTest, CsvOutput) {
-    Table t({"a", "b"});
-    t.add_row({"1", "2"});
-    std::ostringstream os;
-    t.write_csv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
+    // Header, rule, two rows.
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
 }
 
 TEST(TableTest, RejectsWrongWidth) {
@@ -78,8 +63,8 @@ TEST(TableTest, NanRendersAsNa) {
     Table t({"x"});
     t.add_numeric_row({std::nan("")});
     std::ostringstream os;
-    t.write_csv(os);
-    EXPECT_EQ(os.str(), "x\nn/a\n");
+    t.print(os);
+    EXPECT_EQ(os.str(), "    x\n-----\n  n/a\n");
 }
 
 }  // namespace

@@ -25,8 +25,9 @@ std::size_t count_occurrences(const std::string& haystack, const std::string& ne
 }
 
 TEST(SvgTest, ScenarioRenderHasAllStations) {
+    // With no deployment yet, only the scenario layer draws.
     const auto s = sample();
-    const std::string svg = render_scenario_svg(s);
+    const std::string svg = render_deployment_svg(s, {}, {});
     EXPECT_EQ(svg.rfind("<svg", 0), 0u);
     EXPECT_NE(svg.find("</svg>"), std::string::npos);
     // One hollow circle per subscriber plus one dashed feasible circle.
@@ -34,26 +35,17 @@ TEST(SvgTest, ScenarioRenderHasAllStations) {
               s.subscriber_count());
     EXPECT_EQ(count_occurrences(svg, "stroke-dasharray='3,3'"),
               s.subscriber_count());
-    // One filled square per base station (plus the canvas + field rects).
-    EXPECT_EQ(count_occurrences(svg, "<rect"), 2u + s.base_stations.size());
-}
-
-TEST(SvgTest, CirclesCanBeDisabled) {
-    const auto s = sample();
-    SvgOptions opts;
-    opts.draw_feasible_circles = false;
-    const std::string svg = render_scenario_svg(s, opts);
-    EXPECT_EQ(count_occurrences(svg, "stroke-dasharray='3,3'"), 0u);
+    // One filled square per base station (plus the canvas + field rects
+    // and the legend's base-station square).
+    EXPECT_EQ(count_occurrences(svg, "<rect"), 3u + s.base_stations.size());
 }
 
 TEST(SvgTest, DeploymentRenderHasMarkersAndEdges) {
     const auto s = sample();
     const auto result = core::solve_sag(s);
     ASSERT_TRUE(result.feasible);
-    SvgOptions opts;
-    opts.title = "test render";
-    const std::string svg =
-        render_deployment_svg(s, result.coverage, result.connectivity, opts);
+    const std::string svg = render_deployment_svg(s, result.coverage,
+                                                  result.connectivity, "test render");
     EXPECT_NE(svg.find("test render"), std::string::npos);
     // One diamond per connectivity RS + 1 legend diamond.
     EXPECT_EQ(count_occurrences(svg, "<polygon"),
@@ -79,16 +71,14 @@ TEST(SvgTest, CoordinatesStayOnCanvas) {
     const auto s = sample();
     const auto result = core::solve_sag(s);
     ASSERT_TRUE(result.feasible);
-    SvgOptions opts;
-    opts.canvas_px = 400.0;
     const std::string svg =
-        render_deployment_svg(s, result.coverage, result.connectivity, opts);
-    // Every cx attribute must lie in [0, 400].
+        render_deployment_svg(s, result.coverage, result.connectivity);
+    // Every cx attribute must lie on the 720 px canvas.
     for (std::size_t pos = svg.find("cx='"); pos != std::string::npos;
          pos = svg.find("cx='", pos + 1)) {
         const double v = std::stod(svg.substr(pos + 4));
         EXPECT_GE(v, 0.0);
-        EXPECT_LE(v, 400.0);
+        EXPECT_LE(v, 720.0);
     }
 }
 
@@ -99,7 +89,7 @@ TEST(SvgTest, YAxisPointsUp) {
     s.field = geom::Rect::centered_square(200.0);
     s.subscribers = {{{0.0, 90.0}, 35.0}, {{0.0, -90.0}, 35.0}};
     s.base_stations = {{{0.0, 0.0}}};
-    const std::string svg = render_scenario_svg(s);
+    const std::string svg = render_deployment_svg(s, {}, {});
     // Hollow subscriber markers appear in declaration order.
     const std::size_t first = svg.find("fill='white' stroke=");
     const std::size_t second = svg.find("fill='white' stroke=", first + 1);

@@ -74,7 +74,8 @@ TEST(ParallelForTest, DeterministicReductionViaSlots) {
 }
 
 TEST(PaperPresetsTest, MatchSectionFourSettings) {
-    const auto base = presets::evaluation_base();
+    // The presets start from GeneratorConfig's defaults: the §IV base.
+    const GeneratorConfig base;
     EXPECT_DOUBLE_EQ(base.min_distance_request, 30.0);
     EXPECT_DOUBLE_EQ(base.max_distance_request, 40.0);
     EXPECT_DOUBLE_EQ(base.snr_threshold_db.db(), -15.0);

@@ -51,7 +51,7 @@ done
 # Documented names: backticked dotted identifiers in the registry tables.
 # Only check names whose first segment is an emitting module prefix, so
 # prose mentions of file paths or options are not misread as metrics.
-documented=$(grep -oE '`(sag|samc|pro|ilpqc|ucra|opt|dual_coverage|snr_field|sim|resilience|serve)\.[a-z0-9_.]+`' \
+documented=$(grep -oE '`(sag|samc|pro|ilpqc|ucra|opt|snr_field|sim|resilience|serve)\.[a-z0-9_.]+`' \
              "$registry" | tr -d '\`' | sort -u)
 for name in $documented; do
     echo "$emitted" | grep -qxF "$name" || \

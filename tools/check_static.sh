@@ -23,6 +23,13 @@
 #       layering     the include graph matches tools/layering.json
 #                    exactly (no undeclared and no dead edges), and so
 #                    does DESIGN.md's layering block;
+#       dead-api     every function declared in a public header under
+#                    src/*/include/ has a caller in src/, tools/,
+#                    bench/, examples/ or perfbench/ (tests/ do not
+#                    count; test oracles are allowlisted);
+#       doc-names    every backticked module-qualified name in the docs
+#                    (`core::solve_sag`) names identifiers that exist in
+#                    that code;
 #       dead-suppression  every entry of the one allowlist,
 #                    tools/check_static_allowlist.txt, names its rule
 #                    and still matches something.

@@ -10,7 +10,8 @@ Engine ladder (docs/STATIC_ANALYSIS.md §4.8):
      comments/strings, resolves project-wide type aliases, and applies
      the parameter rules, the raw-escape audit, the determinism and
      concurrency-confinement rules, the layering check (include graph
-     and the DESIGN.md layering block, read relative to --root), and
+     and the DESIGN.md layering block, read relative to --root), the
+     caller rules (dead public API, doc names that name no code), and
      dead-suppression detection.
   2. libclang engine — layered on top when the clang python bindings
      and $build_dir/compile_commands.json both exist (the CI static
@@ -28,6 +29,7 @@ import argparse
 import os
 import sys
 
+import api_rules
 import clang_engine
 import layering
 import param_rules
@@ -45,6 +47,7 @@ from core import (
 ALLOWLIST = "tools/check_static_allowlist.txt"
 CPPCHECK_SUPPRESSIONS = "tools/cppcheck-suppressions.txt"
 SCAN_DIRS = ("src", "tools", "examples", "bench", "tests")
+CALLER_ONLY_DIRS = ("perfbench",)
 AUDIT_PREFIXES = ("src/", "tools/", "examples/")
 
 
@@ -124,6 +127,13 @@ def main(argv) -> int:
     findings += param_rules.run(audited, aliases)
     findings += raw_escape.run(audited)
     findings += pattern_rules.run(audited)
+    callers = [s for s in sources
+               if s.path.startswith(api_rules.CALLER_PREFIXES)]
+    callers += [SourceFile.load(root, p)
+                for p in walk_sources(root, CALLER_ONLY_DIRS)]
+    index = api_rules.CallerIndex(callers)
+    findings += api_rules.dead_api(index)
+    findings += api_rules.doc_names(root, index)
     try:
         findings += layering.run(sources, os.path.join(root, args.layering),
                                  os.path.join(root, layering.DESIGN_DOC))

@@ -22,11 +22,14 @@ RULE_DET_ENTROPY = "det-entropy"
 RULE_DET_UNORDERED = "det-unordered"
 RULE_CONC_RAW = "conc-raw"
 RULE_LAYERING = "layering"
+RULE_DEAD_API = "dead-api"
+RULE_DOC_NAMES = "doc-names"
 RULE_DEAD_SUPPRESSION = "dead-suppression"
 
 # Rules whose findings may be suppressed via tools/check_static_allowlist.txt.
 SUPPRESSIBLE_RULES = (RULE_UNITS_PARAM, RULE_IDS_PARAM, RULE_GAIN_PARAM,
-                      RULE_DET_ENTROPY, RULE_DET_UNORDERED, RULE_CONC_RAW)
+                      RULE_DET_ENTROPY, RULE_DET_UNORDERED, RULE_CONC_RAW,
+                      RULE_DEAD_API)
 
 SOURCE_EXTS = (".h", ".cpp")
 
