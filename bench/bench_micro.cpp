@@ -74,14 +74,25 @@ void BM_IlpqcIac(benchmark::State& state) {
 }
 BENCHMARK(BM_IlpqcIac)->Arg(10)->Arg(20)->Arg(30);
 
+/// The scenario shapes of BM_Mbmc: 10-40 SSs on the 500 m / 4-BS field,
+/// 300 on the 4 km / 9-BS `churn` city, 2400 on the 16 km / 64-BS `wide`
+/// field.
+core::Scenario mbmc_shape(std::size_t users) {
+    return users <= 40    ? make_scenario(users)
+           : users <= 300 ? make_scenario(users, 4000.0, 9)
+                          : make_scenario(users, 16000.0, 64);
+}
+
+/// PRO (Algorithm 6) on a SAMC plan, on the BM_Mbmc shapes. At 2400 SSs
+/// (~2200 RSs) a return to rolled-back set_power probes costs ~4x.
 void BM_ProPowerReduction(benchmark::State& state) {
-    const auto s = make_scenario(static_cast<std::size_t>(state.range(0)));
+    const auto s = mbmc_shape(static_cast<std::size_t>(state.range(0)));
     const auto plan = core::solve_samc(s).plan;
     for (auto _ : state) {
         benchmark::DoNotOptimize(core::allocate_power_pro(s, plan));
     }
 }
-BENCHMARK(BM_ProPowerReduction)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_ProPowerReduction)->Arg(10)->Arg(20)->Arg(40)->Arg(300)->Arg(2400);
 
 void BM_OptimalPowerFixedPoint(benchmark::State& state) {
     const auto s = make_scenario(static_cast<std::size_t>(state.range(0)));
@@ -96,10 +107,7 @@ BENCHMARK(BM_OptimalPowerFixedPoint)->Arg(10)->Arg(20)->Arg(40);
 /// field, then the perfbench shapes: 300 SSs on the 4 km / 9-BS `churn`
 /// city and 2400 on the 16 km / 64-BS `wide` field (~2240 coverage RSs).
 void BM_Mbmc(benchmark::State& state) {
-    const auto users = static_cast<std::size_t>(state.range(0));
-    const auto s = users <= 40    ? make_scenario(users)
-                   : users <= 300 ? make_scenario(users, 4000.0, 9)
-                                  : make_scenario(users, 16000.0, 64);
+    const auto s = mbmc_shape(static_cast<std::size_t>(state.range(0)));
     const auto plan = core::solve_samc(s).plan;
     for (auto _ : state) {
         benchmark::DoNotOptimize(core::solve_mbmc(s, plan));

@@ -18,11 +18,12 @@ struct PowerAllocation {
     int iterations = 0;          ///< solver-specific effort counter
 };
 
-/// Coverage power P_c for RS `rs` (paper §III-A2): the minimum transmit
-/// power delivering every served subscriber's required received power
-/// P^j_ss over its access link — interference-free data-rate floor.
-units::Watt coverage_power_floor(const Scenario& scenario, const CoveragePlan& plan,
-                                 ids::RsId rs);
+/// Coverage power P_c of every RS (paper §III-A2): the minimum transmit
+/// power delivering each served subscriber's required received power
+/// P^j_ss over its access link — the interference-free data-rate floor,
+/// 0 for an RS serving nobody. One pass over the subscribers.
+ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(const Scenario& scenario,
+                                                         const CoveragePlan& plan);
 
 /// SNR power P_snr for RS `rs` given everyone else's current powers (in
 /// watts, one per RS): the minimum transmit power that lifts each served

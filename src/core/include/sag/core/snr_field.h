@@ -34,11 +34,13 @@ namespace sag::core {
 /// through the wireless::kernel_eval batch evaluators — 4-lane AVX2 when
 /// the runtime `SAG_SIMD` dispatch and the kernel's shape allow it,
 /// otherwise a scalar path byte-identical to the historical per-link
-/// loop. A given buffer index always takes the same instructions, so the
-/// add/subtract-the-same-double invariant holds in every mode; vector
-/// and scalar totals agree to the docs/PERFORMANCE.md contract (1e-12
-/// per term). The active vector width is exported once per field as the
-/// `snr_field.simd_lanes` gauge.
+/// loop. In both modes the kernels are position-independent (a link's
+/// gain is the same double wherever it is computed), so the
+/// add/subtract-the-same-double invariant holds in every mode, and a
+/// what-if read over one slot (`snr_with_power`) reproduces a full-column
+/// delta bit for bit. Vector and scalar totals agree to the
+/// docs/PERFORMANCE.md contract (1e-12 per term). The active vector
+/// width is exported once per field as the `snr_field.simd_lanes` gauge.
 ///
 /// ID spaces: RSs are addressed by RsId (position within this field's RS
 /// array — `remove_rs` shifts later IDs down by one, exactly like the
@@ -130,6 +132,14 @@ public:
     /// infinity.
     double snr_of(ids::SsId k, ids::RsId serving) const;
 
+    /// What-if read: the snr_of(k, serving) that set_power(serving, p)
+    /// would leave behind, with the field untouched. Runs set_power's
+    /// own arithmetic (subtract the old term, add the new one) on copies
+    /// of slot k's (total, comp), so it matches set_power + snr_of bit
+    /// for bit in every dispatch mode; returns snr_of unchanged when `p`
+    /// is the current power, where set_power is a no-op. O(1).
+    double snr_with_power(ids::SsId k, ids::RsId serving, units::Watt p) const;
+
     /// True when snr_of(k, serving) clears beta with relative slack.
     bool meets_threshold(ids::SsId k, ids::RsId serving,
                          double rel_slack = 1e-12) const;
@@ -199,6 +209,15 @@ private:
     /// Subtract/add RS (pos, power)'s contribution at every tracked sub
     /// (one batch accumulate_rx sweep over the subscriber columns).
     void apply_rs_contribution(const geom::Vec2& pos, units::Watt power, double sign);
+    /// set_power's per-slot arithmetic for an RS at `pos` moving from
+    /// power `from` to `to`, on the (totals, comps) slots at (xs, ys).
+    void power_delta(const geom::Vec2& pos, units::Watt from, units::Watt to,
+                     units::MetersSpan xs, units::MetersSpan ys,
+                     std::span<double> totals, std::span<double> comps) const;
+    /// Definition 2 for slot k served by `serving` at `power`, against a
+    /// total received power of `total_rx` watts (snr_of's edge rules).
+    double snr_at(ids::SsId k, ids::RsId serving, units::Watt power,
+                  double total_rx) const;
     void insert_rs(ids::RsId i, const geom::Vec2& pos, units::Watt power);
     void journal(UndoRecord rec);
     void rollback_to(std::size_t mark);

@@ -40,15 +40,27 @@ std::vector<std::vector<double>> gain_matrix(const Scenario& scenario,
     return g;
 }
 
-units::Watt snr_floor_from_gains(const Scenario& scenario, const CoveragePlan& plan,
+/// Each RS's served subscribers, in subscriber order.
+ids::IdVec<ids::RsId, std::vector<ids::SsId>> served_lists(
+    const Scenario& scenario, const CoveragePlan& plan) {
+    ids::IdVec<ids::RsId, std::vector<ids::SsId>> served(plan.rs_count());
+    for (const ids::SsId j : scenario.ss_ids()) {
+        served[plan.assignment[j]].push_back(j);
+    }
+    return served;
+}
+
+/// P_snr of RS `rs` over its `served` subscribers, with the interference
+/// read off the gain matrix at `powers`.
+units::Watt snr_floor_from_gains(const Scenario& scenario,
                                  const std::vector<std::vector<double>>& g,
-                                 ids::RsId rs, std::span<const double> powers) {
+                                 std::span<const ids::SsId> served, ids::RsId rs,
+                                 std::span<const double> powers) {
     const units::SnrRatio beta = scenario.snr_threshold();
     units::Watt need{0.0};
-    for (const ids::SsId j : scenario.ss_ids()) {
-        if (plan.assignment[j] != rs) continue;
+    for (const ids::SsId j : served) {
         units::Watt interference = scenario.radio.snr_ambient_noise;
-        for (std::size_t k = 0; k < plan.rs_count(); ++k) {
+        for (std::size_t k = 0; k < g.size(); ++k) {
             if (k != rs.index()) {
                 interference += units::Watt{powers[k] * g[k][j.index()]};
             }
@@ -76,23 +88,24 @@ bool allocation_feasible(const Scenario& scenario, const CoveragePlan& plan,
 
 }  // namespace
 
-units::Watt coverage_power_floor(const Scenario& scenario, const CoveragePlan& plan,
-                                 ids::RsId rs) {
-    units::Watt floor{0.0};
+ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(
+    const Scenario& scenario, const CoveragePlan& plan) {
+    ids::IdVec<ids::RsId, units::Watt> floors(plan.rs_count(), units::Watt{0.0});
     for (const ids::SsId j : scenario.ss_ids()) {
-        if (plan.assignment[j] != rs) continue;
-        floor = std::max(floor,
-                         scenario.tx_power_for(scenario.min_rx_power(j),
-                                               plan.rs_position(rs),
-                                               scenario.subscriber(j).pos));
+        const ids::RsId i = plan.assignment[j];
+        floors[i] = std::max(floors[i],
+                             scenario.tx_power_for(scenario.min_rx_power(j),
+                                                   plan.rs_position(i),
+                                                   scenario.subscriber(j).pos));
     }
-    return floor;
+    return floors;
 }
 
 units::Watt snr_power_floor(const Scenario& scenario, const CoveragePlan& plan,
                             ids::RsId rs, std::span<const double> powers) {
     const auto g = gain_matrix(scenario, plan);
-    return snr_floor_from_gains(scenario, plan, g, rs, powers);
+    return snr_floor_from_gains(scenario, g, served_lists(scenario, plan)[rs], rs,
+                                powers);
 }
 
 PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan& plan,
@@ -104,34 +117,31 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
     const wireless::GainKernel kernel = scenario.gain_kernel();
     const double beta = scenario.snr_threshold_linear();
 
-    ids::IdVec<ids::RsId, units::Watt> p_min(n, units::Watt{0.0});
-    for (const ids::RsId i : plan.rs_ids()) {
-        p_min[i] = coverage_power_floor(scenario, plan, i);
-    }
-
-    // Per-RS served lists: each probe only needs to re-check the SNR of
-    // the RS's own subscribers, read in O(1) off the field's cached totals.
-    ids::IdVec<ids::RsId, std::vector<ids::SsId>> served(n);
-    for (const ids::SsId j : scenario.ss_ids()) {
-        served[plan.assignment[j]].push_back(j);
-    }
+    const ids::IdVec<ids::RsId, units::Watt> p_min =
+        coverage_power_floors(scenario, plan);
+    // Per-RS served lists: a probe only re-checks the SNR of the RS's
+    // own subscribers.
+    const auto served = served_lists(scenario, plan);
 
     // Algorithm 6 state: the field's powers are the working vector p1
-    // (Step 9 re-syncs them to the committed Ptmp each round), committed[i]
-    // marks removal from K. Each tentative drop is a rolled-back power
-    // delta instead of an O(|served| x RS) interference rebuild. The field
-    // spans all subscribers, so tracked-local SsIds coincide with global.
+    // (Step 9 re-syncs them to the committed Ptmp before they are read
+    // again), committed[i] marks removal from K. The field spans all
+    // subscribers, so tracked-local SsIds coincide with global.
     const std::vector<double> start(n, pmax.watts());
     SnrField field(scenario, plan.rs_positions, start);
     ids::IdVec<ids::RsId, units::Watt> p_tmp(n, pmax);
     std::vector<bool> committed(n, false);
     std::size_t remaining = n;
 
-    const auto served_snr_ok = [&](ids::RsId i) {
+    // Would RS i's own subscribers still clear beta with i at power p and
+    // every other RS at this round's value? One what-if read per served
+    // subscriber, O(|served|): the field itself stays at the round-start
+    // powers, exactly as Algorithm 6 prescribes for the later drops.
+    const auto drop_survives = [&](ids::RsId i, units::Watt p) {
         for (const ids::SsId j : served[i]) {
-            const double snr = field.snr_of(j, i);
+            const double snr = field.snr_with_power(j, i, p);
             // Mirror the historic check: an interference-free subscriber
-            // passes vacuously (snr_of reports infinity there).
+            // passes vacuously (the read reports infinity there).
             if (snr < beta * (1.0 - 1e-12)) return false;
         }
         return true;
@@ -163,20 +173,18 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
         for (const ids::RsId i : field.rs_ids()) {
             if (committed[i.index()]) continue;
             SAG_OBS_COUNT("pro.drop_probes");
-            SnrField::Transaction probe(field);
-            field.set_power(i, p_min[i]);
-            if (served_snr_ok(i)) {
+            if (drop_survives(i, p_min[i])) {
                 committed[i.index()] = true;
                 --remaining;
                 p_tmp[i] = p_min[i];
                 SAG_OBS_COUNT("pro.drops_committed");
             }
-            // probe rolls back: later drops in the round still see the
-            // round-start powers, exactly as Algorithm 6 prescribes.
         }
-        for (const ids::RsId i : field.rs_ids()) field.set_power(i, p_tmp[i]);  // Step 9
+        // Step 9, only when a next round or the premium reads the field.
+        if (remaining == 0) break;
+        for (const ids::RsId i : field.rs_ids()) field.set_power(i, p_tmp[i]);
 
-        if (remaining == before && remaining > 0) {
+        if (remaining == before) {
             // Steps 10-13: no RS could reach its coverage power; pay the
             // smallest SNR premium Psnr - Pc instead.
             ids::RsId arg = ids::RsId::invalid();
@@ -217,10 +225,12 @@ PowerAllocation allocate_power_capped(const Scenario& scenario,
                                       std::span<const double> caps) {
     PowerAllocation out;
     const auto g = gain_matrix(scenario, plan);
+    const auto served = served_lists(scenario, plan);
 
-    std::vector<double> floors(plan.rs_count());
-    for (const ids::RsId i : plan.rs_ids()) {
-        floors[i.index()] = coverage_power_floor(scenario, plan, i).watts();
+    std::vector<double> floors;
+    floors.reserve(plan.rs_count());
+    for (const units::Watt floor : coverage_power_floors(scenario, plan)) {
+        floors.push_back(floor.watts());
     }
 
     // The power-control iterator is entity-agnostic; its raw index comes
@@ -228,7 +238,8 @@ PowerAllocation allocate_power_capped(const Scenario& scenario,
     const auto result = opt::fixed_point_power_control(
         floors, caps,
         [&](std::size_t i, std::span<const double> powers) {
-            return snr_floor_from_gains(scenario, plan, g, ids::RsId{i}, powers)
+            const ids::RsId rs{i};
+            return snr_floor_from_gains(scenario, g, served[rs], rs, powers)
                 .watts();
         });
 

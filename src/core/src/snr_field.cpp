@@ -83,18 +83,25 @@ void SnrField::move_rs(ids::RsId i, const geom::Vec2& to) {
     after_mutation();
 }
 
-void SnrField::set_power(ids::RsId i, units::Watt power) {
-    assert(i.index() < rs_power_.size());
-    if (rs_power_[i.index()] == power.watts()) return;
-    journal({UndoRecord::Kind::Power, i, {}, rs_power(i)});
+void SnrField::power_delta(const geom::Vec2& pos, units::Watt from,
+                           units::Watt to, units::MetersSpan xs,
+                           units::MetersSpan ys, std::span<double> totals,
+                           std::span<double> comps) const {
     // Subtract the old term and add the new one per subscriber (rather
     // than adding a fused difference) so both are the exact doubles a
     // from-scratch evaluation would produce. Two batch sweeps: the gain
     // for a given subscriber is the same double in both, so the per-slot
     // operation sequence matches the historical fused loop exactly.
-    const units::Watt old_power = rs_power(i);
-    apply_rs_contribution(rs_pos_[i.index()], old_power, -1.0);
-    apply_rs_contribution(rs_pos_[i.index()], power, +1.0);
+    wireless::accumulate_rx(kernel_, pos, from * -1.0, xs, ys, totals, comps);
+    wireless::accumulate_rx(kernel_, pos, to, xs, ys, totals, comps);
+}
+
+void SnrField::set_power(ids::RsId i, units::Watt power) {
+    assert(i.index() < rs_power_.size());
+    if (rs_power_[i.index()] == power.watts()) return;
+    journal({UndoRecord::Kind::Power, i, {}, rs_power(i)});
+    power_delta(rs_pos_[i.index()], rs_power(i), power, sub_xs(), sub_ys(),
+                total_, comp_);
     rs_power_[i.index()] = power.watts();
     after_mutation();
 }
@@ -173,19 +180,41 @@ void SnrField::update_subscriber(ids::SsId k) {
     after_mutation();
 }
 
-double SnrField::snr_of(ids::SsId k, ids::RsId serving) const {
-    assert(k.index() < sub_x_.size() && serving.index() < rs_pos_.size());
+double SnrField::snr_at(ids::SsId k, ids::RsId serving, units::Watt power,
+                       double total_rx) const {
     const geom::Vec2 sub = sub_pos(k.index());
     const units::Watt signal{
-        rs_power(serving).watts() *
+        power.watts() *
         kernel_.gain(rs_pos_[serving.index()], sub,
                      geom::distance(rs_pos_[serving.index()], sub))};
     if (signal <= units::Watt{0.0}) return 0.0;  // a silent server delivers no SNR
     const units::Watt interference =
-        units::Watt{total_rx(k)} - signal + scenario_->radio.snr_ambient_noise;
+        units::Watt{total_rx} - signal + scenario_->radio.snr_ambient_noise;
     return interference > units::Watt{0.0}
                ? (signal / interference).ratio()
                : std::numeric_limits<double>::infinity();
+}
+
+double SnrField::snr_of(ids::SsId k, ids::RsId serving) const {
+    assert(k.index() < sub_x_.size() && serving.index() < rs_pos_.size());
+    return snr_at(k, serving, rs_power(serving), total_rx(k));
+}
+
+double SnrField::snr_with_power(ids::SsId k, ids::RsId serving,
+                                units::Watt p) const {
+    assert(k.index() < sub_x_.size() && serving.index() < rs_pos_.size());
+    if (rs_power_[serving.index()] == p.watts()) return snr_of(k, serving);
+    // set_power's two sweeps over a one-slot view of the columns. The
+    // kernels are position-independent, so slot k sees the same doubles
+    // here as inside the full sweep.
+    const std::size_t at = k.index();
+    double total = total_[at];
+    double comp = comp_[at];
+    power_delta(rs_pos_[serving.index()], rs_power(serving), p,
+                units::MetersSpan{std::span<const double>(sub_x_).subspan(at, 1)},
+                units::MetersSpan{std::span<const double>(sub_y_).subspan(at, 1)},
+                {&total, 1}, {&comp, 1});
+    return snr_at(k, serving, p, total + comp);
 }
 
 bool SnrField::meets_threshold(ids::SsId k, ids::RsId serving,

@@ -19,14 +19,20 @@ namespace sag::wireless {
 ///
 ///   * scalar — byte-identical to the historical per-link loops
 ///     (std::hypot distance, std::pow power law, branchy Neumaier).
-///     Always available; also handles the <4-element tail of every
-///     vector call, so each buffer index sees a stable code path.
+///     Always available.
 ///   * avx2 — 4-lane double vectors. Distances come from sqrt(dx²+dy²),
 ///     the power law from a sqrt/multiply chain (see
 ///     `kernel_simd_eligible`), the compensation from a blend-select
 ///     Neumaier that mirrors the scalar branches per lane. Agrees with
 ///     scalar to a few ulps per term (documented contract: 1e-12
-///     relative, tested in simd_equivalence_test).
+///     relative, tested in simd_equivalence_test). The last n mod 4
+///     elements run as one padded vector block, not a scalar tail, so
+///     the kernels are position-independent: a link's gain is the same
+///     double wherever it is computed, and element k of accumulate_rx,
+///     batch_gain or batch_snr equals the same element computed alone
+///     in a one-element span. That is what lets SnrField answer a
+///     what-if read for one subscriber with exactly the arithmetic a
+///     full-column delta would apply.
 ///
 /// Dispatch is resolved once per process from the `SAG_SIMD` environment
 /// variable ("auto" default, "scalar", "avx2") intersected with compile
@@ -34,7 +40,7 @@ namespace sag::wireless {
 /// non-half-integer alpha always take the scalar path regardless of mode.
 enum class SimdMode {
     Scalar,  ///< reference loops only
-    Avx2,    ///< 4-lane AVX2 vectors with scalar tail
+    Avx2,    ///< 4-lane AVX2 vectors; the n mod 4 tail is a padded block
 };
 
 /// The process-wide resolved mode (SAG_SIMD env ∩ build ∩ cpuid),
@@ -73,7 +79,10 @@ void batch_gain(const GainKernel& kernel, const geom::Vec2& pos,
 
 /// Neumaier-compensated total received power at `rx` from the RS SoA
 /// columns (the from-scratch rebuild of one subscriber's total). Scalar
-/// path is byte-identical to the historical recompute loop.
+/// path is byte-identical to the historical recompute loop. The AVX2
+/// path sums RS i into lane accumulator i mod 4 and masks the terms of
+/// the padded tail's dead lanes to exact zeros, so trailing zero-power
+/// RSs never change the result.
 void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
               units::MetersSpan rs_x, units::MetersSpan rs_y,
               units::WattSpan rs_power, double& total, double& comp);

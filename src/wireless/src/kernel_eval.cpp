@@ -12,27 +12,26 @@ namespace detail {
 
 #ifndef SAG_SIMD_DISABLED
 // Implemented in kernel_eval_avx2.cpp (compiled with -mavx2); only ever
-// called after the runtime cpuid check passes. Each handles the largest
-// multiple-of-4 prefix and returns how many elements it consumed; the
-// dispatcher finishes the tail on the exact scalar path, so a given
-// buffer index always takes the same instructions call after call.
-std::size_t accumulate_rx_avx2(const GainKernel& kernel, const geom::Vec2& pos,
-                               units::Watt signed_power, const double* xs,
-                               const double* ys, double* totals, double* comps,
-                               std::size_t n);
-std::size_t batch_gain_avx2(const GainKernel& kernel, const geom::Vec2& pos,
-                            const double* xs, const double* ys, double* gains,
-                            std::size_t n);
-std::size_t rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
-                          const double* rs_x, const double* rs_y,
-                          const double* rs_power, std::size_t n, double& total,
-                          double& comp);
-std::size_t batch_snr_avx2(const GainKernel& kernel, const double* rs_x,
-                           const double* rs_y, const double* rs_power,
-                           const std::uint32_t* serving, const double* sub_x,
-                           const double* sub_y, const double* totals,
-                           const double* comps, units::Watt ambient,
-                           double* out_snr, std::size_t n);
+// called after the runtime cpuid check passes. Each covers all n
+// elements, running the n mod 4 remainder as one padded vector block,
+// so an element's value does not depend on its array position.
+void accumulate_rx_avx2(const GainKernel& kernel, const geom::Vec2& pos,
+                        units::Watt signed_power, const double* xs,
+                        const double* ys, double* totals, double* comps,
+                        std::size_t n);
+void batch_gain_avx2(const GainKernel& kernel, const geom::Vec2& pos,
+                     const double* xs, const double* ys, double* gains,
+                     std::size_t n);
+void rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
+                   const double* rs_x, const double* rs_y,
+                   const double* rs_power, std::size_t n, double& total,
+                   double& comp);
+void batch_snr_avx2(const GainKernel& kernel, const double* rs_x,
+                    const double* rs_y, const double* rs_power,
+                    const std::uint32_t* serving, const double* sub_x,
+                    const double* sub_y, const double* totals,
+                    const double* comps, units::Watt ambient,
+                    double* out_snr, std::size_t n);
 bool cpu_has_avx2();
 #endif
 
@@ -71,8 +70,8 @@ SimdMode resolve_mode() {
 }
 
 /// The one historical per-link evaluation: hypot distance, pow power law.
-/// Every scalar loop below (and every vector tail) goes through this so
-/// "byte-identical to the pre-SoA SnrField" stays a single-point fact.
+/// Every scalar loop below goes through this so "byte-identical to the
+/// pre-SoA SnrField" stays a single-point fact.
 inline double scalar_gain(const GainKernel& kernel, const geom::Vec2& tx,
                           const geom::Vec2& rx) {
     return kernel.gain(tx, rx, geom::distance(tx, rx));
@@ -92,9 +91,9 @@ inline void neumaier(double& total, double& comp, double term) {
 void accumulate_rx_scalar(const GainKernel& kernel, const geom::Vec2& pos,
                           units::Watt signed_power, const double* xs,
                           const double* ys, double* totals, double* comps,
-                          std::size_t begin, std::size_t end) {
+                          std::size_t n) {
     const double p = signed_power.watts();
-    for (std::size_t k = begin; k < end; ++k) {
+    for (std::size_t k = 0; k < n; ++k) {
         const double term = p * scalar_gain(kernel, pos, {xs[k], ys[k]});
         neumaier(totals[k], comps[k], term);
     }
@@ -102,17 +101,17 @@ void accumulate_rx_scalar(const GainKernel& kernel, const geom::Vec2& pos,
 
 void batch_gain_scalar(const GainKernel& kernel, const geom::Vec2& pos,
                        const double* xs, const double* ys, double* gains,
-                       std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
+                       std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) {
         gains[k] = scalar_gain(kernel, pos, {xs[k], ys[k]});
     }
 }
 
 void rx_total_scalar(const GainKernel& kernel, const geom::Vec2& rx,
                      const double* rs_x, const double* rs_y,
-                     const double* rs_power, std::size_t begin, std::size_t end,
-                     double& total, double& comp) {
-    for (std::size_t i = begin; i < end; ++i) {
+                     const double* rs_power, std::size_t n, double& total,
+                     double& comp) {
+    for (std::size_t i = 0; i < n; ++i) {
         const double term =
             rs_power[i] * scalar_gain(kernel, {rs_x[i], rs_y[i]}, rx);
         neumaier(total, comp, term);
@@ -124,9 +123,9 @@ void batch_snr_scalar(const GainKernel& kernel, const double* rs_x,
                       const std::uint32_t* serving, const double* sub_x,
                       const double* sub_y, const double* totals,
                       const double* comps, units::Watt ambient,
-                      double* out_snr, std::size_t begin, std::size_t end) {
+                      double* out_snr, std::size_t n) {
     const double ambient_w = ambient.watts();
-    for (std::size_t k = begin; k < end; ++k) {
+    for (std::size_t k = 0; k < n; ++k) {
         const std::uint32_t s = serving[k];
         const geom::Vec2 sub{sub_x[k], sub_y[k]};
         const double signal =
@@ -180,17 +179,15 @@ void accumulate_rx(const GainKernel& kernel, const geom::Vec2& pos,
                    std::span<double> comps) {
     const std::size_t n = xs.size();
     assert(ys.size() == n && totals.size() == n && comps.size() == n);
-    std::size_t done = 0;
 #ifndef SAG_SIMD_DISABLED
     if (detail::use_avx2(kernel)) {
-        done = detail::accumulate_rx_avx2(kernel, pos, signed_power,
-                                          xs.data(), ys.data(), totals.data(),
-                                          comps.data(), n);
+        detail::accumulate_rx_avx2(kernel, pos, signed_power, xs.data(),
+                                   ys.data(), totals.data(), comps.data(), n);
+        return;
     }
 #endif
     detail::accumulate_rx_scalar(kernel, pos, signed_power, xs.data(),
-                                 ys.data(), totals.data(), comps.data(), done,
-                                 n);
+                                 ys.data(), totals.data(), comps.data(), n);
 }
 
 void batch_gain(const GainKernel& kernel, const geom::Vec2& pos,
@@ -198,15 +195,15 @@ void batch_gain(const GainKernel& kernel, const geom::Vec2& pos,
                 std::span<double> gains) {
     const std::size_t n = xs.size();
     assert(ys.size() == n && gains.size() == n);
-    std::size_t done = 0;
 #ifndef SAG_SIMD_DISABLED
     if (detail::use_avx2(kernel)) {
-        done = detail::batch_gain_avx2(kernel, pos, xs.data(), ys.data(),
-                                       gains.data(), n);
+        detail::batch_gain_avx2(kernel, pos, xs.data(), ys.data(),
+                                gains.data(), n);
+        return;
     }
 #endif
     detail::batch_gain_scalar(kernel, pos, xs.data(), ys.data(), gains.data(),
-                              done, n);
+                              n);
 }
 
 void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
@@ -216,15 +213,15 @@ void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
     assert(rs_y.size() == n && rs_power.size() == n);
     total = 0.0;
     comp = 0.0;
-    std::size_t done = 0;
 #ifndef SAG_SIMD_DISABLED
     if (detail::use_avx2(kernel)) {
-        done = detail::rx_total_avx2(kernel, rx, rs_x.data(), rs_y.data(),
-                                     rs_power.data(), n, total, comp);
+        detail::rx_total_avx2(kernel, rx, rs_x.data(), rs_y.data(),
+                              rs_power.data(), n, total, comp);
+        return;
     }
 #endif
     detail::rx_total_scalar(kernel, rx, rs_x.data(), rs_y.data(),
-                            rs_power.data(), done, n, total, comp);
+                            rs_power.data(), n, total, comp);
 }
 
 void batch_snr(const GainKernel& kernel, units::MetersSpan rs_x,
@@ -236,20 +233,19 @@ void batch_snr(const GainKernel& kernel, units::MetersSpan rs_x,
     const std::size_t n = sub_x.size();
     assert(sub_y.size() == n && serving.size() == n && totals.size() == n &&
            comps.size() == n && out_snr.size() == n);
-    std::size_t done = 0;
 #ifndef SAG_SIMD_DISABLED
     if (detail::use_avx2(kernel)) {
-        done = detail::batch_snr_avx2(kernel, rs_x.data(), rs_y.data(),
-                                      rs_power.data(), serving.data(),
-                                      sub_x.data(), sub_y.data(), totals.data(),
-                                      comps.data(), ambient,
-                                      out_snr.data(), n);
+        detail::batch_snr_avx2(kernel, rs_x.data(), rs_y.data(),
+                               rs_power.data(), serving.data(), sub_x.data(),
+                               sub_y.data(), totals.data(), comps.data(),
+                               ambient, out_snr.data(), n);
+        return;
     }
 #endif
     detail::batch_snr_scalar(kernel, rs_x.data(), rs_y.data(), rs_power.data(),
                              serving.data(), sub_x.data(), sub_y.data(),
                              totals.data(), comps.data(), ambient,
-                             out_snr.data(), done, n);
+                             out_snr.data(), n);
 }
 
 }  // namespace sag::wireless

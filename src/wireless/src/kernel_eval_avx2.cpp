@@ -8,10 +8,15 @@
 // sqrt/multiply chain on d² instead of std::pow, so each term agrees
 // with the scalar path to a few ulps (tested bound: 1e-12 relative).
 // The Neumaier compensation itself is branch-for-branch the scalar
-// algorithm, evaluated per lane with compare+blend.
+// algorithm, evaluated per lane with compare+blend. Each kernel covers
+// all n elements: the n mod 4 remainder runs as one padded block
+// (Tail4), so a link's gain is its gain4 lane value wherever it is
+// computed, and an element of accumulate_rx, batch_gain or batch_snr
+// comes out the same alone as inside any column.
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -84,49 +89,85 @@ inline void neumaier4(__m256d term, double* totals, double* comps) {
     _mm256_storeu_pd(comps, _mm256_add_pd(comp, resid));
 }
 
+/// The last r = n mod 4 (1..3) elements of a column as one padded
+/// 4-lane block, so they run through the same vector instructions as
+/// every full block: a link's value is then its gain4 lane value
+/// wherever in a column it sits. Dead lanes repeat element 0, so they
+/// evaluate a real link (no 0/0, no out-of-range gather index) and
+/// nothing past the column's end is read; callers write back only the
+/// r live lanes.
+template <class T>
+struct Tail4 {
+    alignas(32) T lane[4];
+    Tail4(const T* src, std::size_t r) {
+        for (std::size_t l = 0; l < 4; ++l) lane[l] = src[l < r ? l : 0];
+    }
+};
+
+/// All-ones in lanes 0..r-1, zero in the rest.
+inline __m256d live_lanes(std::size_t r) {
+    return _mm256_castsi256_pd(
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(r)),
+                           _mm256_setr_epi64x(0, 1, 2, 3)));
+}
+
 }  // namespace
 
-std::size_t accumulate_rx_avx2(const GainKernel& kernel, const geom::Vec2& pos,
-                               units::Watt signed_power, const double* xs,
-                               const double* ys, double* totals, double* comps,
-                               std::size_t n) {
+void accumulate_rx_avx2(const GainKernel& kernel, const geom::Vec2& pos,
+                        units::Watt signed_power, const double* xs,
+                        const double* ys, double* totals, double* comps,
+                        std::size_t n) {
     const PowPlan plan = plan_pow(kernel);
     const __m256d px = _mm256_set1_pd(pos.x);
     const __m256d py = _mm256_set1_pd(pos.y);
     const __m256d clamp2 = _mm256_set1_pd(kernel.clamp_m * kernel.clamp_m);
     const __m256d scale = _mm256_set1_pd(kernel.scale);
     const __m256d power = _mm256_set1_pd(signed_power.watts());
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256d dx = _mm256_sub_pd(px, _mm256_loadu_pd(xs + k));
-        const __m256d dy = _mm256_sub_pd(py, _mm256_loadu_pd(ys + k));
+    const auto block = [&](const double* x, const double* y, double* t,
+                           double* c) {
+        const __m256d dx = _mm256_sub_pd(px, _mm256_loadu_pd(x));
+        const __m256d dy = _mm256_sub_pd(py, _mm256_loadu_pd(y));
         const __m256d g = gain4(dx, dy, clamp2, scale, plan);
-        neumaier4(_mm256_mul_pd(power, g), totals + k, comps + k);
+        neumaier4(_mm256_mul_pd(power, g), t, c);
+    };
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) block(xs + k, ys + k, totals + k, comps + k);
+    if (const std::size_t r = n - k; r != 0) {
+        Tail4<double> x(xs + k, r), y(ys + k, r);
+        Tail4<double> t(totals + k, r), c(comps + k, r);
+        block(x.lane, y.lane, t.lane, c.lane);
+        std::copy_n(t.lane, r, totals + k);
+        std::copy_n(c.lane, r, comps + k);
     }
-    return k;
 }
 
-std::size_t batch_gain_avx2(const GainKernel& kernel, const geom::Vec2& pos,
-                            const double* xs, const double* ys, double* gains,
-                            std::size_t n) {
+void batch_gain_avx2(const GainKernel& kernel, const geom::Vec2& pos,
+                     const double* xs, const double* ys, double* gains,
+                     std::size_t n) {
     const PowPlan plan = plan_pow(kernel);
     const __m256d px = _mm256_set1_pd(pos.x);
     const __m256d py = _mm256_set1_pd(pos.y);
     const __m256d clamp2 = _mm256_set1_pd(kernel.clamp_m * kernel.clamp_m);
     const __m256d scale = _mm256_set1_pd(kernel.scale);
+    const auto block = [&](const double* x, const double* y, double* out) {
+        const __m256d dx = _mm256_sub_pd(px, _mm256_loadu_pd(x));
+        const __m256d dy = _mm256_sub_pd(py, _mm256_loadu_pd(y));
+        _mm256_storeu_pd(out, gain4(dx, dy, clamp2, scale, plan));
+    };
     std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256d dx = _mm256_sub_pd(px, _mm256_loadu_pd(xs + k));
-        const __m256d dy = _mm256_sub_pd(py, _mm256_loadu_pd(ys + k));
-        _mm256_storeu_pd(gains + k, gain4(dx, dy, clamp2, scale, plan));
+    for (; k + 4 <= n; k += 4) block(xs + k, ys + k, gains + k);
+    if (const std::size_t r = n - k; r != 0) {
+        const Tail4<double> x(xs + k, r), y(ys + k, r);
+        alignas(32) double out[4] = {};
+        block(x.lane, y.lane, out);
+        std::copy_n(out, r, gains + k);
     }
-    return k;
 }
 
-std::size_t rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
-                          const double* rs_x, const double* rs_y,
-                          const double* rs_power, std::size_t n, double& total,
-                          double& comp) {
+void rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
+                   const double* rs_x, const double* rs_y,
+                   const double* rs_power, std::size_t n, double& total,
+                   double& comp) {
     const PowPlan plan = plan_pow(kernel);
     const __m256d px = _mm256_set1_pd(rx.x);
     const __m256d py = _mm256_set1_pd(rx.y);
@@ -137,13 +178,22 @@ std::size_t rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
     // fixed, so the same inputs always produce the same double.
     alignas(32) double lane_total[4] = {0.0, 0.0, 0.0, 0.0};
     alignas(32) double lane_comp[4] = {0.0, 0.0, 0.0, 0.0};
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d dx = _mm256_sub_pd(px, _mm256_loadu_pd(rs_x + i));
-        const __m256d dy = _mm256_sub_pd(py, _mm256_loadu_pd(rs_y + i));
+    // `live` masks the terms of a padded tail's dead lanes to exact
+    // zeros, which leave a lane accumulator unchanged.
+    const auto block = [&](const double* x, const double* y, const double* p,
+                           __m256d live) {
+        const __m256d dx = _mm256_sub_pd(px, _mm256_loadu_pd(x));
+        const __m256d dy = _mm256_sub_pd(py, _mm256_loadu_pd(y));
         const __m256d g = gain4(dx, dy, clamp2, scale, plan);
-        const __m256d term = _mm256_mul_pd(_mm256_loadu_pd(rs_power + i), g);
-        neumaier4(term, lane_total, lane_comp);
+        const __m256d term = _mm256_mul_pd(_mm256_loadu_pd(p), g);
+        neumaier4(_mm256_and_pd(term, live), lane_total, lane_comp);
+    };
+    const __m256d all_live = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) block(rs_x + i, rs_y + i, rs_power + i, all_live);
+    if (const std::size_t r = n - i; r != 0) {
+        const Tail4<double> x(rs_x + i, r), y(rs_y + i, r), p(rs_power + i, r);
+        block(x.lane, y.lane, p.lane, live_lanes(r));
     }
     for (int lane = 0; lane < 4; ++lane) {
         const double sum = total + lane_total[lane];
@@ -155,34 +205,34 @@ std::size_t rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
         total = sum;
         comp += lane_comp[lane];
     }
-    return i;
 }
 
-std::size_t batch_snr_avx2(const GainKernel& kernel, const double* rs_x,
-                           const double* rs_y, const double* rs_power,
-                           const std::uint32_t* serving, const double* sub_x,
-                           const double* sub_y, const double* totals,
-                           const double* comps, units::Watt ambient_noise,
-                           double* out_snr, std::size_t n) {
+void batch_snr_avx2(const GainKernel& kernel, const double* rs_x,
+                    const double* rs_y, const double* rs_power,
+                    const std::uint32_t* serving, const double* sub_x,
+                    const double* sub_y, const double* totals,
+                    const double* comps, units::Watt ambient_noise,
+                    double* out_snr, std::size_t n) {
     const PowPlan plan = plan_pow(kernel);
     const __m256d clamp2 = _mm256_set1_pd(kernel.clamp_m * kernel.clamp_m);
     const __m256d scale = _mm256_set1_pd(kernel.scale);
     const __m256d ambient = _mm256_set1_pd(ambient_noise.watts());
     const __m256d zero = _mm256_setzero_pd();
     const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m128i idx = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(serving + k));
+    const auto block = [&](const std::uint32_t* s, const double* x,
+                           const double* y, const double* t, const double* c,
+                           double* out) {
+        const __m128i idx =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(s));
         const __m256d sx = _mm256_i32gather_pd(rs_x, idx, 8);
         const __m256d sy = _mm256_i32gather_pd(rs_y, idx, 8);
         const __m256d sp = _mm256_i32gather_pd(rs_power, idx, 8);
-        const __m256d dx = _mm256_sub_pd(sx, _mm256_loadu_pd(sub_x + k));
-        const __m256d dy = _mm256_sub_pd(sy, _mm256_loadu_pd(sub_y + k));
+        const __m256d dx = _mm256_sub_pd(sx, _mm256_loadu_pd(x));
+        const __m256d dy = _mm256_sub_pd(sy, _mm256_loadu_pd(y));
         const __m256d signal =
             _mm256_mul_pd(sp, gain4(dx, dy, clamp2, scale, plan));
-        const __m256d rx_sum = _mm256_add_pd(_mm256_loadu_pd(totals + k),
-                                             _mm256_loadu_pd(comps + k));
+        const __m256d rx_sum =
+            _mm256_add_pd(_mm256_loadu_pd(t), _mm256_loadu_pd(c));
         const __m256d interference =
             _mm256_add_pd(_mm256_sub_pd(rx_sum, signal), ambient);
         __m256d snr = _mm256_div_pd(signal, interference);
@@ -192,9 +242,21 @@ std::size_t batch_snr_avx2(const GainKernel& kernel, const double* rs_x,
                                _mm256_cmp_pd(interference, zero, _CMP_GT_OQ));
         snr = _mm256_blendv_pd(zero, snr,
                                _mm256_cmp_pd(signal, zero, _CMP_GT_OQ));
-        _mm256_storeu_pd(out_snr + k, snr);
+        _mm256_storeu_pd(out, snr);
+    };
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+        block(serving + k, sub_x + k, sub_y + k, totals + k, comps + k,
+              out_snr + k);
     }
-    return k;
+    if (const std::size_t r = n - k; r != 0) {
+        const Tail4<std::uint32_t> s(serving + k, r);
+        const Tail4<double> x(sub_x + k, r), y(sub_y + k, r);
+        const Tail4<double> t(totals + k, r), c(comps + k, r);
+        alignas(32) double out[4] = {};
+        block(s.lane, x.lane, y.lane, t.lane, c.lane, out);
+        std::copy_n(out, r, out_snr + k);
+    }
 }
 
 }  // namespace sag::wireless::detail

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "sag/core/power.h"
 #include "sag/core/sag.h"
 #include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
@@ -14,6 +15,7 @@
 #include "sag/opt/hitting_set.h"
 #include "sag/sim/scenario_gen.h"
 #include "sag/exec/thread_pool.h"
+#include "sag/wireless/kernel_eval.h"
 
 namespace sag::obs {
 namespace {
@@ -173,9 +175,40 @@ TEST(ObsIntegrationTest, SolveSagEmitsPipelinePhaseSpans) {
     EXPECT_EQ(phases, (std::vector<std::string>{"sag.coverage", "sag.pipeline"}));
 
     EXPECT_GE(report.counters.at("samc.zones"), 1u);
-    EXPECT_GT(report.counters.at("snr_field.deltas.applied"), 0u);
+    // A field was built (PRO's probes are what-if reads, so a solve need
+    // not apply any delta).
+    EXPECT_EQ(report.gauges.at("snr_field.simd_lanes"),
+              static_cast<double>(wireless::simd_lanes()));
     EXPECT_GT(report.counters.at("pro.drop_probes"), 0u);
     EXPECT_GT(report.gauges.at("sag.total_power"), 0.0);
+}
+
+TEST(ObsIntegrationTest, OneRoundProProbesEachRsOnceWithoutDeltas) {
+    // Three RSs, each on top of its own subscriber and far from the
+    // others: every drop survives in round 1. Each RS is probed once by
+    // a what-if read, and Step 9 is skipped because nothing reads the
+    // field again.
+    core::Scenario s;
+    s.field = geom::Rect::centered_square(1000.0);
+    s.base_stations = {{{0.0, 0.0}}};
+    s.subscribers = {{{-300.0, 0.0}, 35.0}, {{0.0, 300.0}, 35.0},
+                     {{300.0, 0.0}, 35.0}};
+    core::CoveragePlan plan;
+    plan.rs_positions = {{-290.0, 0.0}, {0.0, 290.0}, {290.0, 0.0}};
+    plan.assignment = ids::IdVec<ids::SsId, ids::RsId>(
+        {ids::RsId{0}, ids::RsId{1}, ids::RsId{2}});
+    plan.feasible = true;
+
+    ScopedRecorder rec;
+    const auto pro = core::allocate_power_pro(s, plan);
+    const RunReport report = rec.snapshot();
+    ASSERT_TRUE(pro.feasible);
+    EXPECT_EQ(pro.iterations, 1);
+    EXPECT_EQ(report.counters.at("pro.rounds"), 1u);
+    EXPECT_EQ(report.counters.at("pro.drop_probes"), plan.rs_count());
+    EXPECT_EQ(report.counters.at("pro.drops_committed"), plan.rs_count());
+    EXPECT_EQ(report.counters.count("snr_field.deltas.applied"), 0u);
+    EXPECT_EQ(report.counters.count("snr_field.deltas.reverted"), 0u);
 }
 
 TEST(ObsIntegrationTest, HittingSetCountsMembershipEntries) {

@@ -1,12 +1,19 @@
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "sag/core/feasibility.h"
 #include "sag/core/power.h"
+#include "sag/core/snr.h"
+#include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
 #include "sag/core/samc.h"
 #include "sag/sim/scenario_gen.h"
+#include "sag/wireless/propagation.h"
 #include "sag/wireless/two_ray.h"
 
 namespace sag::core {
@@ -43,7 +50,7 @@ TEST(CoveragePowerFloorTest, MatchesHandComputation) {
     // floor is Pmax * (30/35)^alpha.
     const units::Watt expect =
         s.radio.max_power * std::pow(30.0 / 35.0, s.radio.alpha);
-    EXPECT_NEAR(coverage_power_floor(s, plan, RsId{0}).watts(), expect.watts(), 1e-9);
+    EXPECT_NEAR(coverage_power_floors(s, plan)[RsId{0}].watts(), expect.watts(), 1e-9);
 }
 
 TEST(CoveragePowerFloorTest, TakesMaxOverServedSubscribers) {
@@ -53,14 +60,17 @@ TEST(CoveragePowerFloorTest, TakesMaxOverServedSubscribers) {
     // The 30 m subscriber dominates the 10 m one.
     const units::Watt expect =
         s.radio.max_power * std::pow(30.0 / 35.0, s.radio.alpha);
-    EXPECT_NEAR(coverage_power_floor(s, plan, RsId{0}).watts(), expect.watts(), 1e-9);
+    EXPECT_NEAR(coverage_power_floors(s, plan)[RsId{0}].watts(), expect.watts(), 1e-9);
 }
 
 TEST(CoveragePowerFloorTest, UnusedRsHasZeroFloor) {
     Scenario s = base_scenario();
     s.subscribers = {{{30.0, 0.0}, 35.0}};
     const auto plan = plan_of({{0.0, 0.0}, {200.0, 0.0}}, {RsId{0}});
-    EXPECT_DOUBLE_EQ(coverage_power_floor(s, plan, RsId{1}).watts(), 0.0);
+    const auto floors = coverage_power_floors(s, plan);
+    ASSERT_EQ(floors.size(), 2u);  // one floor per RS, served or not
+    EXPECT_GT(floors[RsId{0}].watts(), 0.0);
+    EXPECT_DOUBLE_EQ(floors[RsId{1}].watts(), 0.0);
 }
 
 TEST(SnrPowerFloorTest, ZeroWithoutInterferers) {
@@ -90,8 +100,8 @@ TEST(ProTest, SettlesAtCoverageFloorsWhenNoConflict) {
     const auto pro = allocate_power_pro(s, plan);
     ASSERT_TRUE(pro.feasible);
     // RSs sit on their subscribers: tiny coverage floor, SNR trivial.
-    EXPECT_NEAR(pro.powers[0], coverage_power_floor(s, plan, RsId{0}).watts(), 1e-9);
-    EXPECT_NEAR(pro.powers[1], coverage_power_floor(s, plan, RsId{1}).watts(), 1e-9);
+    EXPECT_NEAR(pro.powers[0], coverage_power_floors(s, plan)[RsId{0}].watts(), 1e-9);
+    EXPECT_NEAR(pro.powers[1], coverage_power_floors(s, plan)[RsId{1}].watts(), 1e-9);
 }
 
 TEST(ProTest, NeverBelowOptimalNorAboveBaseline) {
@@ -154,7 +164,7 @@ TEST(OptimalPowerTest, OptimalIsComponentWiseMinimal) {
         auto shaved = opt.powers;
         shaved[i] *= 0.99;
         const double floor_i =
-            coverage_power_floor(s, plan, RsId{i}).watts();
+            coverage_power_floors(s, plan)[RsId{i}].watts();
         const double snr_i = snr_power_floor(s, plan, RsId{i}, shaved).watts();
         EXPECT_LT(shaved[i], std::max(floor_i, snr_i) + 1e-9) << "rs " << i;
     }
@@ -193,6 +203,197 @@ TEST_P(ProApproximationProperty, WithinApproximationBand) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProApproximationProperty,
                          ::testing::Values(2, 4, 6, 8, 10, 12));
+
+/// allocate_power_pro's private feasibility audit, verbatim.
+bool reference_feasible(const Scenario& s, const CoveragePlan& plan,
+                        std::span<const double> powers) {
+    const auto snrs = coverage_snrs(s, plan.rs_positions, powers, plan.assignment);
+    const double beta = s.snr_threshold_linear();
+    for (const SsId j : s.ss_ids()) {
+        const RsId i = plan.assignment[j];
+        const units::Watt rx = s.received_power(
+            units::Watt{powers[i.index()]}, plan.rs_position(i), s.subscriber(j).pos);
+        if (rx < s.min_rx_power(j) * (1.0 - 1e-9)) return false;
+        if (snrs[j.index()] < beta * (1.0 - 1e-9)) return false;
+    }
+    return true;
+}
+
+struct ReferencePro {
+    PowerAllocation allocation;
+    int premiums = 0;
+};
+
+/// Algorithm 6 as it ran before the what-if read: each drop probe is a
+/// set_power inside a rolled-back Transaction read back with snr_of, and
+/// Step 9 re-syncs the field every round.
+ReferencePro transactional_pro(const Scenario& s, const CoveragePlan& plan) {
+    ReferencePro ref;
+    PowerAllocation& out = ref.allocation;
+    const std::size_t n = plan.rs_count();
+    const units::Watt pmax = s.rs_max_power();
+    const wireless::GainKernel kernel = s.gain_kernel();
+    const double beta = s.snr_threshold_linear();
+    const ids::IdVec<RsId, units::Watt> p_min = coverage_power_floors(s, plan);
+    ids::IdVec<RsId, std::vector<SsId>> served(n);
+    for (const SsId j : s.ss_ids()) served[plan.assignment[j]].push_back(j);
+
+    const std::vector<double> start(n, pmax.watts());
+    SnrField field(s, plan.rs_positions, start);
+    ids::IdVec<RsId, units::Watt> p_tmp(n, pmax);
+    std::vector<bool> committed(n, false);
+    std::size_t remaining = n;
+    const auto served_snr_ok = [&](RsId i) {
+        for (const SsId j : served[i]) {
+            if (field.snr_of(j, i) < beta * (1.0 - 1e-12)) return false;
+        }
+        return true;
+    };
+    const auto snr_floor = [&](RsId i) {
+        units::Watt need{0.0};
+        for (const SsId j : served[i]) {
+            const geom::Vec2& rs = plan.rs_position(i);
+            const geom::Vec2& ss = s.subscriber(j).pos;
+            const double g = kernel.gain(rs, ss, geom::distance(rs, ss));
+            const units::Watt own{field.rs_power(i).watts() * g};
+            const units::Watt interference =
+                units::Watt{field.total_rx(j)} - own + s.radio.snr_ambient_noise;
+            need = std::max(need, s.snr_threshold() * interference / g);
+        }
+        return need;
+    };
+    while (remaining > 0) {
+        ++out.iterations;
+        const std::size_t before = remaining;
+        for (const RsId i : field.rs_ids()) {
+            if (committed[i.index()]) continue;
+            SnrField::Transaction probe(field);
+            field.set_power(i, p_min[i]);
+            if (served_snr_ok(i)) {
+                committed[i.index()] = true;
+                --remaining;
+                p_tmp[i] = p_min[i];
+            }
+        }
+        for (const RsId i : field.rs_ids()) field.set_power(i, p_tmp[i]);
+        if (remaining == before && remaining > 0) {
+            RsId arg = RsId::invalid();
+            units::Watt best_delta{std::numeric_limits<double>::infinity()};
+            units::Watt best_power = pmax;
+            for (const RsId i : field.rs_ids()) {
+                if (committed[i.index()]) continue;
+                const units::Watt p_snr = std::max(p_min[i], snr_floor(i));
+                if (p_snr - p_min[i] < best_delta) {
+                    best_delta = p_snr - p_min[i];
+                    best_power = p_snr;
+                    arg = i;
+                }
+            }
+            p_tmp[arg] = std::min(best_power, pmax);
+            field.set_power(arg, p_tmp[arg]);
+            committed[arg.index()] = true;
+            --remaining;
+            ++ref.premiums;
+        }
+    }
+    for (const units::Watt p : p_tmp) out.powers.push_back(p.watts());
+    out.total = std::accumulate(out.powers.begin(), out.powers.end(), 0.0);
+    out.feasible = reference_feasible(s, plan, out.powers);
+    return ref;
+}
+
+/// Bit patterns, so the comparison below is exact even for signed zeros.
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+    std::vector<std::uint64_t> bits;
+    for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+    return bits;
+}
+
+// PRO's drop probes are what-if reads of a field that stays at the
+// round-start powers; the reference probes with rolled-back set_power
+// deltas. Byte-identical outputs on a seeded grid: 300/500/800 m fields
+// with 10-120 SSs, -10 to -25 dB, alpha 2-4 (half-integer and not), a
+// shadowed log-distance family (scalar-only kernel) and the 4 km city.
+TEST(ProTest, MatchesTransactionalReference) {
+    std::vector<std::pair<sim::GeneratorConfig, std::uint64_t>> grid;
+    const auto add = [&](double side, std::size_t users, double alpha,
+                         double db, std::uint64_t seed) {
+        sim::GeneratorConfig cfg;
+        cfg.field_side = side;
+        cfg.subscriber_count = users;
+        cfg.snr_threshold_db = units::Decibel{db};
+        cfg.radio.alpha = alpha;
+        grid.emplace_back(cfg, seed);
+    };
+    const double sides[] = {300.0, 500.0, 800.0};
+    const std::size_t user_counts[] = {10, 30, 60, 120};
+    std::uint64_t seed = 1;
+    for (const double side : sides) {
+        for (const std::size_t users : user_counts) {
+            // Above 30 SSs, SAMC takes seconds to give up on -10 dB and
+            // on alpha 4 at -20 dB or below; those cells are left out.
+            const bool large = users > 30;
+            for (const double alpha : {2.0, 2.5, 3.0, 4.0}) {
+                for (const double db : {-10.0, -12.0, -15.0, -20.0, -25.0}) {
+                    if (large && (db == -10.0 || (alpha == 4.0 && db <= -20.0))) {
+                        continue;
+                    }
+                    add(side, users, alpha, db, seed++);
+                }
+            }
+            // Near the feasibility onset, where rounds get stuck and the
+            // premium of Steps 10-13 is paid.
+            for (int extra = 0; extra < 3; ++extra) {
+                if (!large) add(side, users, 3.0, -10.0, seed++);
+                add(side, users, 3.0, -12.0, seed++);
+            }
+        }
+    }
+    for (const double db : {-10.0, -12.0, -15.0, -20.0, -25.0}) {
+        add(800.0, 10, 4.0, db, seed++);
+        add(800.0, 10, 4.0, db, seed++);
+    }
+    for (int k = 0; k < 8; ++k) {
+        auto model = std::make_shared<wireless::LogDistanceModel>();
+        model->shadowing_sigma = units::Decibel{6.0};
+        model->shadowing_seed = 100 + static_cast<std::uint64_t>(k);
+        sim::GeneratorConfig cfg;
+        cfg.field_side = 500.0;
+        cfg.subscriber_count = 40;
+        cfg.snr_threshold_db = units::Decibel{k % 2 == 0 ? -10.0 : -15.0};
+        cfg.radio.snr_ambient_noise = units::Watt{0.0};
+        cfg.propagation = model;
+        grid.emplace_back(cfg, seed++);
+    }
+    for (int k = 0; k < 2; ++k) {
+        sim::GeneratorConfig cfg;  // the 4 km city of examples/city_scale
+        cfg.field_side = 4000.0;
+        cfg.subscriber_count = 300;
+        cfg.base_station_count = 9;
+        grid.emplace_back(cfg, seed++);
+    }
+
+    int solved = 0, premium_instances = 0, shadowed = 0;
+    for (const auto& [cfg, instance_seed] : grid) {
+        const Scenario s = sim::generate_scenario(cfg, instance_seed);
+        const auto plan = solve_samc(s).plan;
+        if (!plan.feasible) continue;
+        ++solved;
+        const ReferencePro ref = transactional_pro(s, plan);
+        const PowerAllocation pro = allocate_power_pro(s, plan);
+        EXPECT_EQ(bits_of(pro.powers), bits_of(ref.allocation.powers))
+            << "seed " << instance_seed;
+        EXPECT_EQ(pro.iterations, ref.allocation.iterations) << "seed " << instance_seed;
+        EXPECT_EQ(pro.feasible, ref.allocation.feasible) << "seed " << instance_seed;
+        EXPECT_EQ(pro.total, ref.allocation.total) << "seed " << instance_seed;
+        if (ref.premiums > 0) ++premium_instances;
+        if (cfg.propagation) ++shadowed;
+    }
+    // The grid must keep exercising the premium path (Steps 10-13 read the
+    // field the probes left behind) and the scalar-only kernel.
+    EXPECT_GE(premium_instances, 50) << solved << " instances solved";
+    EXPECT_GE(shadowed, 4) << solved << " instances solved";
+}
 
 }  // namespace
 }  // namespace sag::core

@@ -14,10 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "sag/geometry/vec2.h"
@@ -111,7 +113,7 @@ TEST(SimdEquivalence, BatchGainMatchesReferenceWithin1e12) {
     std::mt19937_64 rng(20260808);
     for (int round = 0; round < 40; ++round) {
         const wireless::GainKernel k = random_eligible_kernel(rng);
-        // Sizes straddle the 4-lane boundary to exercise the scalar tail.
+        // Sizes straddle the 4-lane boundary to exercise the padded tail.
         const std::size_t n = 1 + static_cast<std::size_t>(rng() % 37);
         const Soa subs = random_points(rng, n, 200.0);
         const Vec2 pos{static_cast<double>(rng() % 100),
@@ -275,6 +277,107 @@ TEST(SimdEquivalence, BatchSnrMatchesReferenceWithin1e12) {
             // the SNR read carries its own documented bound: 1e-9
             // relative (PERFORMANCE.md), vs 1e-12 for raw terms.
             EXPECT_LE(rel_err(snr[j], ref), 1e-9) << "j=" << j;
+        }
+    }
+}
+
+/// Bit equality, exact for infinities and signed zeros alike.
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Element k of a column, as a one-element span.
+MetersSpan one(const std::vector<double>& column, std::size_t k) {
+    return MetersSpan{std::span<const double>(column).subspan(k, 1)};
+}
+
+// Position independence: under every mode, element k of a column comes
+// out of accumulate_rx, batch_gain and batch_snr bit for bit as when it
+// is computed alone. Under AVX2 this needs the n mod 4 tail to run
+// through the same vector gain as the full blocks (n = 1..13 covers
+// every tail length at several block offsets).
+TEST(SimdEquivalence, ElementsMatchTheirOneElementSpans) {
+    std::mt19937_64 rng(4242);
+    std::uniform_real_distribution<double> watt(0.1, 60.0);
+    for (std::size_t n = 1; n <= 13; ++n) {
+        for (int round = 0; round < 6; ++round) {
+            const wireless::GainKernel k = random_eligible_kernel(rng);
+            const Soa subs = random_points(rng, n, 200.0);
+            const Vec2 pos{watt(rng), -watt(rng)};
+            const double p = watt(rng);
+
+            std::vector<double> gains(n);
+            wireless::batch_gain(k, pos, subs.xs(), subs.ys(), gains);
+
+            std::vector<double> total0(n), comp0(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                total0[i] = watt(rng);
+                comp0[i] = watt(rng) * 1e-17;
+            }
+            std::vector<double> total = total0, comp = comp0;
+            wireless::accumulate_rx(k, pos, units::Watt{-p}, subs.xs(),
+                                    subs.ys(), total, comp);
+
+            const Soa rs = random_points(rng, 3, 200.0);
+            const std::vector<double> power{watt(rng), watt(rng), watt(rng)};
+            std::vector<std::uint32_t> serving(n);
+            for (std::uint32_t& s : serving) {
+                s = static_cast<std::uint32_t>(rng() % 3);
+            }
+            std::vector<double> snr(n);
+            wireless::batch_snr(k, rs.xs(), rs.ys(), WattSpan{power}, serving,
+                                subs.xs(), subs.ys(), total0, comp0,
+                                units::Watt{1e-3}, snr);
+
+            for (std::size_t i = 0; i < n; ++i) {
+                double g = 0.0;
+                wireless::batch_gain(k, pos, one(subs.x, i), one(subs.y, i),
+                                     {&g, 1});
+                EXPECT_TRUE(same_bits(g, gains[i])) << "n=" << n << " i=" << i;
+
+                double t = total0[i], c = comp0[i];
+                wireless::accumulate_rx(k, pos, units::Watt{-p}, one(subs.x, i),
+                                        one(subs.y, i), {&t, 1}, {&c, 1});
+                EXPECT_TRUE(same_bits(t, total[i])) << "n=" << n << " i=" << i;
+                EXPECT_TRUE(same_bits(c, comp[i])) << "n=" << n << " i=" << i;
+
+                double r = 0.0;
+                wireless::batch_snr(
+                    k, rs.xs(), rs.ys(), WattSpan{power}, {&serving[i], 1},
+                    one(subs.x, i), one(subs.y, i), {&total0[i], 1},
+                    {&comp0[i], 1}, units::Watt{1e-3}, {&r, 1});
+                EXPECT_TRUE(same_bits(r, snr[i])) << "n=" << n << " i=" << i;
+            }
+        }
+    }
+}
+
+// Dead lanes of the padded rx_total tail add exact zeros: the sum over n
+// RSs is bit for bit the sum over the same RSs followed by zero-power ones.
+TEST(SimdEquivalence, RxTotalIgnoresTrailingZeroPowerRss) {
+    std::mt19937_64 rng(777);
+    std::uniform_real_distribution<double> watt(0.1, 50.0);
+    for (std::size_t n = 1; n <= 13; ++n) {
+        for (int round = 0; round < 4; ++round) {
+            const wireless::GainKernel k = random_eligible_kernel(rng);
+            const Soa rs = random_points(rng, n + 7, 150.0);
+            std::vector<double> power(n + 7, 0.0);
+            for (std::size_t i = 0; i < n; ++i) power[i] = watt(rng);
+            const Vec2 rx{watt(rng), watt(rng)};
+            const auto prefix = [&](std::size_t m, double& total, double& comp) {
+                const std::span<const double> x(rs.x), y(rs.y), p(power);
+                wireless::rx_total(k, rx, MetersSpan{x.first(m)},
+                                   MetersSpan{y.first(m)}, WattSpan{p.first(m)},
+                                   total, comp);
+            };
+            double total = 0.0, comp = 0.0;
+            prefix(n, total, comp);
+            for (std::size_t m = n + 1; m <= n + 7; ++m) {
+                double padded_total = 0.0, padded_comp = 0.0;
+                prefix(m, padded_total, padded_comp);
+                EXPECT_EQ(padded_total, total) << "n=" << n << " m=" << m;
+                EXPECT_EQ(padded_comp, comp) << "n=" << n << " m=" << m;
+            }
         }
     }
 }

@@ -1,7 +1,9 @@
 // SnrField: incremental-vs-scratch equivalence, transaction rollback,
 // the incremental ILPQC oracle, and the grid-backed nearest assignment.
 // The randomized property tests use fixed seeds.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <span>
@@ -253,6 +255,73 @@ TEST(SnrFieldTest, ExtraNoiseLowersSnr) {
     const double clean = serving_snr(s, rs, powers);
     s.radio.snr_ambient_noise = units::Watt{0.065};
     EXPECT_LT(serving_snr(s, rs, powers), clean);
+}
+
+/// Bit equality, exact for infinities and signed zeros alike.
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The what-if read against the delta it predicts: for every RS i and
+// power p, snr_with_power(k, i, p) on the untouched field equals, bit for
+// bit, snr_of(k, i) after set_power(i, p), for every tracked subscriber.
+// R = 7 and S = 39 are not multiples of the AVX2 width, so subscribers
+// sit in full blocks and in a three-lane padded tail. Each RS then keeps
+// a random power, so later reads start from a field with a delta history.
+TEST(SnrFieldTest, WhatIfReadMatchesSetPower) {
+    Scenario s = random_scenario(39, 400.0, 5);
+    // Without ambient noise the SNR exposes every last-bit change of the
+    // cached total.
+    s.radio.snr_ambient_noise = units::Watt{0.0};
+    std::mt19937_64 rng(77);
+    std::uniform_real_distribution<double> coord(-200.0, 200.0);
+    std::uniform_real_distribution<double> watt(0.0, s.radio.max_power.watts());
+    std::vector<geom::Vec2> rs;
+    std::vector<double> powers;
+    for (std::size_t i = 0; i < 7; ++i) {
+        rs.push_back({coord(rng), coord(rng)});
+        powers.push_back(watt(rng));
+    }
+    SnrField field(s, rs, powers);
+    for (const RsId i : field.rs_ids()) {
+        const double candidates[] = {watt(rng), 0.0, field.rs_power(i).watts(),
+                                     s.radio.max_power.watts()};
+        for (const double p : candidates) {
+            std::vector<double> predicted;
+            for (const SsId k : field.tracked_ids()) {
+                predicted.push_back(field.snr_with_power(k, i, units::Watt{p}));
+                if (p == 0.0) {
+                    EXPECT_EQ(predicted.back(), 0.0);  // no signal
+                }
+            }
+            SnrField::Transaction probe(field);
+            field.set_power(i, units::Watt{p});
+            for (const SsId k : field.tracked_ids()) {
+                EXPECT_TRUE(same_bits(predicted[k.index()], field.snr_of(k, i)))
+                    << "rs " << i << " p " << p << " sub " << k;
+            }
+        }
+        field.set_power(i, units::Watt{watt(rng)});
+    }
+}
+
+// snr_of's edges carry over: with zero ambient noise and one RS 2 m from
+// its subscriber (a distance whose gain is the same double in the scalar
+// and the vector kernel) the interference is exactly zero, so any
+// positive power reads +inf; zero power reads 0.
+TEST(SnrFieldTest, WhatIfReadKeepsSnrOfEdges) {
+    const Scenario s = single_receiver({2.0, 0.0});
+    const std::vector<geom::Vec2> rs = {{0.0, 0.0}};
+    const std::vector<double> powers = {50.0};
+    SnrField field(s, rs, powers);
+    for (const double p : {25.0, 50.0, 1e-3}) {
+        const double what_if = field.snr_with_power(SsId{0}, RsId{0}, units::Watt{p});
+        EXPECT_TRUE(std::isinf(what_if) && what_if > 0.0) << p;
+        SnrField::Transaction probe(field);
+        field.set_power(RsId{0}, units::Watt{p});
+        EXPECT_TRUE(same_bits(what_if, field.snr_of(SsId{0}, RsId{0}))) << p;
+    }
+    EXPECT_EQ(field.snr_with_power(SsId{0}, RsId{0}, units::Watt{0.0}), 0.0);
 }
 
 /// Property: at a fixed receiver, SNR is increasing in the serving power
