@@ -41,7 +41,7 @@ int main() {
                         io::sag_result_to_json(result).dump(2) + "\n");
 
     std::ofstream csv("topology_tree.csv");
-    io::write_deployment_csv(csv, scenario, result.coverage, result.connectivity);
+    io::write_deployment_csv(csv, scenario, result.connectivity);
 
     std::printf("deployment: %zu coverage + %zu connectivity RSs, "
                 "total power %.1f\n",

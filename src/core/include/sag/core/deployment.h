@@ -32,8 +32,10 @@ struct CoveragePlan {
     ids::IdRange<ids::RsId> rs_ids() const {
         return ids::first_ids<ids::RsId>(rs_positions.size());
     }
-    /// Subscribers served by RS `rs` (inverse of `assignment`).
-    std::vector<ids::SsId> served_by(ids::RsId rs) const;
+    /// Each RS's served subscribers in SsId order: the inverse of
+    /// `assignment`, in one pass. Entries naming no RS of the plan are
+    /// left out.
+    ids::IdVec<ids::RsId, std::vector<ids::SsId>> served_lists() const;
 };
 
 /// Node classes of the upper-tier relay tree.

@@ -13,6 +13,9 @@ namespace sag::core {
 /// A lower-tier transmit-power assignment for the coverage RSs of a plan.
 struct PowerAllocation {
     std::vector<double> powers;  ///< one per coverage RS, linear watts
+    /// verify_coverage's verdict on `powers`, except from
+    /// allocate_power_capped (the fixed point's own verdict) and
+    /// allocate_power_optimal_lp (the LP's).
     bool feasible = false;
     double total = 0.0;          ///< P_L, sum of the powers (watts)
     int iterations = 0;          ///< solver-specific effort counter

@@ -121,31 +121,31 @@ struct Scenario {
 
     /// Median received power at a bare distance (no link endpoints).
     units::Watt received_power(units::Watt tx_power, units::Meters dist) const {
-        return wireless::received_power(model(), radio, tx_power, dist);
+        return tx_power * gain_kernel().median_gain(dist.meters());
     }
 
     /// Received power over a concrete link (includes the link's
     /// deterministic shadowing fade, when the model has one).
     units::Watt received_power(units::Watt tx_power, const geom::Vec2& from,
                                const geom::Vec2& to) const {
-        return wireless::received_power(model(), radio, tx_power, from, to);
+        return tx_power * gain_kernel().gain(from, to, geom::distance(from, to));
     }
 
     /// Median minimum transmit power for a target rx power at a distance.
     units::Watt tx_power_for(units::Watt target_rx_power, units::Meters dist) const {
-        return wireless::tx_power_for(model(), radio, target_rx_power, dist);
+        return target_rx_power / gain_kernel().median_gain(dist.meters());
     }
 
     /// Per-link minimum transmit power (exact inverse of the link
     /// received_power above).
     units::Watt tx_power_for(units::Watt target_rx_power, const geom::Vec2& from,
                              const geom::Vec2& to) const {
-        return wireless::tx_power_for(model(), radio, target_rx_power, from, to);
+        return target_rx_power / gain_kernel().gain(from, to, geom::distance(from, to));
     }
 
     /// Largest distance at which tx_power still delivers target_rx_power.
     units::Meters range_for(units::Watt tx_power, units::Watt target_rx_power) const {
-        return wireless::range_for(model(), radio, tx_power, target_rx_power);
+        return gain_kernel().range_for(tx_power, target_rx_power);
     }
 
     /// Smallest distance request over all subscribers (d_min of MBMC).

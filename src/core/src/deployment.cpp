@@ -4,12 +4,13 @@
 
 namespace sag::core {
 
-std::vector<ids::SsId> CoveragePlan::served_by(ids::RsId rs) const {
-    std::vector<ids::SsId> subs;
+ids::IdVec<ids::RsId, std::vector<ids::SsId>> CoveragePlan::served_lists() const {
+    ids::IdVec<ids::RsId, std::vector<ids::SsId>> served(rs_count());
     for (const ids::SsId j : assignment.ids()) {
-        if (assignment[j] == rs) subs.push_back(j);
+        const ids::RsId i = assignment[j];
+        if (i.valid() && i.index() < rs_count()) served[i].push_back(j);
     }
-    return subs;
+    return served;
 }
 
 std::size_t ConnectivityPlan::count(NodeKind kind) const {

@@ -4,10 +4,27 @@
 #include <limits>
 #include <sstream>
 
-#include "sag/core/snr_field.h"
 #include "sag/units/units.h"
 
 namespace sag::core {
+
+SubscriberCheck check_link(const SnrField& field, ids::SsId k, ids::RsId serving) {
+    const Scenario& scenario = field.scenario();
+    const ids::SsId j = field.tracked_subscriber(k);
+    const Subscriber& s = scenario.subscriber(j);
+    const geom::Vec2& rs = field.rs_position(serving);
+    SubscriberCheck check;
+    check.serving_rs = serving;
+    check.access_distance = geom::distance(rs, s.pos);
+    check.distance_ok = check.access_distance <= s.distance_request + 1e-6;
+    if (!check.distance_ok) return check;
+    const units::Watt rx = field.rs_power(serving) *
+                           scenario.gain_kernel().gain(rs, s.pos, check.access_distance);
+    check.rate_ok = rx >= scenario.min_rx_power(j) * (1.0 - 1e-9);
+    check.snr_ok = field.snr_of(k, serving) >=
+                   scenario.snr_threshold_linear() * (1.0 - 1e-9);
+    return check;
+}
 
 CoverageReport verify_coverage(const Scenario& scenario, const CoveragePlan& plan,
                                std::span<const double> powers) {
@@ -32,24 +49,14 @@ CoverageReport verify_coverage(const Scenario& scenario, const CoveragePlan& pla
     // Batch audit off one interference field: the totals are computed once
     // and every subscriber's SNR is an O(1) read.
     const SnrField field(scenario, plan.rs_positions, powers);
-    const double beta = scenario.snr_threshold_linear();
-
     for (const ids::SsId j : scenario.ss_ids()) {
-        const Subscriber& s = scenario.subscriber(j);
         SubscriberCheck& check = report.subscribers[j];
-        check.serving_rs = plan.assignment[j];
-        const geom::Vec2& rs = plan.rs_position(check.serving_rs);
-        check.access_distance = geom::distance(rs, s.pos);
-        check.distance_ok = check.access_distance <= s.distance_request + 1e-6;
-        const units::Watt rx = scenario.received_power(
-            units::Watt{powers[check.serving_rs.index()]}, rs, s.pos);
-        check.rate_ok = rx >= scenario.min_rx_power(j) * (1.0 - 1e-9);
+        check = check_link(field, j, plan.assignment[j]);
         const double snr = field.snr_of(j, check.serving_rs);
-        check.snr_ok = snr >= beta * (1.0 - 1e-9);
         check.snr_db = std::isfinite(snr)
                            ? units::to_db(units::SnrRatio{snr}).db()
                            : std::numeric_limits<double>::infinity();
-        if (!check.distance_ok || !check.rate_ok || !check.snr_ok) ++report.violations;
+        if (!check.ok()) ++report.violations;
     }
     report.feasible = report.violations == 0;
     return report;
@@ -119,10 +126,11 @@ ConnectivityReport verify_connectivity(const Scenario& scenario,
     // the minimum feasible distance of all its children"). Compute by
     // propagating each coverage RS's requirement up its root path.
     std::vector<double> allowed(n, std::numeric_limits<double>::infinity());
+    const auto served = coverage.served_lists();
     for (std::size_t c = 0; c < cov_count; ++c) {
         const std::size_t node = bs_count + c;
         double req = std::numeric_limits<double>::infinity();
-        for (const ids::SsId j : coverage.served_by(ids::RsId{c})) {
+        for (const ids::SsId j : served[ids::RsId{c}]) {
             req = std::min(req, scenario.subscriber(j).distance_request);
         }
         std::size_t cur = node;

@@ -4,7 +4,7 @@
 #include <limits>
 #include <numeric>
 
-#include "sag/core/snr.h"
+#include "sag/core/feasibility.h"
 #include "sag/core/snr_field.h"
 #include "sag/obs/obs.h"
 #include "sag/opt/lp.h"
@@ -40,16 +40,6 @@ std::vector<std::vector<double>> gain_matrix(const Scenario& scenario,
     return g;
 }
 
-/// Each RS's served subscribers, in subscriber order.
-ids::IdVec<ids::RsId, std::vector<ids::SsId>> served_lists(
-    const Scenario& scenario, const CoveragePlan& plan) {
-    ids::IdVec<ids::RsId, std::vector<ids::SsId>> served(plan.rs_count());
-    for (const ids::SsId j : scenario.ss_ids()) {
-        served[plan.assignment[j]].push_back(j);
-    }
-    return served;
-}
-
 /// P_snr of RS `rs` over its `served` subscribers, with the interference
 /// read off the gain matrix at `powers`.
 units::Watt snr_floor_from_gains(const Scenario& scenario,
@@ -70,22 +60,6 @@ units::Watt snr_floor_from_gains(const Scenario& scenario,
     return need;
 }
 
-bool allocation_feasible(const Scenario& scenario, const CoveragePlan& plan,
-                         std::span<const double> powers) {
-    const auto snrs =
-        coverage_snrs(scenario, plan.rs_positions, powers, plan.assignment);
-    const double beta = scenario.snr_threshold_linear();
-    for (const ids::SsId j : scenario.ss_ids()) {
-        const ids::RsId i = plan.assignment[j];
-        const units::Watt rx = scenario.received_power(
-            units::Watt{powers[i.index()]}, plan.rs_position(i),
-            scenario.subscriber(j).pos);
-        if (rx < scenario.min_rx_power(j) * (1.0 - 1e-9)) return false;
-        if (snrs[j.index()] < beta * (1.0 - 1e-9)) return false;
-    }
-    return true;
-}
-
 }  // namespace
 
 ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(
@@ -104,7 +78,7 @@ ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(
 units::Watt snr_power_floor(const Scenario& scenario, const CoveragePlan& plan,
                             ids::RsId rs, std::span<const double> powers) {
     const auto g = gain_matrix(scenario, plan);
-    return snr_floor_from_gains(scenario, g, served_lists(scenario, plan)[rs], rs,
+    return snr_floor_from_gains(scenario, g, plan.served_lists()[rs], rs,
                                 powers);
 }
 
@@ -121,7 +95,7 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
         coverage_power_floors(scenario, plan);
     // Per-RS served lists: a probe only re-checks the SNR of the RS's
     // own subscribers.
-    const auto served = served_lists(scenario, plan);
+    const auto served = plan.served_lists();
 
     // Algorithm 6 state: the field's powers are the working vector p1
     // (Step 9 re-syncs them to the committed Ptmp before they are read
@@ -216,7 +190,7 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
     out.powers.reserve(n);
     for (const units::Watt p : p_tmp) out.powers.push_back(p.watts());
     out.total = std::accumulate(out.powers.begin(), out.powers.end(), 0.0);
-    out.feasible = allocation_feasible(scenario, plan, out.powers);
+    out.feasible = verify_coverage(scenario, plan, out.powers).feasible;
     return out;
 }
 
@@ -225,7 +199,7 @@ PowerAllocation allocate_power_capped(const Scenario& scenario,
                                       std::span<const double> caps) {
     PowerAllocation out;
     const auto g = gain_matrix(scenario, plan);
-    const auto served = served_lists(scenario, plan);
+    const auto served = plan.served_lists();
 
     std::vector<double> floors;
     floors.reserve(plan.rs_count());
@@ -254,7 +228,7 @@ PowerAllocation allocate_power_optimal(const Scenario& scenario,
                                        const CoveragePlan& plan) {
     const std::vector<double> caps(plan.rs_count(), scenario.rs_max_power().watts());
     PowerAllocation out = allocate_power_capped(scenario, plan, caps);
-    out.feasible = out.feasible && allocation_feasible(scenario, plan, out.powers);
+    out.feasible = out.feasible && verify_coverage(scenario, plan, out.powers).feasible;
     return out;
 }
 
@@ -302,7 +276,7 @@ PowerAllocation allocate_power_baseline(const Scenario& scenario,
     out.powers.assign(plan.rs_count(), scenario.rs_max_power().watts());
     out.total =
         static_cast<double>(plan.rs_count()) * scenario.rs_max_power().watts();
-    out.feasible = allocation_feasible(scenario, plan, out.powers);
+    out.feasible = verify_coverage(scenario, plan, out.powers).feasible;
     out.iterations = 0;
     return out;
 }

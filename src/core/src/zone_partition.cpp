@@ -8,8 +8,7 @@
 namespace sag::core {
 
 double zone_partition_dmax(const Scenario& scenario) {
-    return wireless::ignorable_noise_distance(scenario.model(), scenario.radio,
-                                              scenario.rs_max_power())
+    return scenario.range_for(scenario.rs_max_power(), scenario.radio.ignorable_noise)
         .meters();
 }
 

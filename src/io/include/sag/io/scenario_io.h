@@ -40,7 +40,6 @@ Json sag_result_to_json(const core::SagResult& result);
 /// format the Fig. 6 plots consume. Subscribers are included with kind
 /// "SS" and no parent.
 void write_deployment_csv(std::ostream& os, const core::Scenario& scenario,
-                          const core::CoveragePlan& coverage,
                           const core::ConnectivityPlan& connectivity);
 
 /// File helpers; throw std::runtime_error on I/O failure.

@@ -408,9 +408,7 @@ Json sag_result_to_json(const core::SagResult& result) {
 }
 
 void write_deployment_csv(std::ostream& os, const core::Scenario& scenario,
-                          const core::CoveragePlan& coverage,
                           const core::ConnectivityPlan& connectivity) {
-    (void)coverage;
     os << "kind,x,y,power,parent_x,parent_y\n";
     for (const auto& sub : scenario.subscribers) {
         os << "SS," << sub.pos.x << ',' << sub.pos.y << ",,,\n";

@@ -4,12 +4,12 @@
 //
 // Given the deployed SagResult and a failure set, computes (1) the
 // orphaned subscribers — SSs whose access link is no longer feasible
-// (dead server, or rate/SNR broken by the post-failure power vector) —
-// and (2) the cut-off coverage RSs — survivors whose multi-hop path to
-// every BS crosses a dead connectivity RS. The SNR side rides the
-// incremental core::SnrField: the intact field is built once and the
-// failures are applied as O(tracked) set_power deltas, not a scratch
-// recomputation per what-if.
+// (dead server, or a link failing core::check_link under the
+// post-failure power vector) — and (2) the cut-off coverage RSs —
+// survivors whose multi-hop path to every BS crosses a dead
+// connectivity RS. The SNR side rides the incremental core::SnrField:
+// the intact field is built once and the failures are applied as
+// O(tracked) set_power deltas, not a scratch recomputation per what-if.
 
 #include <vector>
 
@@ -23,8 +23,8 @@ namespace sag::resilience {
 /// What the failures broke. Both lists are sorted ascending.
 struct DamageReport {
     /// Subscribers that lost feasible coverage: dead serving RS, or a
-    /// surviving server that no longer clears the distance / data-rate /
-    /// SNR checks under the post-failure powers.
+    /// surviving server whose link fails core::check_link (distance /
+    /// data rate / SNR) under the post-failure powers.
     std::vector<ids::SsId> orphaned;
     /// Surviving coverage RSs whose every path to a BS is severed (a
     /// dead connectivity RS, or a dead coverage RS they relayed through,

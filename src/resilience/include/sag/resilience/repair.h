@@ -92,10 +92,9 @@ struct RepairState {
     }
     std::size_t unserved_count() const;
 
-    /// Can pool RS `rs` serve SS `slot` at its cap? The three
-    /// verify_coverage checks (distance, rate, SNR) against the field's
-    /// cached totals. Dead slots transmit 0 W, so they fail the rate
-    /// check.
+    /// Can pool RS `rs` serve SS `slot` at its cap? core::check_link
+    /// against the field's cached totals, the verifier's own link test.
+    /// Dead slots transmit 0 W, so they fail the rate check.
     bool can_serve(std::size_t rs, std::size_t slot) const;
     /// Stage 1: each candidate SS, in order, goes to the first pool RS
     /// that can serve it, nearest first, ties to the lower slot. Returns

@@ -28,17 +28,7 @@ std::size_t RepairState::unserved_count() const {
 bool RepairState::can_serve(std::size_t rs, std::size_t slot) const {
     // Everything about the RS is read off the field, so a probe relay
     // appended under a Transaction is checked exactly like a pool slot.
-    const core::Scenario& s = scenario();
-    const core::Subscriber& sub = s.subscribers[slot];
-    if (geom::distance(position(rs), sub.pos) > sub.distance_request + 1e-6) {
-        return false;
-    }
-    const ids::SsId j{slot};
-    const units::Watt rx =
-        s.received_power(units::Watt{cap(rs)}, position(rs), sub.pos);
-    if (rx < s.min_rx_power(j) * (1.0 - 1e-9)) return false;
-    return field.snr_of(j, ids::RsId{rs}) >=
-           s.snr_threshold_linear() * (1.0 - 1e-9);
+    return core::check_link(field, ids::SsId{slot}, ids::RsId{rs}).ok();
 }
 
 std::size_t RepairState::rehome(const std::vector<std::size_t>& candidates) {
@@ -181,8 +171,7 @@ Reescalation RepairState::reescalate(int max_rounds) {
         // shed every newly assigned SS instead.
         std::vector<std::size_t> shed;
         for (std::size_t c = 0; c < v.covered.size(); ++c) {
-            const auto& check = report.subscribers[ids::SsId{c}];
-            if ((!check.distance_ok || !check.rate_ok || !check.snr_ok) &&
+            if (!report.subscribers[ids::SsId{c}].ok() &&
                 newly_assigned[v.covered[c]]) {
                 shed.push_back(v.covered[c]);
             }

@@ -53,6 +53,13 @@ struct GainKernel {
         return scale * std::pow(d, -alpha);
     }
 
+    /// Largest distance at which `tx_power` still delivers `target_rx`
+    /// under the median gain (the coverage-range / big-M inversion).
+    units::Meters range_for(units::Watt tx_power, units::Watt target_rx) const {
+        return units::Meters{
+            std::pow(tx_power.watts() * scale / target_rx.watts(), 1.0 / alpha)};
+    }
+
     /// The lognormal fade factor 10^(X/10), X ~ N(0, sigma_db^2), as a
     /// deterministic symmetric function of the endpoints and the seed.
     double shadow_factor(const geom::Vec2& tx, const geom::Vec2& rx) const;
@@ -60,11 +67,12 @@ struct GainKernel {
 
 /// Pluggable large-scale propagation model. A model IS its kernel: the
 /// virtual surface resolves parameters into a GainKernel (plus optional
-/// receiver-sensitivity metadata), and every public gain/range/power query
-/// is derived non-virtually from that kernel. This is what guarantees the
-/// tentpole invariant — verifiers, solvers, and the incremental SnrField
-/// can never disagree about the channel, because there is exactly one
-/// gain function per (model, params) pair and all of them evaluate it.
+/// receiver-sensitivity metadata), and every gain/range/power query
+/// (core::Scenario's physics methods, the SnrField hot loops) evaluates
+/// that kernel. This is what guarantees the tentpole invariant —
+/// verifiers, solvers, and the incremental SnrField can never disagree
+/// about the channel, because there is exactly one gain function per
+/// (model, params) pair and all of them evaluate it.
 class PropagationModel {
 public:
     virtual ~PropagationModel() = default;
@@ -90,28 +98,6 @@ public:
     /// Throws std::invalid_argument when the model's own parameters are
     /// non-physical or inconsistent with `params`.
     virtual void validate(const RadioParams& params) const { (void)params; }
-
-    // --- Kernel-derived queries (non-virtual by design; see class doc) ---
-
-    /// Median linear path gain at distance `dist` (shadowing excluded).
-    double median_gain(const RadioParams& params, units::Meters dist) const {
-        return kernel(params).median_gain(dist.meters());
-    }
-
-    /// Per-link linear gain, including this link's deterministic fade.
-    double link_gain(const RadioParams& params, const geom::Vec2& tx,
-                     const geom::Vec2& rx, units::Meters dist) const {
-        return kernel(params).gain(tx, rx, dist.meters());
-    }
-
-    /// Largest distance at which `tx_power` still delivers `target_rx`
-    /// under the median gain (the coverage-range / big-M inversion).
-    units::Meters range_for(const RadioParams& params, units::Watt tx_power,
-                            units::Watt target_rx) const {
-        const GainKernel k = kernel(params);
-        return units::Meters{std::pow(
-            tx_power.watts() * k.scale / target_rx.watts(), 1.0 / k.alpha)};
-    }
 };
 
 /// Paper Eq. 2.1: Pr = Pt * G * d^-alpha with G = Gt*Gr*ht^2*hr^2, the
@@ -180,39 +166,5 @@ public:
 /// The process-wide default model (two-ray): what a Scenario without an
 /// explicit propagation block means.
 const PropagationModel& two_ray_model();
-
-// --- Model-parametric link helpers (mirror two_ray.h's free functions) ---
-
-/// Median received power at a bare distance.
-units::Watt received_power(const PropagationModel& model, const RadioParams& params,
-                           units::Watt tx_power, units::Meters dist);
-
-/// Received power over the concrete link tx -> rx (shadowing included).
-units::Watt received_power(const PropagationModel& model, const RadioParams& params,
-                           units::Watt tx_power, const geom::Vec2& tx,
-                           const geom::Vec2& rx);
-
-/// Minimum transmit power delivering `target_rx_power` at distance `dist`
-/// under the median gain. Inverse of the median received_power.
-units::Watt tx_power_for(const PropagationModel& model, const RadioParams& params,
-                         units::Watt target_rx_power, units::Meters dist);
-
-/// Minimum transmit power delivering `target_rx_power` over the concrete
-/// link tx -> rx. Exact inverse of the link received_power: feeding the
-/// result back reproduces `target_rx_power` to rounding (tested to 1e-12).
-units::Watt tx_power_for(const PropagationModel& model, const RadioParams& params,
-                         units::Watt target_rx_power, const geom::Vec2& tx,
-                         const geom::Vec2& rx);
-
-/// Largest distance at which `tx_power` still delivers `target_rx_power`
-/// (median gain).
-units::Meters range_for(const PropagationModel& model, const RadioParams& params,
-                        units::Watt tx_power, units::Watt target_rx_power);
-
-/// d_max of Algorithm 2 under this model: where a `max_power` signal drops
-/// below the ignorable-noise level N_max.
-units::Meters ignorable_noise_distance(const PropagationModel& model,
-                                       const RadioParams& params,
-                                       units::Watt max_power);
 
 }  // namespace sag::wireless

@@ -24,8 +24,4 @@ units::Watt tx_power_for(const RadioParams& params, units::Watt target_rx_power,
 units::Meters range_for(const RadioParams& params, units::Watt tx_power,
                         units::Watt target_rx_power);
 
-/// d_max of Algorithm 2: the distance beyond which a max-power transmitter's
-/// signal drops below the ignorable-noise level N_max.
-units::Meters ignorable_noise_distance(const RadioParams& params);
-
 }  // namespace sag::wireless

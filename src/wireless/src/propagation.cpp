@@ -137,42 +137,4 @@ const PropagationModel& two_ray_model() {
     return model;
 }
 
-// --- Free helpers ---
-
-units::Watt received_power(const PropagationModel& model, const RadioParams& params,
-                           units::Watt tx_power, units::Meters dist) {
-    return units::Watt{tx_power.watts() * model.median_gain(params, dist)};
-}
-
-units::Watt received_power(const PropagationModel& model, const RadioParams& params,
-                           units::Watt tx_power, const geom::Vec2& tx,
-                           const geom::Vec2& rx) {
-    const units::Meters dist{geom::distance(tx, rx)};
-    return units::Watt{tx_power.watts() * model.link_gain(params, tx, rx, dist)};
-}
-
-units::Watt tx_power_for(const PropagationModel& model, const RadioParams& params,
-                         units::Watt target_rx_power, units::Meters dist) {
-    return units::Watt{target_rx_power.watts() / model.median_gain(params, dist)};
-}
-
-units::Watt tx_power_for(const PropagationModel& model, const RadioParams& params,
-                         units::Watt target_rx_power, const geom::Vec2& tx,
-                         const geom::Vec2& rx) {
-    const units::Meters dist{geom::distance(tx, rx)};
-    return units::Watt{target_rx_power.watts() /
-                       model.link_gain(params, tx, rx, dist)};
-}
-
-units::Meters range_for(const PropagationModel& model, const RadioParams& params,
-                        units::Watt tx_power, units::Watt target_rx_power) {
-    return model.range_for(params, tx_power, target_rx_power);
-}
-
-units::Meters ignorable_noise_distance(const PropagationModel& model,
-                                       const RadioParams& params,
-                                       units::Watt max_power) {
-    return model.range_for(params, max_power, params.ignorable_noise);
-}
-
 }  // namespace sag::wireless

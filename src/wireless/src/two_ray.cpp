@@ -27,8 +27,4 @@ units::Meters range_for(const RadioParams& params, units::Watt tx_power,
     return units::Meters{std::pow(headroom.ratio(), 1.0 / params.alpha)};
 }
 
-units::Meters ignorable_noise_distance(const RadioParams& params) {
-    return range_for(params, params.max_power, params.ignorable_noise);
-}
-
 }  // namespace sag::wireless

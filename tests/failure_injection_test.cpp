@@ -103,6 +103,19 @@ TEST(FailureInjectionConnectivity, OutOfRangeParentFlagged) {
     EXPECT_NE(report.detail.find("malformed"), std::string::npos);
 }
 
+TEST(FailureInjectionConnectivity, DanglingAssignmentIgnoredNotFaulted) {
+    const Fixture f;
+    auto coverage = f.result.coverage;
+    coverage.assignment[ids::SsId{3}] = ids::RsId{coverage.rs_count() + 7};
+    // The hop bounds come from the RSs' served lists; an SS naming no RS
+    // constrains no hop (verify_coverage is what flags it).
+    EXPECT_TRUE(
+        verify_connectivity(f.scenario, coverage, f.result.connectivity).feasible);
+    coverage.assignment[ids::SsId{3}] = ids::RsId::invalid();
+    EXPECT_TRUE(
+        verify_connectivity(f.scenario, coverage, f.result.connectivity).feasible);
+}
+
 TEST(FailureInjectionConnectivity, SizeMismatchFlagged) {
     const Fixture f;
     auto plan = f.result.connectivity;

@@ -2,6 +2,7 @@
 // IdVec/IdSpan container contracts (including the debug bounds checks),
 // and a randomized equivalence property showing the typed-ID solver
 // surfaces are a pure re-labelling of the raw-index ones.
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -148,12 +149,19 @@ TEST(IdEquivalenceTest, SamcMbmcTypedSurfacesMatchRawViews) {
         }
         EXPECT_EQ(seen.size(), s.subscriber_count());
 
-        // served_by() inverts the assignment map.
+        // served_lists() inverts the assignment map: every SS once, under
+        // its own RS, in SsId order.
+        const auto served = a.plan.served_lists();
+        ASSERT_EQ(served.size(), a.plan.rs_count());
+        std::size_t listed = 0;
         for (const RsId i : a.plan.rs_ids()) {
-            for (const SsId j : a.plan.served_by(i)) {
+            EXPECT_TRUE(std::is_sorted(served[i].begin(), served[i].end()));
+            for (const SsId j : served[i]) {
                 EXPECT_EQ(a.plan.assignment[j], i);
+                ++listed;
             }
         }
+        EXPECT_EQ(listed, s.subscriber_count());
 
         // Downstream MBMC consumes the typed plan and stays deterministic
         // and verifiable end-to-end.

@@ -180,6 +180,27 @@ TEST(BaselinePowerTest, AllAtMaxPower) {
     for (const double p : base.powers) EXPECT_DOUBLE_EQ(p, 50.0);
 }
 
+// Each allocator's `feasible` is verify_coverage's verdict on its own
+// powers. The SS asks for 30 m and is served from 35 m: PRO lifts the RS
+// to its coverage power (1.59 * P_max), where rate and SNR both clear,
+// yet the link is out of reach, so every allocator must report it.
+TEST(PowerFeasibilityTest, AllocatorsReportTheVerifierVerdict) {
+    Scenario s;
+    s.field = geom::Rect::centered_square(500.0);
+    s.base_stations = {{{0.0, 100.0}}};
+    s.snr_threshold_db = units::Decibel{-15.0};
+    s.subscribers = {{{0.0, 0.0}, 30.0}};
+    const auto plan = plan_of({{35.0, 0.0}}, {RsId{0}});
+    for (const PowerAllocation& alloc :
+         {allocate_power_pro(s, plan), allocate_power_optimal(s, plan),
+          allocate_power_baseline(s, plan)}) {
+        const CoverageReport report = verify_coverage(s, plan, alloc.powers);
+        EXPECT_FALSE(report.subscribers[SsId{0}].distance_ok);
+        EXPECT_FALSE(report.feasible);
+        EXPECT_EQ(alloc.feasible, report.feasible);
+    }
+}
+
 /// Property: the (1+phi) bound of Theorem 1 — PRO never exceeds the
 /// optimum by more than the sum of (Psnr - Pc) gaps, and in practice sits
 /// within a modest factor. We assert PRO <= 1.5 * OPT across seeds (far

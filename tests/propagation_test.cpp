@@ -13,6 +13,7 @@
 #include "sag/core/feasibility.h"
 #include "sag/core/sag.h"
 #include "sag/core/snr_field.h"
+#include "sag/core/zone_partition.h"
 #include "sag/sim/paper_presets.h"
 #include "sag/sim/scenario_gen.h"
 #include "sag/wireless/propagation.h"
@@ -26,6 +27,15 @@ using units::Watt;
 
 RadioParams paper_radio() { return RadioParams{}; }
 
+// The channel queries live on core::Scenario; a bare scenario carrying
+// `model` (two-ray when null) and the paper radio exposes them.
+core::Scenario scenario_with(std::shared_ptr<const PropagationModel> model) {
+    core::Scenario s;
+    s.radio = paper_radio();
+    s.propagation = std::move(model);
+    return s;
+}
+
 std::shared_ptr<const LogDistanceModel> shadowed_model(double sigma_db,
                                                        std::uint64_t seed) {
     auto m = std::make_shared<LogDistanceModel>();
@@ -38,8 +48,8 @@ std::shared_ptr<const LogDistanceModel> shadowed_model(double sigma_db,
 
 TEST(PropagationTest, TwoRayKernelIsByteIdenticalToLegacyFreeFunctions) {
     const RadioParams params = paper_radio();
-    const TwoRayModel model;
-    const GainKernel k = model.kernel(params);
+    const core::Scenario s = scenario_with(nullptr);
+    const GainKernel k = TwoRayModel{}.kernel(params);
     std::mt19937 rng(7);
     std::uniform_real_distribution<double> dist(0.01, 900.0);
     std::uniform_real_distribution<double> pw(1e-6, params.max_power.watts());
@@ -49,16 +59,15 @@ TEST(PropagationTest, TwoRayKernelIsByteIdenticalToLegacyFreeFunctions) {
         // Bit-for-bit: the kernel must reproduce the exact doubles of the
         // legacy two-ray path, or every golden file in the repo shifts.
         EXPECT_EQ(k.median_gain(d.meters()), path_gain(params, d));
-        EXPECT_EQ(received_power(model, params, tx, d).watts(),
+        EXPECT_EQ(s.received_power(tx, d).watts(),
                   received_power(params, tx, d).watts());
-        EXPECT_EQ(tx_power_for(model, params, tx, d).watts(),
-                  tx_power_for(params, tx, d).watts());
+        EXPECT_EQ(s.tx_power_for(tx, d).watts(), tx_power_for(params, tx, d).watts());
         const Watt target{pw(rng) * 1e-9};
-        EXPECT_EQ(range_for(model, params, tx, target).meters(),
+        EXPECT_EQ(s.range_for(tx, target).meters(),
                   range_for(params, tx, target).meters());
     }
-    EXPECT_EQ(ignorable_noise_distance(model, params, params.max_power).meters(),
-              ignorable_noise_distance(params).meters());
+    EXPECT_EQ(core::zone_partition_dmax(s),
+              range_for(params, params.max_power, params.ignorable_noise).meters());
 }
 
 TEST(PropagationTest, TwoRayModelSingletonIsTwoRay) {
@@ -82,24 +91,24 @@ std::vector<std::shared_ptr<const PropagationModel>> all_models() {
 // received_power, to 1e-12 relative, for every model at randomized
 // distances and power targets — medians and concrete (shadowed) links.
 TEST(PropagationTest, TxPowerForInvertsReceivedPowerTo1e12) {
-    const RadioParams params = paper_radio();
     std::mt19937 rng(99);
     std::uniform_real_distribution<double> dist(0.5, 800.0);
     std::uniform_real_distribution<double> coord(-400.0, 400.0);
     std::uniform_real_distribution<double> pw(1e-15, 1e-4);
     for (const auto& model : all_models()) {
+        const core::Scenario s = scenario_with(model);
         for (int i = 0; i < 200; ++i) {
             const Meters d{dist(rng)};
             const Watt target{pw(rng)};
-            const Watt tx = tx_power_for(*model, params, target, d);
-            const Watt back = received_power(*model, params, tx, d);
+            const Watt tx = s.tx_power_for(target, d);
+            const Watt back = s.received_power(tx, d);
             EXPECT_NEAR(back.watts() / target.watts(), 1.0, 1e-12)
                 << model->kind() << " median d=" << d.meters();
 
             const geom::Vec2 a{coord(rng), coord(rng)};
             const geom::Vec2 b{coord(rng), coord(rng)};
-            const Watt link_tx = tx_power_for(*model, params, target, a, b);
-            const Watt link_back = received_power(*model, params, link_tx, a, b);
+            const Watt link_tx = s.tx_power_for(target, a, b);
+            const Watt link_back = s.received_power(link_tx, a, b);
             EXPECT_NEAR(link_back.watts() / target.watts(), 1.0, 1e-12)
                 << model->kind() << " link";
         }
@@ -111,11 +120,12 @@ TEST(PropagationTest, RangeForInvertsMedianReceivedPower) {
     std::mt19937 rng(5);
     std::uniform_real_distribution<double> pw(1e-14, 1e-6);
     for (const auto& model : all_models()) {
+        const core::Scenario s = scenario_with(model);
         for (int i = 0; i < 100; ++i) {
             const Watt target{pw(rng)};
-            const Meters d = range_for(*model, params, params.max_power, target);
+            const Meters d = s.range_for(params.max_power, target);
             if (d.meters() <= model->kernel(params).clamp_m) continue;
-            const Watt back = received_power(*model, params, params.max_power, d);
+            const Watt back = s.received_power(params.max_power, d);
             EXPECT_NEAR(back.watts() / target.watts(), 1.0, 1e-12) << model->kind();
         }
     }
@@ -127,12 +137,14 @@ TEST(PropagationTest, KernelGainAgreesWithModelLinkGain) {
     std::uniform_real_distribution<double> coord(-300.0, 300.0);
     for (const auto& model : all_models()) {
         const GainKernel k = model->kernel(params);
+        const core::Scenario s = scenario_with(model);
         for (int i = 0; i < 100; ++i) {
             const geom::Vec2 a{coord(rng), coord(rng)};
             const geom::Vec2 b{coord(rng), coord(rng)};
             const Meters d{geom::distance(a, b)};
+            // The scenario's link query is that same gain per unit power.
             EXPECT_EQ(k.gain(a, b, d.meters()),
-                      model->link_gain(params, a, b, d));
+                      s.received_power(Watt{1.0}, a, b).watts());
         }
     }
 }
@@ -141,20 +153,19 @@ TEST(PropagationTest, KernelGainAgreesWithModelLinkGain) {
 
 TEST(PropagationTest, ShadowingIsDeterministicPerSeed) {
     const RadioParams params = paper_radio();
-    const auto m1 = shadowed_model(8.0, 1234);
-    const auto m2 = shadowed_model(8.0, 1234);
-    const auto m3 = shadowed_model(8.0, 4321);
+    const GainKernel k1 = shadowed_model(8.0, 1234)->kernel(params);
+    const GainKernel k2 = shadowed_model(8.0, 1234)->kernel(params);
+    const GainKernel k3 = shadowed_model(8.0, 4321)->kernel(params);
     std::mt19937 rng(17);
     std::uniform_real_distribution<double> coord(-250.0, 250.0);
     int differing = 0;
     for (int i = 0; i < 200; ++i) {
         const geom::Vec2 a{coord(rng), coord(rng)};
         const geom::Vec2 b{coord(rng), coord(rng)};
-        const Meters d{geom::distance(a, b)};
+        const double d = geom::distance(a, b);
         // Same seed: the fade is a pure function of (seed, endpoints).
-        EXPECT_EQ(m1->link_gain(params, a, b, d), m2->link_gain(params, a, b, d));
-        if (m1->link_gain(params, a, b, d) != m3->link_gain(params, a, b, d))
-            ++differing;
+        EXPECT_EQ(k1.gain(a, b, d), k2.gain(a, b, d));
+        if (k1.gain(a, b, d) != k3.gain(a, b, d)) ++differing;
     }
     // Different seed: a different realization (ties would be miraculous).
     EXPECT_GT(differing, 190);
@@ -162,15 +173,15 @@ TEST(PropagationTest, ShadowingIsDeterministicPerSeed) {
 
 TEST(PropagationTest, ShadowingIsSymmetricInEndpoints) {
     const RadioParams params = paper_radio();
-    const auto m = shadowed_model(12.0, 77);
+    const GainKernel k = shadowed_model(12.0, 77)->kernel(params);
     std::mt19937 rng(31);
     std::uniform_real_distribution<double> coord(-250.0, 250.0);
     for (int i = 0; i < 200; ++i) {
         const geom::Vec2 a{coord(rng), coord(rng)};
         const geom::Vec2 b{coord(rng), coord(rng)};
-        const Meters d{geom::distance(a, b)};
+        const double d = geom::distance(a, b);
         // Channel reciprocity: swapping tx and rx cannot change the fade.
-        EXPECT_EQ(m->link_gain(params, a, b, d), m->link_gain(params, b, a, d));
+        EXPECT_EQ(k.gain(a, b, d), k.gain(b, a, d));
     }
 }
 

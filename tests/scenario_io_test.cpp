@@ -344,7 +344,7 @@ TEST(DeploymentCsvTest, RowsMatchNodeAndSubscriberCounts) {
     const auto result = core::solve_sag(s);
     ASSERT_TRUE(result.feasible);
     std::ostringstream os;
-    write_deployment_csv(os, s, result.coverage, result.connectivity);
+    write_deployment_csv(os, s, result.connectivity);
     std::istringstream is(os.str());
     std::string line;
     std::size_t rows = 0;

@@ -118,7 +118,7 @@ TEST(TwoRayTest, RangeForInvertsReceivedPower) {
 
 TEST(TwoRayTest, IgnorableNoiseDistanceDefinition) {
     RadioParams p;
-    const Meters dmax = ignorable_noise_distance(p);
+    const Meters dmax = range_for(p, p.max_power, p.ignorable_noise);
     // At dmax a max-power transmitter delivers exactly N_max.
     EXPECT_NEAR(received_power(p, p.max_power, dmax).watts(),
                 p.ignorable_noise.watts(), 1e-12);

@@ -240,7 +240,7 @@ int cmd_solve(const Args& args) {
     }
     if (const auto csv = args.get("csv")) {
         std::ofstream os(*csv);
-        io::write_deployment_csv(os, scenario, result.coverage, result.connectivity);
+        io::write_deployment_csv(os, scenario, result.connectivity);
         std::printf("wrote %s\n", csv->c_str());
     }
     return result.feasible ? 0 : 1;
