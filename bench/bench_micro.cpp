@@ -211,11 +211,18 @@ serve::ServeOptions serve_bench_options() {
     return opts;
 }
 
+/// The serve shapes: 20-80 SSs on the 500 m / 4-BS field, then 300 on
+/// the 4 km / 9-BS `churn` city (mbmc_shape(300)), the first point of
+/// the per-event cost against population.
+core::Scenario serve_shape(std::size_t users) {
+    return users <= 80 ? make_scenario(users) : mbmc_shape(users);
+}
+
 /// Steady state: a subscriber oscillates between two positions. Every
 /// event runs the mutation delta, the candidate scan, the power stage
 /// and the coverage/topology verifiers; no repair work is needed.
 void BM_ServeEventMove(benchmark::State& state) {
-    const auto s = make_scenario(static_cast<std::size_t>(state.range(0)));
+    const auto s = serve_shape(static_cast<std::size_t>(state.range(0)));
     serve::Session session(s, serve_bench_options());
     const geom::Vec2 home = s.subscribers[0].pos;
     serve::Event move;
@@ -228,14 +235,14 @@ void BM_ServeEventMove(benchmark::State& state) {
         benchmark::DoNotOptimize(session.apply(move));
     }
 }
-BENCHMARK(BM_ServeEventMove)->Arg(20)->Arg(40)->Arg(80);
+BENCHMARK(BM_ServeEventMove)->Arg(20)->Arg(40)->Arg(80)->Arg(300);
 
 /// Repair state: one RS slot fails and recovers alternately, so every
 /// other event re-homes that relay's subscribers and every event pays
 /// the Yates re-escalation plus a backhaul rebuild over the shifted
 /// active set.
 void BM_ServeEventFailRecover(benchmark::State& state) {
-    const auto s = make_scenario(static_cast<std::size_t>(state.range(0)));
+    const auto s = serve_shape(static_cast<std::size_t>(state.range(0)));
     serve::Session session(s, serve_bench_options());
     serve::Event event;
     event.rs = ids::RsId{0};
@@ -246,7 +253,7 @@ void BM_ServeEventFailRecover(benchmark::State& state) {
         benchmark::DoNotOptimize(session.apply(event));
     }
 }
-BENCHMARK(BM_ServeEventFailRecover)->Arg(20)->Arg(40)->Arg(80);
+BENCHMARK(BM_ServeEventFailRecover)->Arg(20)->Arg(40)->Arg(80)->Arg(300);
 
 }  // namespace
 

@@ -46,6 +46,14 @@ struct CoverageReport {
 CoverageReport verify_coverage(const Scenario& scenario, const CoveragePlan& plan,
                                std::span<const double> powers);
 
+/// The same audit on a field the caller already built from scratch:
+/// `field` tracks every subscriber of its scenario and holds `plan`'s RSs
+/// in plan order at the powers under audit, and `plan` is well-formed
+/// (one in-range RS per subscriber). It then reports exactly what
+/// verify_coverage(field.scenario(), plan, field.rs_powers()) would.
+/// allocate_power_capped audits its certified fixed point this way.
+CoverageReport verify_coverage(const SnrField& field, const CoveragePlan& plan);
+
 /// Same, with every RS at max power (the LCRA placement assumption).
 CoverageReport verify_coverage_max_power(const Scenario& scenario,
                                          const CoveragePlan& plan);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sag/core/deployment.h"
+#include "sag/core/feasibility.h"
 #include "sag/core/scenario.h"
 #include "sag/ids/ids.h"
 #include "sag/units/units.h"
@@ -14,7 +15,8 @@ namespace sag::core {
 struct PowerAllocation {
     std::vector<double> powers;  ///< one per coverage RS, linear watts
     /// verify_coverage's verdict on `powers`, except from
-    /// allocate_power_capped (the fixed point's own verdict) and
+    /// allocate_power_capped (the fixed point's own verdict; its
+    /// CappedPower carries verify_coverage's report beside it) and
     /// allocate_power_optimal_lp (the LP's).
     bool feasible = false;
     double total = 0.0;          ///< P_L, sum of the powers (watts)
@@ -57,15 +59,28 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
 PowerAllocation allocate_power_optimal(const Scenario& scenario,
                                        const CoveragePlan& plan);
 
+/// allocate_power_capped's answer and its audit.
+struct CappedPower {
+    /// `feasible` is the fixed point's own verdict: converged within
+    /// every cap under opt::exceeds_cap's 1e-9 rule.
+    PowerAllocation allocation;
+    /// verify_coverage's report on allocation.powers.
+    CoverageReport coverage;
+};
+
 /// The same minimal vector under per-RS caps (linear watts, one per RS)
 /// instead of a uniform P_max: the post-failure re-escalation of
 /// resilience::repair and serve::Session, where degraded RSs run below
-/// P_max. `feasible` is the fixed point's own verdict (converged within
-/// every cap); callers wanting the verifier's verdict run
-/// verify_coverage on `powers`.
-PowerAllocation allocate_power_capped(const Scenario& scenario,
-                                      const CoveragePlan& plan,
-                                      std::span<const double> caps);
+/// P_max. It first builds one from-scratch SnrField at the loop's start
+/// p0 = min(P_c, cap) and tests a certificate that the first Yates sweep
+/// would change no entry there; when it holds, p0 is returned
+/// (iterations = 1) and audited on that field, and no gain matrix is
+/// built. Otherwise the Yates sweep runs over the gain matrix and a
+/// from-scratch verify_coverage audits its answer (docs/PERFORMANCE.md,
+/// "Certified fixed point"). Either way the powers are the sweep's bit
+/// for bit. Throws std::invalid_argument unless there is one cap per RS.
+CappedPower allocate_power_capped(const Scenario& scenario, const CoveragePlan& plan,
+                                  std::span<const double> caps);
 
 /// Same optimum computed by the dense-simplex LP solver instead of the
 /// fixed point — used to cross-check allocate_power_optimal in tests.

@@ -1,6 +1,7 @@
 #include "sag/core/feasibility.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <sstream>
 
@@ -28,8 +29,6 @@ SubscriberCheck check_link(const SnrField& field, ids::SsId k, ids::RsId serving
 
 CoverageReport verify_coverage(const Scenario& scenario, const CoveragePlan& plan,
                                std::span<const double> powers) {
-    CoverageReport report;
-    report.subscribers.resize(scenario.subscriber_count());
     // Structural sanity before touching any index: mismatched sizes or
     // out-of-range serving indices mark the whole plan infeasible rather
     // than faulting.
@@ -41,14 +40,24 @@ CoverageReport verify_coverage(const Scenario& scenario, const CoveragePlan& pla
                         return !a.valid() || a.index() >= plan.rs_count();
                     });
     if (malformed) {
-        report.feasible = false;
+        CoverageReport report;
+        report.subscribers.resize(scenario.subscriber_count());
         report.violations = scenario.subscriber_count();
         return report;
     }
 
     // Batch audit off one interference field: the totals are computed once
     // and every subscriber's SNR is an O(1) read.
-    const SnrField field(scenario, plan.rs_positions, powers);
+    return verify_coverage(SnrField(scenario, plan.rs_positions, powers), plan);
+}
+
+CoverageReport verify_coverage(const SnrField& field, const CoveragePlan& plan) {
+    const Scenario& scenario = field.scenario();
+    assert(field.tracked_count() == scenario.subscriber_count() &&
+           field.rs_count() == plan.rs_count() &&
+           plan.assignment.size() == scenario.subscriber_count());
+    CoverageReport report;
+    report.subscribers.resize(scenario.subscriber_count());
     for (const ids::SsId j : scenario.ss_ids()) {
         SubscriberCheck& check = report.subscribers[j];
         check = check_link(field, j, plan.assignment[j]);
@@ -106,15 +115,32 @@ ConnectivityReport verify_connectivity(const Scenario& scenario,
         return report;
     }
 
-    // Every non-BS node must reach a BaseStation root without cycles.
+    // Every non-BS node must reach a BaseStation root without cycles. One
+    // memoized walk: a node is pushed onto a path once, and a walk stops
+    // at the first node whose verdict is known or already on its path.
+    enum : unsigned char { kUnknown, kOnPath, kRooted, kUnrooted };
+    std::vector<unsigned char> verdict(n, kUnknown);
+    std::vector<std::size_t> path;
     for (std::size_t v = 0; v < n; ++v) {
         std::size_t cur = v;
-        std::size_t steps = 0;
-        while (plan.parent[cur] != cur && steps <= n) {
+        while (verdict[cur] == kUnknown) {
+            verdict[cur] = kOnPath;
+            path.push_back(cur);
             cur = plan.parent[cur];
-            ++steps;
         }
-        if (steps > n || plan.kinds[cur] != NodeKind::BaseStation) {
+        // Back on the path: either the walk's own root (a self-parent)
+        // or a parent cycle, which never reaches a root.
+        unsigned char found = verdict[cur];
+        if (found == kOnPath) {
+            found = plan.parent[cur] == cur && plan.kinds[cur] == NodeKind::BaseStation
+                        ? kRooted
+                        : kUnrooted;
+        }
+        for (const std::size_t u : path) verdict[u] = found;
+        path.clear();
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+        if (verdict[v] != kRooted) {
             report.all_rooted = false;
             ++report.violations;
             detail << "node " << v << " is not rooted at a base station; ";
@@ -123,24 +149,48 @@ ConnectivityReport verify_connectivity(const Scenario& scenario,
 
     // Allowed hop length of node v: the minimum distance request over the
     // coverage RSs in v's subtree (the paper's "feasible distance equals
-    // the minimum feasible distance of all its children"). Compute by
-    // propagating each coverage RS's requirement up its root path.
+    // the minimum feasible distance of all its children"). Each coverage
+    // RS seeds its own node; then every node folds into its parent once
+    // all of its children have folded into it, children before parents.
+    // The nodes left over lie on parent cycles, and each cycle shares the
+    // minimum over all of its nodes, since every one of them reaches the
+    // others.
     std::vector<double> allowed(n, std::numeric_limits<double>::infinity());
     const auto served = coverage.served_lists();
     for (std::size_t c = 0; c < cov_count; ++c) {
-        const std::size_t node = bs_count + c;
-        double req = std::numeric_limits<double>::infinity();
+        double& req = allowed[bs_count + c];
         for (const ids::SsId j : served[ids::RsId{c}]) {
             req = std::min(req, scenario.subscriber(j).distance_request);
         }
-        std::size_t cur = node;
-        std::size_t steps = 0;
-        while (steps <= n) {
-            allowed[cur] = std::min(allowed[cur], req);
-            if (plan.parent[cur] == cur) break;
-            cur = plan.parent[cur];
-            ++steps;
+    }
+    std::vector<std::size_t> unfolded(n, 0);  // children not yet folded in
+    for (std::size_t v = 0; v < n; ++v) {
+        if (plan.parent[v] != v) ++unfolded[plan.parent[v]];
+    }
+    std::vector<std::size_t> ready;
+    for (std::size_t v = 0; v < n; ++v) {
+        if (unfolded[v] == 0) ready.push_back(v);
+    }
+    while (!ready.empty()) {
+        const std::size_t v = ready.back();
+        ready.pop_back();
+        const std::size_t p = plan.parent[v];
+        if (p == v) continue;
+        allowed[p] = std::min(allowed[p], allowed[v]);
+        if (--unfolded[p] == 0) ready.push_back(p);
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+        if (unfolded[v] == 0) continue;
+        double cycle_min = allowed[v];
+        for (std::size_t u = plan.parent[v]; u != v; u = plan.parent[u]) {
+            cycle_min = std::min(cycle_min, allowed[u]);
         }
+        std::size_t u = v;
+        do {
+            allowed[u] = cycle_min;
+            unfolded[u] = 0;
+            u = plan.parent[u];
+        } while (u != v);
     }
     for (std::size_t v = 0; v < n; ++v) {
         if (plan.parent[v] == v) continue;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "sag/core/feasibility.h"
 #include "sag/core/snr_field.h"
@@ -58,6 +59,39 @@ units::Watt snr_floor_from_gains(const Scenario& scenario,
         need = std::max(need, beta * interference / g[rs.index()][j.index()]);
     }
     return need;
+}
+
+/// The fixed-point certificate of allocate_power_capped. `field` holds
+/// every RS of the plan at p0 = min(P_c, cap), which must all be
+/// non-negative, and for each RS i and each SS j it serves,
+/// beta * (N_amb + total_rx(j)) * (1 + 1e-9) <= P_c,i * g_ij must hold.
+/// total_rx(j) includes i's own term and every term is non-negative, so
+/// it bounds the sweep's sum over k != i of p_k * g_kj: the sweep's
+/// requirement for i stays below P_c,i, and the first Gauss-Seidel sweep
+/// from p0 changes no entry. The 1e-9 slack covers the compensated versus
+/// sequential sums and the ulp difference between scalar and batch gains;
+/// for any pool below 10^6 RSs it is far larger than both. A NaN anywhere
+/// fails the test.
+bool certifies_fixed_point(const SnrField& field,
+                           const ids::IdVec<ids::RsId, std::vector<ids::SsId>>& served,
+                           std::span<const double> floors) {
+    const Scenario& scenario = field.scenario();
+    const wireless::GainKernel kernel = scenario.gain_kernel();
+    const double beta = scenario.snr_threshold_linear();
+    const double noise = scenario.radio.snr_ambient_noise.watts();
+    for (const ids::RsId i : field.rs_ids()) {
+        if (!(field.rs_power(i).watts() >= 0.0)) return false;
+        const geom::Vec2& rs = field.rs_position(i);
+        for (const ids::SsId j : served[i]) {
+            const geom::Vec2& ss = scenario.subscriber(j).pos;
+            const double g = kernel.gain(rs, ss, geom::distance(rs, ss));
+            if (!(beta * (noise + field.total_rx(j)) * (1.0 + 1e-9) <=
+                  floors[i.index()] * g)) {
+                return false;
+            }
+        }
+    }
+    return true;
 }
 
 }  // namespace
@@ -194,42 +228,67 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
     return out;
 }
 
-PowerAllocation allocate_power_capped(const Scenario& scenario,
-                                      const CoveragePlan& plan,
-                                      std::span<const double> caps) {
-    PowerAllocation out;
-    const auto g = gain_matrix(scenario, plan);
+CappedPower allocate_power_capped(const Scenario& scenario, const CoveragePlan& plan,
+                                  std::span<const double> caps) {
+    const std::size_t n = plan.rs_count();
     const auto served = plan.served_lists();
-
     std::vector<double> floors;
-    floors.reserve(plan.rs_count());
+    floors.reserve(n);
     for (const units::Watt floor : coverage_power_floors(scenario, plan)) {
         floors.push_back(floor.watts());
     }
 
-    // The power-control iterator is entity-agnostic; its raw index comes
-    // back as an RsId at this boundary.
-    const auto result = opt::fixed_point_power_control(
-        floors, caps,
-        [&](std::size_t i, std::span<const double> powers) {
-            const ids::RsId rs{i};
-            return snr_floor_from_gains(scenario, g, served[rs], rs, powers)
-                .watts();
-        });
+    if (caps.size() != n) throw std::invalid_argument("one cap per RS required");
 
-    out.powers = result.powers;
-    out.total = std::accumulate(out.powers.begin(), out.powers.end(), 0.0);
-    out.iterations = result.iterations;
-    out.feasible = result.feasible;
+    // The Yates loop's starting vector p0 = min(P_c, cap), and one
+    // from-scratch field at it: the certificate's interference, and the
+    // audit whenever p0 is also the answer.
+    std::vector<double> start(n);
+    for (std::size_t i = 0; i < n; ++i) start[i] = std::min(floors[i], caps[i]);
+    const SnrField field(scenario, plan.rs_positions, start);
+
+    CappedPower out;
+    PowerAllocation& alloc = out.allocation;
+    if (certifies_fixed_point(field, served, floors)) {
+        // The first sweep would change no entry: p0 is the fixed point,
+        // reached in one iteration, infeasible only where a floor itself
+        // breaks its cap.
+        SAG_OBS_COUNT("power.capped.certified");
+        alloc.powers = std::move(start);
+        alloc.iterations = 1;
+        alloc.feasible = true;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (opt::exceeds_cap(floors[i], caps[i])) alloc.feasible = false;
+        }
+        out.coverage = verify_coverage(field, plan);
+    } else {
+        const auto g = gain_matrix(scenario, plan);
+        // The power-control iterator is entity-agnostic; its raw index
+        // comes back as an RsId at this boundary.
+        const auto result = opt::fixed_point_power_control(
+            floors, caps,
+            [&](std::size_t i, std::span<const double> powers) {
+                const ids::RsId rs{i};
+                return snr_floor_from_gains(scenario, g, served[rs], rs, powers)
+                    .watts();
+            });
+        SAG_OBS_COUNT_ADD("power.capped.sweeps", result.iterations);
+        alloc.powers = result.powers;
+        alloc.iterations = result.iterations;
+        alloc.feasible = result.feasible;
+        out.coverage = verify_coverage(scenario, plan, alloc.powers);
+    }
+    alloc.total = std::accumulate(alloc.powers.begin(), alloc.powers.end(), 0.0);
     return out;
 }
 
 PowerAllocation allocate_power_optimal(const Scenario& scenario,
                                        const CoveragePlan& plan) {
     const std::vector<double> caps(plan.rs_count(), scenario.rs_max_power().watts());
-    PowerAllocation out = allocate_power_capped(scenario, plan, caps);
-    out.feasible = out.feasible && verify_coverage(scenario, plan, out.powers).feasible;
-    return out;
+    CappedPower capped = allocate_power_capped(scenario, plan, caps);
+    capped.allocation.feasible =
+        capped.allocation.feasible && capped.coverage.feasible;
+    return std::move(capped.allocation);
 }
 
 PowerAllocation allocate_power_optimal_lp(const Scenario& scenario,

@@ -34,4 +34,10 @@ PowerControlResult fixed_point_power_control(std::span<const double> floors,
                                              std::span<const double> caps,
                                              const RequiredPowerFn& required);
 
+/// The loop's cap rule: a requirement more than 1e-9 relative (at least
+/// 1e-9 absolute) above its cap marks infeasibility. Anything closer is
+/// floating-point noise from geometry sitting exactly on a coverage
+/// boundary, and the loop clamps it silently.
+bool exceeds_cap(double want, double cap);
+
 }  // namespace sag::opt

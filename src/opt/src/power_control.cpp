@@ -6,6 +6,10 @@
 
 namespace sag::opt {
 
+bool exceeds_cap(double want, double cap) {
+    return want > cap + 1e-9 * std::max(1.0, std::abs(cap));
+}
+
 PowerControlResult fixed_point_power_control(std::span<const double> floors,
                                              std::span<const double> caps,
                                              const RequiredPowerFn& required) {
@@ -27,12 +31,7 @@ PowerControlResult fixed_point_power_control(std::span<const double> floors,
         for (std::size_t i = 0; i < n; ++i) {
             double want = std::max(floors[i], required(i, result.powers));
             if (want > caps[i]) {
-                // Requirements a hair above the cap (floating-point noise
-                // from geometry sitting exactly on a coverage boundary) are
-                // clamped silently; a material excess marks infeasibility.
-                if (want > caps[i] + 1e-9 * std::max(1.0, std::abs(caps[i]))) {
-                    capped = true;
-                }
+                if (exceeds_cap(want, caps[i])) capped = true;
                 want = caps[i];
             }
             max_change = std::max(max_change, std::abs(want - result.powers[i]));

@@ -7,16 +7,18 @@
 // the two callers: repair() below (one failure batch, stages run
 // ungated) and serve::Session (one churn event, stages run down its
 // StageGate ladder with its own budgets). Stages, in order:
-//   1. rehome — unserved SSs are re-homed onto surviving RSs,
-//      nearest-first with ties to the lower pool slot, via SNR probes
-//      against a core::SnrField held at the per-RS caps;
+//   1. rehome — unserved SSs are re-homed onto surviving RSs within
+//      reach, nearest-first with ties to the lower pool slot, via SNR
+//      probes against a core::SnrField held at the per-RS caps;
 //   2. patch — SSs no surviving RS can reach are served by new relays
 //      drawn greedily from the IAC candidate pool of exactly those SSs;
-//   3. reescalate — core::allocate_power_capped (the Yates fixed point)
-//      recomputes the minimal lower-tier vector under per-RS caps: P_max
-//      for healthy and patched RSs, factor * P_max for degraded ones.
-//      A round that fails verify_coverage sheds the newly-assigned SSs
-//      that break it (all of them when only older SSs fail) and retries;
+//   3. reescalate — core::allocate_power_capped (the Yates fixed point,
+//      certified at the coverage floors when it sits there) recomputes
+//      the minimal lower-tier vector under per-RS caps: P_max for
+//      healthy and patched RSs, factor * P_max for degraded ones. A
+//      round whose allocation fails the allocator's own verify_coverage
+//      report sheds the newly-assigned SSs that break it (all of them
+//      when only older SSs fail) and retries;
 //   4. rebuild_backhaul — MBMC rebuilds the whole upper tier over the
 //      active coverage RSs, then UCPO re-optimizes the connectivity
 //      powers.
@@ -61,6 +63,10 @@ struct Reescalation {
     core::PowerAllocation power;
     int rounds = 0;                 ///< rounds executed
     std::vector<std::size_t> shed;  ///< SS slots shed to unserved, in order
+    /// No shed came after the last audit: `view` is still the state's
+    /// view, so `power.feasible` is verify_coverage's verdict on it until
+    /// the state changes. False when the last round shed and stopped.
+    bool view_current = false;
 };
 
 /// Working state of one repair. RS pool slots are stable: a dead RS
@@ -97,13 +103,17 @@ struct RepairState {
     /// Dead slots transmit 0 W, so they fail the rate check.
     bool can_serve(std::size_t rs, std::size_t slot) const;
     /// Stage 1: each candidate SS, in order, goes to the first pool RS
-    /// that can serve it, nearest first, ties to the lower slot. Returns
-    /// the number placed.
+    /// that can serve it, nearest first, ties to the lower slot. Only
+    /// RSs within (d_j + 1e-6)^2 * (1 + 1e-9) squared distance are
+    /// sorted and probed; check_link fails every other one on distance.
+    /// Returns the number placed.
     std::size_t rehome(const std::vector<std::size_t>& candidates);
     /// Stage 2: up to `max_new` relays at P_max, each the IAC candidate
     /// serving the most still-unserved SSs. Returns the number added.
     std::size_t patch(std::size_t max_new);
-    /// Stage 3: at most max(1, max_rounds) power/verify/shed rounds.
+    /// Stage 3: at most max(1, max_rounds) power/verify/shed rounds. A
+    /// round's verdict is the report core::allocate_power_capped returns
+    /// with its powers; no second audit runs.
     Reescalation reescalate(int max_rounds);
     /// The current served view.
     ActiveView view() const;

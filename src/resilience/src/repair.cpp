@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <utility>
 
 #include "sag/core/candidates.h"
@@ -33,17 +32,22 @@ bool RepairState::can_serve(std::size_t rs, std::size_t slot) const {
 
 std::size_t RepairState::rehome(const std::vector<std::size_t>& candidates) {
     std::size_t placed = 0;
-    std::vector<std::size_t> order(pool_size());
+    // (squared distance, pool slot) of every RS within reach.
+    std::vector<std::pair<double, std::size_t>> order;
     for (const std::size_t k : candidates) {
-        const geom::Vec2& sp = scenario().subscribers[k].pos;
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      const double da = geom::distance_sq(position(a), sp);
-                      const double db = geom::distance_sq(position(b), sp);
-                      return da != db ? da < db : a < b;
-                  });
-        for (const std::size_t rs : order) {
+        const core::Subscriber& s = scenario().subscribers[k];
+        // check_link fails every RS farther than d_j + 1e-6 on its
+        // distance test. The 1e-9 slack keeps every RS it could pass:
+        // its hypot and this squared sum differ by a few ulps at most.
+        const double reach = s.distance_request + 1e-6;
+        const double reach_sq = reach * reach * (1.0 + 1e-9);
+        order.clear();
+        for (std::size_t rs = 0; rs < pool_size(); ++rs) {
+            const double d_sq = geom::distance_sq(position(rs), s.pos);
+            if (d_sq <= reach_sq) order.emplace_back(d_sq, rs);
+        }
+        std::sort(order.begin(), order.end());
+        for (const auto& [d_sq, rs] : order) {
             if (!can_serve(rs, k)) continue;
             server[k] = rs;
             newly_assigned[k] = true;
@@ -160,10 +164,12 @@ Reescalation RepairState::reescalate(int max_rounds) {
         ++r.rounds;
         r.view = view();
         const ActiveView& v = r.view;
-        r.power = core::allocate_power_capped(v.covered_scenario, v.plan, v.caps);
-        const core::CoverageReport report =
-            core::verify_coverage(v.covered_scenario, v.plan, r.power.powers);
+        core::CappedPower capped =
+            core::allocate_power_capped(v.covered_scenario, v.plan, v.caps);
+        r.power = std::move(capped.allocation);
+        const core::CoverageReport& report = capped.coverage;
         r.power.feasible = report.feasible;
+        r.view_current = true;
         if (report.feasible) break;
 
         // Shed the newly assigned SSs that failed verification; if only
@@ -184,6 +190,7 @@ Reescalation RepairState::reescalate(int max_rounds) {
         if (shed.empty()) break;  // older SSs only and still failing: give up
         for (const std::size_t k : shed) server[k] = kUnserved;
         r.shed.insert(r.shed.end(), shed.begin(), shed.end());
+        r.view_current = false;
     }
     return r;
 }

@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -194,6 +195,9 @@ private:
     std::vector<std::size_t> conn_active_;  ///< active set conn_ was built over
     bool backhaul_dirty_ = false;
     bool verified_ = false;
+    /// The power stage's coverage verdict on the view it left behind,
+    /// consumed by the next run_verify in place of a second audit.
+    std::optional<bool> coverage_verdict_;
 
     std::size_t event_index_ = 0;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -236,6 +237,9 @@ void Session::reallocate_power(EventOutcome& out) {
     for (std::size_t i = 0; i < r.view.active.size(); ++i) {
         alloc_[r.view.active[i]] = r.power.powers[i];
     }
+    // alloc_ now holds the audited powers of the audited view; while no
+    // shed followed the audit, its verdict is run_verify's coverage check.
+    if (r.view_current) coverage_verdict_ = r.power.feasible;
     out.shed += r.shed.size();
     if (!r.shed.empty()) SAG_OBS_COUNT_ADD("serve.shed_ss", r.shed.size());
 }
@@ -255,17 +259,22 @@ void Session::rebuild_backhaul() {
 
 void Session::run_verify() {
     SAG_OBS_SPAN("serve.verify");
+    const std::optional<bool> reescalated = std::exchange(coverage_verdict_, {});
     const resilience::ActiveView v = state_.view();
     if (v.plan.rs_count() == 0) {
         verified_ = v.covered.empty();
         return;
     }
-    std::vector<double> powers(v.active.size());
-    for (std::size_t r = 0; r < v.active.size(); ++r) {
-        powers[r] = alloc_[v.active[r]];
+    bool cov_ok = false;
+    if (reescalated) {
+        cov_ok = *reescalated;
+    } else {
+        std::vector<double> powers(v.active.size());
+        for (std::size_t r = 0; r < v.active.size(); ++r) {
+            powers[r] = alloc_[v.active[r]];
+        }
+        cov_ok = core::verify_coverage(v.covered_scenario, v.plan, powers).feasible;
     }
-    const bool cov_ok =
-        core::verify_coverage(v.covered_scenario, v.plan, powers).feasible;
     bool topo_ok = false;
     if (!backhaul_dirty_ && conn_active_ == v.active) {
         topo_ok =

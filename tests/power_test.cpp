@@ -3,6 +3,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,10 @@
 #include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
 #include "sag/core/samc.h"
+#include "sag/obs/obs.h"
+#include "sag/opt/power_control.h"
 #include "sag/sim/scenario_gen.h"
+#include "sag/wireless/kernel_eval.h"
 #include "sag/wireless/propagation.h"
 #include "sag/wireless/two_ray.h"
 
@@ -414,6 +418,181 @@ TEST(ProTest, MatchesTransactionalReference) {
     // field the probes left behind) and the scalar-only kernel.
     EXPECT_GE(premium_instances, 50) << solved << " instances solved";
     EXPECT_GE(shadowed, 4) << solved << " instances solved";
+}
+
+/// allocate_power_capped as it ran before its certificate: the R x S
+/// gain matrix, the Yates fixed point over it, then verify_coverage.
+CappedPower sweep_capped(const Scenario& s, const CoveragePlan& plan,
+                         std::span<const double> caps) {
+    const wireless::GainKernel kernel = s.gain_kernel();
+    std::vector<double> ss_x, ss_y;
+    for (const SsId j : s.ss_ids()) {
+        ss_x.push_back(s.subscriber(j).pos.x);
+        ss_y.push_back(s.subscriber(j).pos.y);
+    }
+    std::vector<std::vector<double>> g(plan.rs_count(),
+                                       std::vector<double>(s.subscriber_count()));
+    for (const RsId i : plan.rs_ids()) {
+        wireless::batch_gain(kernel, plan.rs_position(i), units::MetersSpan{ss_x},
+                             units::MetersSpan{ss_y}, g[i.index()]);
+    }
+    const auto served = plan.served_lists();
+    std::vector<double> floors;
+    for (const units::Watt f : coverage_power_floors(s, plan)) floors.push_back(f.watts());
+    const auto result = opt::fixed_point_power_control(
+        floors, caps, [&](std::size_t i, std::span<const double> powers) {
+            units::Watt need{0.0};
+            for (const SsId j : served[RsId{i}]) {
+                units::Watt interference = s.radio.snr_ambient_noise;
+                for (std::size_t k = 0; k < g.size(); ++k) {
+                    if (k != i) interference += units::Watt{powers[k] * g[k][j.index()]};
+                }
+                need = std::max(need, s.snr_threshold() * interference / g[i][j.index()]);
+            }
+            return need.watts();
+        });
+    CappedPower ref;
+    ref.allocation.powers = result.powers;
+    ref.allocation.total =
+        std::accumulate(result.powers.begin(), result.powers.end(), 0.0);
+    ref.allocation.iterations = result.iterations;
+    ref.allocation.feasible = result.feasible;
+    ref.coverage = verify_coverage(s, plan, result.powers);
+    return ref;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The certified fixed point is the sweep's, bit for bit, and so is its
+// audit. Plans solved at -15 dB, plans solved near the feasibility onset
+// (-10 and -12 dB), a shadowed log-distance family (scalar-only kernel,
+// floors above P_max) and the 4 km city are allocated at -25 ... -5 dB
+// under P_max caps, seeded degraded caps, and caps with one floor above
+// its cap. Each branch must end both feasible and infeasible often.
+TEST(OptimalPowerTest, CertifiedFixedPointMatchesSweep) {
+    struct Instance {
+        Scenario scenario;
+        CoveragePlan plan;
+    };
+    std::vector<Instance> instances;
+    const auto add = [&](const sim::GeneratorConfig& cfg, std::uint64_t seed) {
+        const Scenario s = sim::generate_scenario(cfg, seed);
+        CoveragePlan plan = solve_samc(s).plan;
+        if (plan.feasible) instances.push_back({s, std::move(plan)});
+    };
+    std::uint64_t seed = 500;
+    for (const std::size_t users : {15u, 30u, 60u}) {
+        for (int k = 0; k < 4; ++k) {
+            sim::GeneratorConfig cfg;
+            cfg.field_side = 500.0;
+            cfg.subscriber_count = users;
+            cfg.snr_threshold_db = units::Decibel{-15.0};
+            add(cfg, seed++);
+        }
+    }
+    // Plans placed near the feasibility onset, where the sweep climbs
+    // above the floors and still converges within P_max.
+    for (const double db : {-10.0, -12.0}) {
+        for (int k = 0; k < 6; ++k) {
+            sim::GeneratorConfig cfg;
+            cfg.field_side = 300.0;
+            cfg.subscriber_count = 20;
+            cfg.snr_threshold_db = units::Decibel{db};
+            cfg.radio.alpha = 3.0;
+            add(cfg, seed++);
+        }
+    }
+    for (int k = 0; k < 4; ++k) {
+        auto model = std::make_shared<wireless::LogDistanceModel>();
+        model->shadowing_sigma = units::Decibel{6.0};
+        model->shadowing_seed = 200 + static_cast<std::uint64_t>(k);
+        sim::GeneratorConfig cfg;
+        cfg.field_side = 500.0;
+        cfg.subscriber_count = 40;
+        cfg.snr_threshold_db = units::Decibel{k % 2 == 0 ? -10.0 : -15.0};
+        cfg.radio.snr_ambient_noise = units::Watt{0.0};
+        cfg.propagation = model;
+        add(cfg, seed++);
+    }
+    {
+        sim::GeneratorConfig cfg;  // the 4 km city of examples/city_scale
+        cfg.field_side = 4000.0;
+        cfg.subscriber_count = 300;
+        cfg.base_station_count = 9;
+        add(cfg, seed++);
+    }
+    ASSERT_GE(instances.size(), 20u);
+
+    obs::ScopedRecorder rec;
+    const auto certified_calls = [&] {
+        const obs::RunReport report = rec.snapshot();
+        const auto it = report.counters.find("power.capped.certified");
+        return it == report.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    // taken[certified][feasible]: calls per branch and verdict.
+    std::size_t taken[2][2] = {};
+    std::size_t calls = 0;
+    std::mt19937_64 rng(7);
+    for (const Instance& inst : instances) {
+        const CoveragePlan& plan = inst.plan;
+        for (const double db : {-25.0, -20.0, -15.0, -12.0, -10.0, -5.0}) {
+            Scenario s = inst.scenario;
+            s.snr_threshold_db = units::Decibel{db};
+            const double p_max = s.rs_max_power().watts();
+            const auto floors = coverage_power_floors(s, plan);
+            std::vector<std::vector<double>> cap_sets;
+            cap_sets.emplace_back(plan.rs_count(), p_max);
+            std::vector<double> degraded(plan.rs_count(), p_max);
+            std::uniform_real_distribution<double> factor(0.4, 1.0);
+            for (std::size_t i = 0; i < degraded.size(); i += 3) {
+                degraded[i] = factor(rng) * p_max;
+            }
+            cap_sets.push_back(degraded);
+            std::vector<double> broken(plan.rs_count(), p_max);
+            for (const RsId i : plan.rs_ids()) {
+                if (floors[i].watts() > 0.0) {
+                    broken[i.index()] = 0.5 * floors[i].watts();
+                    break;
+                }
+            }
+            cap_sets.push_back(broken);
+
+            for (const std::vector<double>& caps : cap_sets) {
+                ++calls;
+                const std::uint64_t before = certified_calls();
+                const CappedPower got = allocate_power_capped(s, plan, caps);
+                const bool certified = certified_calls() > before;
+                const CappedPower ref = sweep_capped(s, plan, caps);
+                const PowerAllocation& a = got.allocation;
+                const PowerAllocation& b = ref.allocation;
+                EXPECT_EQ(bits_of(a.powers), bits_of(b.powers)) << "call " << calls;
+                EXPECT_EQ(a.iterations, b.iterations) << "call " << calls;
+                EXPECT_EQ(a.feasible, b.feasible) << "call " << calls;
+                EXPECT_EQ(bits(a.total), bits(b.total)) << "call " << calls;
+                EXPECT_EQ(got.coverage.feasible, ref.coverage.feasible);
+                EXPECT_EQ(got.coverage.violations, ref.coverage.violations);
+                ASSERT_EQ(got.coverage.subscribers.size(), ref.coverage.subscribers.size());
+                for (const SsId j : s.ss_ids()) {
+                    const SubscriberCheck& x = got.coverage.subscribers[j];
+                    const SubscriberCheck& y = ref.coverage.subscribers[j];
+                    EXPECT_EQ(x.serving_rs, y.serving_rs);
+                    EXPECT_EQ(bits(x.access_distance), bits(y.access_distance));
+                    EXPECT_EQ(x.distance_ok, y.distance_ok);
+                    EXPECT_EQ(x.rate_ok, y.rate_ok);
+                    EXPECT_EQ(x.snr_ok, y.snr_ok);
+                    EXPECT_EQ(bits(x.snr_db), bits(y.snr_db)) << "call " << calls;
+                }
+                ++taken[certified][b.feasible];
+            }
+        }
+    }
+    for (const bool certified : {false, true}) {
+        for (const bool feasible : {false, true}) {
+            EXPECT_GE(taken[certified][feasible], 10u)
+                << (certified ? "certified" : "sweep") << ", "
+                << (feasible ? "feasible" : "infeasible") << ", of " << calls;
+        }
+    }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // shrink the set of subscribers the damaged network could still serve.
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -282,6 +284,118 @@ TEST(RepairTest, EquidistantOrphanGoesToLowerSlot) {
                   (geom::Vec2{lower_slot_x, 0.0}))
             << "lower slot at x = " << lower_slot_x;
     }
+}
+
+/// RepairState::rehome as it ran before it looked only within reach:
+/// every candidate sorts the whole pool by (distance^2, slot).
+std::size_t full_sort_rehome(RepairState& state,
+                             const std::vector<std::size_t>& candidates) {
+    std::size_t placed = 0;
+    std::vector<std::size_t> order(state.pool_size());
+    for (const std::size_t k : candidates) {
+        const geom::Vec2& sp = state.scenario().subscribers[k].pos;
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+            const double da = geom::distance_sq(state.position(a), sp);
+            const double db = geom::distance_sq(state.position(b), sp);
+            return da != db ? da < db : a < b;
+        });
+        for (const std::size_t rs : order) {
+            if (!state.can_serve(rs, k)) continue;
+            state.server[k] = rs;
+            state.newly_assigned[k] = true;
+            ++placed;
+            break;
+        }
+    }
+    return placed;
+}
+
+/// Re-homing looks only at RSs within d_j + 1e-6 and still picks the
+/// full sort's RS. SS 0 sits at the origin with one RS exactly
+/// d_j + 1e-6 away (capped at 2 P_max so it clears the rate) and no
+/// other RS within 100 m; SS 1 is nearest to two co-located RSs, the
+/// lower of them dead in odd trials. The rest of the pool is random,
+/// with dead and degraded slots.
+TEST(RepairTest, RehomeWithinReachMatchesFullSort) {
+    std::mt19937_64 rng(17);
+    std::uniform_real_distribution<double> coord(-250.0, 250.0);
+    std::uniform_real_distribution<double> factor(0.4, 1.0);
+    std::size_t placed = 0;
+    for (int trial = 0; trial < 30; ++trial) {
+        core::Scenario s = make_scenario(700 + trial, 40);
+        const double p_max = s.rs_max_power().watts();
+        s.subscribers[0].pos = {0.0, 0.0};
+        s.subscribers[1].pos = {150.0, 150.0};
+        std::vector<geom::Vec2> pool;
+        std::vector<double> caps;
+        std::vector<bool> dead;
+        while (pool.size() < 60) {
+            const geom::Vec2 p{coord(rng), coord(rng)};
+            if (geom::distance(p, {0.0, 0.0}) < 100.0 ||
+                geom::distance(p, {150.0, 150.0}) < 40.0) {
+                continue;
+            }
+            const bool down = rng() % 8 == 0;
+            pool.push_back(p);
+            caps.push_back(down ? 0.0 : rng() % 4 == 0 ? factor(rng) * p_max : p_max);
+            dead.push_back(down);
+        }
+        const std::size_t boundary = pool.size();
+        pool.push_back({s.subscribers[0].distance_request + 1e-6, 0.0});
+        caps.push_back(2.0 * p_max);
+        dead.push_back(false);
+        const std::size_t twin = pool.size();
+        for (int k = 0; k < 2; ++k) {
+            const bool down = k == 0 && trial % 2 == 1;
+            pool.push_back({160.0, 150.0});
+            caps.push_back(down ? 0.0 : p_max);
+            dead.push_back(down);
+        }
+
+        RepairState state(s, pool, caps, dead);
+        RepairState reference = state;
+        std::vector<std::size_t> all(s.subscriber_count());
+        std::iota(all.begin(), all.end(), std::size_t{0});
+        const std::size_t got = state.rehome(all);
+        EXPECT_EQ(got, full_sort_rehome(reference, all)) << "trial " << trial;
+        EXPECT_EQ(state.server, reference.server) << "trial " << trial;
+        EXPECT_EQ(state.newly_assigned, reference.newly_assigned);
+        EXPECT_EQ(state.server[0], boundary) << "trial " << trial;
+        EXPECT_EQ(state.server[1], trial % 2 == 1 ? twin + 1 : twin) << "trial " << trial;
+        placed += got;
+    }
+    EXPECT_GE(placed, 30u * 20u);
+}
+
+/// A Reescalation's audit stays the state's verdict only while no shed
+/// followed it. SS 0 is served by RS 0 from 34 m; a newly assigned SS 1
+/// is served from 34 m by RS 1, which stands 6 m from SS 0 and drowns
+/// it. The first round fails on SS 0 alone, so every newly assigned SS
+/// is shed; the second round audits the state that is left.
+TEST(RepairTest, ReescalationViewIsCurrentOnlyWithoutALaterShed) {
+    core::Scenario s = make_scenario(1, 2);
+    s.subscribers = {{{34.0, 0.0}, 35.0}, {{74.0, 0.0}, 35.0}};
+    const std::vector<geom::Vec2> pool = {{0.0, 0.0}, {40.0, 0.0}};
+    const double p_max = s.rs_max_power().watts();
+    RepairState state(s, pool, std::vector<double>{p_max, p_max}, {false, false});
+    state.server = {0, 1};
+    state.newly_assigned = {false, true};
+
+    RepairState one_round = state;
+    const Reescalation cut = one_round.reescalate(1);
+    EXPECT_EQ(cut.rounds, 1);
+    EXPECT_FALSE(cut.power.feasible);
+    EXPECT_EQ(cut.shed, std::vector<std::size_t>{1});
+    EXPECT_FALSE(cut.view_current);
+    EXPECT_NE(cut.view.covered, one_round.view().covered);
+
+    const Reescalation done = state.reescalate(2);
+    EXPECT_EQ(done.rounds, 2);
+    EXPECT_TRUE(done.power.feasible);
+    EXPECT_TRUE(done.view_current);
+    EXPECT_EQ(done.view.covered, state.view().covered);
+    EXPECT_EQ(done.view.active, state.view().active);
 }
 
 /// With subscribers left unrecoverable the covered scenario is a strict

@@ -5,6 +5,19 @@
 // event: never a crash, never a silently wrong plan (`verified ||
 // degraded`), rejected events leave the state untouched, and the whole
 // run replays byte-identically (including at a different thread count).
+//
+// The replayed outcome JSONL, a churn stream over the 4 km / 300-SS city
+// and resilience::repair outcomes on that city are also pinned to
+// golden 64-bit FNV-1a digests, so a change under the serve event path
+// or the repair stages that moves one output byte fails here. Gains may
+// differ in the last ulps between the scalar and AVX2 kernels, so each
+// digest is recorded per wireless::active_simd_mode() (on these streams
+// both modes emit the same bytes today), and the suite also runs as
+// scalar.* under SAG_SIMD=scalar. The scenarios and streams draw through
+// libstdc++'s distributions (sim::generate_scenario does too), so the
+// digests are of a libstdc++ build. When a change means to move an
+// output, re-record the digest the failure prints and say why in
+// CHANGES.md.
 #include <cstdint>
 #include <random>
 #include <string>
@@ -15,10 +28,15 @@
 #include "sag/core/feasibility.h"
 #include "sag/core/sag.h"
 #include "sag/io/event_io.h"
+#include "sag/io/resilience_io.h"
+#include "sag/resilience/damage.h"
+#include "sag/resilience/failure.h"
+#include "sag/resilience/repair.h"
 #include "sag/serve/event.h"
 #include "sag/serve/fault.h"
 #include "sag/serve/session.h"
 #include "sag/sim/scenario_gen.h"
+#include "sag/wireless/kernel_eval.h"
 
 namespace sag::serve {
 namespace {
@@ -32,11 +50,13 @@ core::Scenario make_scenario(int seed, std::size_t subscribers) {
 }
 
 /// Seeded churn stream mixing every event kind, including deliberately
-/// stale keys/slots the session must reject.
+/// stale keys/slots the session must reject. Join and move coordinates
+/// are drawn from [lo, hi).
 std::vector<Event> churn_stream(int seed, std::size_t initial_subscribers,
-                                std::size_t rs_slots, std::size_t count) {
+                                std::size_t rs_slots, std::size_t count,
+                                double lo = 0.0, double hi = 500.0) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
-    std::uniform_real_distribution<double> coord(0.0, 500.0);
+    std::uniform_real_distribution<double> coord(lo, hi);
     std::uniform_real_distribution<double> rate(28.0, 42.0);
     std::uniform_real_distribution<double> factor(0.4, 1.0);
     std::vector<std::uint64_t> live(initial_subscribers);
@@ -87,6 +107,30 @@ std::vector<Event> churn_stream(int seed, std::size_t initial_subscribers,
         events.push_back(e);
     }
     return events;
+}
+
+/// FNV-1a over a byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
+/// A recorded digest per dispatch mode.
+struct Golden {
+    std::uint64_t avx2;
+    std::uint64_t scalar;
+};
+
+void expect_digest(const std::string& bytes, const Golden& golden) {
+    const bool avx2 = wireless::active_simd_mode() == wireless::SimdMode::Avx2;
+    const std::uint64_t got = fnv1a(bytes);
+    EXPECT_EQ(got, avx2 ? golden.avx2 : golden.scalar)
+        << "digest under " << wireless::simd_mode_name(wireless::active_simd_mode())
+        << ": 0x" << std::hex << got;
 }
 
 struct SoakStats {
@@ -187,6 +231,59 @@ TEST(ServeSoakTest, SoakReplayIsByteIdenticalAcrossRunsAndThreads) {
     Session threaded(scenario, deployment, opts);
     const SoakStats c = soak(threaded, events);
     EXPECT_EQ(a.fingerprint, c.fingerprint);  // thread-count determinism
+
+    expect_digest(a.fingerprint, Golden{0x41e8c273a476a63aULL, 0x41e8c273a476a63aULL});
+}
+
+/// The 4 km / 300-SS / 9-BS city at -15 dB and its solved deployment.
+struct City {
+    core::Scenario scenario = [] {
+        sim::GeneratorConfig cfg;
+        cfg.field_side = 4000.0;
+        cfg.subscriber_count = 300;
+        cfg.base_station_count = 9;
+        cfg.snr_threshold_db = units::Decibel{-15.0};
+        return sim::generate_scenario(cfg, 2026);
+    }();
+    core::SagResult deployment = core::solve_sag(scenario);
+};
+
+const City& city() {
+    static const City instance;
+    return instance;
+}
+
+TEST(ServeSoakTest, CityStreamOutcomesMatchGolden) {
+    const City& c = city();
+    ASSERT_TRUE(c.deployment.feasible);
+    const std::vector<Event> events = churn_stream(
+        2027, 300, c.deployment.coverage.rs_count(), 200, -2000.0, 2000.0);
+    Session session(c.scenario, c.deployment, ServeOptions{});
+    expect_digest(soak(session, events).fingerprint,
+                  Golden{0x9f7cf861f648b8abULL, 0x9f7cf861f648b8abULL});
+}
+
+TEST(ServeSoakTest, CityRepairOutcomesMatchGolden) {
+    const City& c = city();
+    ASSERT_TRUE(c.deployment.feasible);
+    std::string records;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const resilience::FailureSet failures[] = {
+            resilience::inject_independent(c.deployment, {0.2, true}, seed),
+            resilience::inject_disc_outage(c.scenario, c.deployment,
+                                           {units::Meters{600.0}, {}, true}, seed),
+            resilience::inject_power_degradation(c.deployment, {0.3, 0.5}, seed),
+        };
+        for (const resilience::FailureSet& f : failures) {
+            const resilience::DamageReport damage =
+                resilience::assess_damage(c.scenario, c.deployment, f);
+            const resilience::RepairOutcome out =
+                resilience::repair(c.scenario, c.deployment, f);
+            records += io::survivability_to_json(f, damage, out).dump();
+            records.push_back('\n');
+        }
+    }
+    expect_digest(records, Golden{0xb667784384b91b8bULL, 0xb667784384b91b8bULL});
 }
 
 }  // namespace

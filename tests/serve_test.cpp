@@ -200,6 +200,37 @@ TEST(ServeSessionTest, VerifySpanRunsOncePerAcceptedEvent) {
     EXPECT_EQ(verify->count, 3u);
 }
 
+// The power stage's audit stands in for run_verify's coverage check.
+// Without injected faults no backhaul is left stale, so every accepted
+// event's verdict must equal both verifiers run from scratch on the
+// session's own snapshot.
+TEST(ServeSessionTest, VerdictEqualsScratchVerifiersOnEveryEvent) {
+    const core::Scenario scenario = make_scenario(43, 24);
+    const core::SagResult deployment = core::solve_sag(scenario);
+    ASSERT_TRUE(deployment.feasible);
+    ServeOptions opts;
+    opts.drift_excess_rs = 1;  // adoptions re-escalate from scratch too
+    opts.resolve_horizon = 4;
+    Session session(scenario, deployment, opts);
+    std::size_t checked = 0;
+    for (const Event& e : churn_stream(43, 24, deployment.coverage.rs_count(), 300)) {
+        const EventOutcome out = session.apply(e);
+        if (out.level == RepairLevel::Rejected) continue;
+        const Session::Snapshot snap = session.snapshot();
+        const bool scratch =
+            snap.plan.rs_count() == 0
+                ? snap.covered_keys.empty()
+                : core::verify_coverage(snap.covered_scenario, snap.plan, snap.powers)
+                          .feasible &&
+                      core::verify_connectivity(snap.covered_scenario, snap.plan,
+                                                snap.connectivity)
+                          .feasible;
+        EXPECT_EQ(out.verified, scratch) << "event " << out.event_index;
+        ++checked;
+    }
+    EXPECT_GE(checked, 250u);
+}
+
 // --- Validation: bad events are Rejected, never a crash or a mutation --------
 
 TEST(ServeSessionTest, InvalidEventsAreRejectedWithoutMutation) {
