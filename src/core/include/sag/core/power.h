@@ -62,7 +62,8 @@ PowerAllocation allocate_power_optimal(const Scenario& scenario,
 /// allocate_power_capped's answer and its audit.
 struct CappedPower {
     /// `feasible` is the fixed point's own verdict: converged within
-    /// every cap under opt::exceeds_cap's 1e-9 rule.
+    /// every cap, a requirement at most 1e-9 relative above its cap
+    /// counting as within it.
     PowerAllocation allocation;
     /// verify_coverage's report on allocation.powers.
     CoverageReport coverage;
@@ -71,14 +72,15 @@ struct CappedPower {
 /// The same minimal vector under per-RS caps (linear watts, one per RS)
 /// instead of a uniform P_max: the post-failure re-escalation of
 /// resilience::repair and serve::Session, where degraded RSs run below
-/// P_max. It first builds one from-scratch SnrField at the loop's start
-/// p0 = min(P_c, cap) and tests a certificate that the first Yates sweep
-/// would change no entry there; when it holds, p0 is returned
-/// (iterations = 1) and audited on that field, and no gain matrix is
-/// built. Otherwise the Yates sweep runs over the gain matrix and a
-/// from-scratch verify_coverage audits its answer (docs/PERFORMANCE.md,
-/// "Certified fixed point"). Either way the powers are the sweep's bit
-/// for bit. Throws std::invalid_argument unless there is one cap per RS.
+/// P_max. One from-scratch SnrField at the loop's start p0 = min(P_c,
+/// cap) carries the Gauss-Seidel Yates sweeps: each RS's requirement
+/// max(P_c, P_snr) is read off the field, clamped to its cap, and written
+/// back only when it changes, until a sweep changes no entry by 1e-10 or
+/// more (at most 10,000 sweeps). When the first sweep changes nothing, p0
+/// is returned (iterations = 1) and audited on that field; otherwise a
+/// from-scratch verify_coverage audits the answer (docs/PERFORMANCE.md,
+/// "Yates fixed point on the field"). No gain matrix is built. Throws
+/// std::invalid_argument unless there is one cap per RS.
 CappedPower allocate_power_capped(const Scenario& scenario, const CoveragePlan& plan,
                                   std::span<const double> caps);
 

@@ -1,6 +1,7 @@
 #include "sag/core/power.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -9,7 +10,6 @@
 #include "sag/core/snr_field.h"
 #include "sag/obs/obs.h"
 #include "sag/opt/lp.h"
-#include "sag/opt/power_control.h"
 #include "sag/wireless/kernel_eval.h"
 
 namespace sag::core {
@@ -20,7 +20,9 @@ namespace {
 /// (kernel resolved once; shadowing models fade each link
 /// deterministically). A bulk double matrix: IDs cross into it via
 /// .index(). Each row is one batch_gain sweep of the subscriber SoA
-/// columns (SIMD-dispatched; see docs/PERFORMANCE.md).
+/// columns (SIMD-dispatched; see docs/PERFORMANCE.md). Only the two
+/// cross-check oracles, snr_power_floor and allocate_power_optimal_lp,
+/// build it.
 std::vector<std::vector<double>> gain_matrix(const Scenario& scenario,
                                              const CoveragePlan& plan) {
     const wireless::GainKernel kernel = scenario.gain_kernel();
@@ -41,57 +43,35 @@ std::vector<std::vector<double>> gain_matrix(const Scenario& scenario,
     return g;
 }
 
-/// P_snr of RS `rs` over its `served` subscribers, with the interference
-/// read off the gain matrix at `powers`.
-units::Watt snr_floor_from_gains(const Scenario& scenario,
-                                 const std::vector<std::vector<double>>& g,
-                                 std::span<const ids::SsId> served, ids::RsId rs,
-                                 std::span<const double> powers) {
-    const units::SnrRatio beta = scenario.snr_threshold();
+/// P_snr of RS `rs` (paper §III-A2): the smallest power letting each of
+/// its `served` subscribers clear beta against the interference `field`
+/// holds at its current powers, the RS's own term taken out of the
+/// subscriber's total. `field` tracks every subscriber of its scenario,
+/// so tracked-local and global SsIds coincide. PRO's Steps 10-13 and the
+/// capped Yates loop both read it.
+units::Watt snr_floor(const SnrField& field, const wireless::GainKernel& kernel,
+                      std::span<const ids::SsId> served, ids::RsId rs) {
+    const Scenario& scenario = field.scenario();
+    const geom::Vec2& pos = field.rs_position(rs);
+    const double power = field.rs_power(rs).watts();
     units::Watt need{0.0};
     for (const ids::SsId j : served) {
-        units::Watt interference = scenario.radio.snr_ambient_noise;
-        for (std::size_t k = 0; k < g.size(); ++k) {
-            if (k != rs.index()) {
-                interference += units::Watt{powers[k] * g[k][j.index()]};
-            }
-        }
-        need = std::max(need, beta * interference / g[rs.index()][j.index()]);
+        const geom::Vec2& ss = scenario.subscriber(j).pos;
+        const double g = kernel.gain(pos, ss, geom::distance(pos, ss));
+        const units::Watt own{power * g};
+        const units::Watt interference =
+            units::Watt{field.total_rx(j)} - own + scenario.radio.snr_ambient_noise;
+        need = std::max(need, scenario.snr_threshold() * interference / g);
     }
     return need;
 }
 
-/// The fixed-point certificate of allocate_power_capped. `field` holds
-/// every RS of the plan at p0 = min(P_c, cap), which must all be
-/// non-negative, and for each RS i and each SS j it serves,
-/// beta * (N_amb + total_rx(j)) * (1 + 1e-9) <= P_c,i * g_ij must hold.
-/// total_rx(j) includes i's own term and every term is non-negative, so
-/// it bounds the sweep's sum over k != i of p_k * g_kj: the sweep's
-/// requirement for i stays below P_c,i, and the first Gauss-Seidel sweep
-/// from p0 changes no entry. The 1e-9 slack covers the compensated versus
-/// sequential sums and the ulp difference between scalar and batch gains;
-/// for any pool below 10^6 RSs it is far larger than both. A NaN anywhere
-/// fails the test.
-bool certifies_fixed_point(const SnrField& field,
-                           const ids::IdVec<ids::RsId, std::vector<ids::SsId>>& served,
-                           std::span<const double> floors) {
-    const Scenario& scenario = field.scenario();
-    const wireless::GainKernel kernel = scenario.gain_kernel();
-    const double beta = scenario.snr_threshold_linear();
-    const double noise = scenario.radio.snr_ambient_noise.watts();
-    for (const ids::RsId i : field.rs_ids()) {
-        if (!(field.rs_power(i).watts() >= 0.0)) return false;
-        const geom::Vec2& rs = field.rs_position(i);
-        for (const ids::SsId j : served[i]) {
-            const geom::Vec2& ss = scenario.subscriber(j).pos;
-            const double g = kernel.gain(rs, ss, geom::distance(rs, ss));
-            if (!(beta * (noise + field.total_rx(j)) * (1.0 + 1e-9) <=
-                  floors[i.index()] * g)) {
-                return false;
-            }
-        }
-    }
-    return true;
+/// The capped loop's cap rule: a requirement more than 1e-9 relative (at
+/// least 1e-9 absolute) above its cap marks infeasibility. Anything closer
+/// is floating-point noise from geometry sitting exactly on a coverage
+/// boundary, and the loop clamps it silently.
+bool exceeds_cap(double want, double cap) {
+    return want > cap + 1e-9 * std::max(1.0, std::abs(cap));
 }
 
 }  // namespace
@@ -112,8 +92,19 @@ ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(
 units::Watt snr_power_floor(const Scenario& scenario, const CoveragePlan& plan,
                             ids::RsId rs, std::span<const double> powers) {
     const auto g = gain_matrix(scenario, plan);
-    return snr_floor_from_gains(scenario, g, plan.served_lists()[rs], rs,
-                                powers);
+    const auto served = plan.served_lists();
+    units::Watt need{0.0};
+    for (const ids::SsId j : served[rs]) {
+        units::Watt interference = scenario.radio.snr_ambient_noise;
+        for (std::size_t k = 0; k < g.size(); ++k) {
+            if (k != rs.index()) {
+                interference += units::Watt{powers[k] * g[k][j.index()]};
+            }
+        }
+        need = std::max(need, scenario.snr_threshold() * interference /
+                                  g[rs.index()][j.index()]);
+    }
+    return need;
 }
 
 PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan& plan,
@@ -155,22 +146,6 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
         return true;
     };
 
-    // Smallest power letting every subscriber of RS i clear beta against
-    // the field's current interference (the paper's P_snr).
-    const auto snr_floor = [&](ids::RsId i) {
-        units::Watt need{0.0};
-        for (const ids::SsId j : served[i]) {
-            const geom::Vec2& rs = plan.rs_position(i);
-            const geom::Vec2& ss = scenario.subscriber(j).pos;
-            const double g = kernel.gain(rs, ss, geom::distance(rs, ss));
-            const units::Watt own{field.rs_power(i).watts() * g};
-            const units::Watt interference =
-                units::Watt{field.total_rx(j)} - own + scenario.radio.snr_ambient_noise;
-            need = std::max(need, scenario.snr_threshold() * interference / g);
-        }
-        return need;
-    };
-
     while (remaining > 0) {
         ++out.iterations;
         const std::size_t before = remaining;
@@ -200,7 +175,8 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
             units::Watt best_power = pmax;
             for (const ids::RsId i : field.rs_ids()) {
                 if (committed[i.index()]) continue;
-                const units::Watt p_snr = std::max(p_min[i], snr_floor(i));
+                const units::Watt p_snr =
+                    std::max(p_min[i], snr_floor(field, kernel, served[i], i));
                 const units::Watt delta = p_snr - p_min[i];
                 if (delta < best_delta) {
                     best_delta = delta;
@@ -230,55 +206,67 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
 
 CappedPower allocate_power_capped(const Scenario& scenario, const CoveragePlan& plan,
                                   std::span<const double> caps) {
+    constexpr int kMaxSweeps = 10'000;
+    constexpr double kTolerance = 1e-10;  // largest change of a fixed-point sweep
     const std::size_t n = plan.rs_count();
-    const auto served = plan.served_lists();
-    std::vector<double> floors;
-    floors.reserve(n);
-    for (const units::Watt floor : coverage_power_floors(scenario, plan)) {
-        floors.push_back(floor.watts());
-    }
-
     if (caps.size() != n) throw std::invalid_argument("one cap per RS required");
+    const auto served = plan.served_lists();
+    const ids::IdVec<ids::RsId, units::Watt> floors =
+        coverage_power_floors(scenario, plan);
 
-    // The Yates loop's starting vector p0 = min(P_c, cap), and one
-    // from-scratch field at it: the certificate's interference, and the
-    // audit whenever p0 is also the answer.
+    // Yates (1995): Gauss-Seidel sweeps of the standard interference
+    // function max(P_c, P_snr), from p0 = min(P_c, cap), climb to its
+    // minimal fixed point, the LPQC (3.6)-(3.9) optimum. One from-scratch
+    // field at p0 carries the interference; an entry is written back only
+    // when it changes.
     std::vector<double> start(n);
-    for (std::size_t i = 0; i < n; ++i) start[i] = std::min(floors[i], caps[i]);
-    const SnrField field(scenario, plan.rs_positions, start);
+    for (const ids::RsId i : plan.rs_ids()) {
+        start[i.index()] = std::min(floors[i].watts(), caps[i.index()]);
+    }
+    SnrField field(scenario, plan.rs_positions, start);
+    const wireless::GainKernel kernel = scenario.gain_kernel();
 
     CappedPower out;
     PowerAllocation& alloc = out.allocation;
-    if (certifies_fixed_point(field, served, floors)) {
-        // The first sweep would change no entry: p0 is the fixed point,
-        // reached in one iteration, infeasible only where a floor itself
-        // breaks its cap.
-        SAG_OBS_COUNT("power.capped.certified");
-        alloc.powers = std::move(start);
-        alloc.iterations = 1;
-        alloc.feasible = true;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (opt::exceeds_cap(floors[i], caps[i])) alloc.feasible = false;
+    bool moved = false;
+    bool converged = false;
+    bool capped = false;
+    while (!converged && alloc.iterations < kMaxSweeps) {
+        ++alloc.iterations;
+        double max_change = 0.0;
+        capped = false;
+        for (const ids::RsId i : field.rs_ids()) {
+            const double cap = caps[i.index()];
+            double want =
+                std::max(floors[i], snr_floor(field, kernel, served[i], i)).watts();
+            if (want > cap) {
+                if (exceeds_cap(want, cap)) capped = true;
+                want = cap;
+            }
+            const double now = field.rs_power(i).watts();
+            if (want == now) continue;
+            max_change = std::max(max_change, std::abs(want - now));
+            field.set_power(i, units::Watt{want});
+            moved = true;
         }
-        out.coverage = verify_coverage(field, plan);
-    } else {
-        const auto g = gain_matrix(scenario, plan);
-        // The power-control iterator is entity-agnostic; its raw index
-        // comes back as an RsId at this boundary.
-        const auto result = opt::fixed_point_power_control(
-            floors, caps,
-            [&](std::size_t i, std::span<const double> powers) {
-                const ids::RsId rs{i};
-                return snr_floor_from_gains(scenario, g, served[rs], rs, powers)
-                    .watts();
-            });
-        SAG_OBS_COUNT_ADD("power.capped.sweeps", result.iterations);
-        alloc.powers = result.powers;
-        alloc.iterations = result.iterations;
-        alloc.feasible = result.feasible;
-        out.coverage = verify_coverage(scenario, plan, alloc.powers);
+        converged = max_change < kTolerance;
     }
+    // At the fixed point a clamped entry means its true requirement
+    // exceeds the cap: infeasible.
+    alloc.feasible = converged && !capped;
+    alloc.powers.assign(field.rs_powers().begin(), field.rs_powers().end());
     alloc.total = std::accumulate(alloc.powers.begin(), alloc.powers.end(), 0.0);
+    if (moved) {
+        // The field's totals drifted by the deltas' rounding: audit the
+        // answer on a field of its own.
+        SAG_OBS_COUNT_ADD("power.capped.sweeps", alloc.iterations);
+        out.coverage = verify_coverage(scenario, plan, alloc.powers);
+    } else {
+        // p0 was the fixed point: the field is still the from-scratch
+        // one, and the audit reads it.
+        SAG_OBS_COUNT("power.capped.certified");
+        out.coverage = verify_coverage(field, plan);
+    }
     return out;
 }
 

@@ -13,12 +13,13 @@
 //   2. patch — SSs no surviving RS can reach are served by new relays
 //      drawn greedily from the IAC candidate pool of exactly those SSs;
 //   3. reescalate — core::allocate_power_capped (the Yates fixed point,
-//      certified at the coverage floors when it sits there) recomputes
-//      the minimal lower-tier vector under per-RS caps: P_max for
-//      healthy and patched RSs, factor * P_max for degraded ones. A
+//      swept on one interference field from the coverage floors)
+//      recomputes the minimal lower-tier vector under per-RS caps: P_max
+//      for healthy and patched RSs, factor * P_max for degraded ones. A
 //      round whose allocation fails the allocator's own verify_coverage
 //      report sheds the newly-assigned SSs that break it (all of them
-//      when only older SSs fail) and retries;
+//      when only older SSs fail) and retries; a shed in the last round
+//      is followed by one closing allocation of what is left;
 //   4. rebuild_backhaul — MBMC rebuilds the whole upper tier over the
 //      active coverage RSs, then UCPO re-optimizes the connectivity
 //      powers.
@@ -56,17 +57,14 @@ struct ActiveView {
     std::vector<std::size_t> active;   ///< plan RS -> pool slot
 };
 
-/// Result of the power re-escalation rounds.
+/// Result of the power re-escalation rounds: the allocation and audit of
+/// the state reescalate leaves behind.
 struct Reescalation {
-    ActiveView view;  ///< the view the last round solved
+    ActiveView view;  ///< the state's view when reescalate returned
     /// Per view RS; `feasible` is verify_coverage's verdict on it.
     core::PowerAllocation power;
-    int rounds = 0;                 ///< rounds executed
+    int rounds = 0;                 ///< allocations executed
     std::vector<std::size_t> shed;  ///< SS slots shed to unserved, in order
-    /// No shed came after the last audit: `view` is still the state's
-    /// view, so `power.feasible` is verify_coverage's verdict on it until
-    /// the state changes. False when the last round shed and stopped.
-    bool view_current = false;
 };
 
 /// Working state of one repair. RS pool slots are stable: a dead RS
@@ -111,9 +109,11 @@ struct RepairState {
     /// Stage 2: up to `max_new` relays at P_max, each the IAC candidate
     /// serving the most still-unserved SSs. Returns the number added.
     std::size_t patch(std::size_t max_new);
-    /// Stage 3: at most max(1, max_rounds) power/verify/shed rounds. A
-    /// round's verdict is the report core::allocate_power_capped returns
-    /// with its powers; no second audit runs.
+    /// Stage 3: at most max(1, max_rounds) power/verify/shed rounds, and
+    /// one closing power/verify round when the last of them shed, so the
+    /// result always describes the state as it is left. A round's verdict
+    /// is the report core::allocate_power_capped returns with its powers;
+    /// no second audit runs.
     Reescalation reescalate(int max_rounds);
     /// The current served view.
     ActiveView view() const;

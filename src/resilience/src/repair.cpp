@@ -158,9 +158,12 @@ ActiveView RepairState::view() const {
 Reescalation RepairState::reescalate(int max_rounds) {
     // The SSs served before this repair are a feasible witness below the
     // caps, so the fixed point is guaranteed to land once every newly
-    // assigned SS that breaks it has been shed.
+    // assigned SS that breaks it has been shed. A shed in the last
+    // permitted round is followed by one closing allocation, so the view
+    // and powers returned are always those of the state left behind.
     Reescalation r;
-    while (r.rounds < std::max(1, max_rounds)) {
+    const int shed_rounds = std::max(1, max_rounds);
+    while (true) {
         ++r.rounds;
         r.view = view();
         const ActiveView& v = r.view;
@@ -169,8 +172,7 @@ Reescalation RepairState::reescalate(int max_rounds) {
         r.power = std::move(capped.allocation);
         const core::CoverageReport& report = capped.coverage;
         r.power.feasible = report.feasible;
-        r.view_current = true;
-        if (report.feasible) break;
+        if (report.feasible || r.rounds > shed_rounds) break;
 
         // Shed the newly assigned SSs that failed verification; if only
         // older SSs fail (a new assignment's interference squeezed them),
@@ -190,7 +192,6 @@ Reescalation RepairState::reescalate(int max_rounds) {
         if (shed.empty()) break;  // older SSs only and still failing: give up
         for (const std::size_t k : shed) server[k] = kUnserved;
         r.shed.insert(r.shed.end(), shed.begin(), shed.end());
-        r.view_current = false;
     }
     return r;
 }

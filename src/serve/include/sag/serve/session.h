@@ -172,8 +172,9 @@ private:
     void rehome(const std::vector<std::size_t>& candidates, EventOutcome& out);
     void patch(EventOutcome& out);
     void reallocate_power(EventOutcome& out);
-    void rebuild_backhaul();
-    void run_verify();
+    // The two stages after the ladder read one view of the state it left.
+    void rebuild_backhaul(const resilience::ActiveView& v);
+    void run_verify(const resilience::ActiveView& v);
     void adopt_or_fail_resolve(EventOutcome& out);
     void maybe_trigger_resolve(EventOutcome& out);
     void adopt_plan(const core::SagResult& solved, EventOutcome& out);
@@ -195,7 +196,7 @@ private:
     std::vector<std::size_t> conn_active_;  ///< active set conn_ was built over
     bool backhaul_dirty_ = false;
     bool verified_ = false;
-    /// The power stage's coverage verdict on the view it left behind,
+    /// The power stage's coverage verdict on the state it left behind,
     /// consumed by the next run_verify in place of a second audit.
     std::optional<bool> coverage_verdict_;
 

@@ -237,16 +237,15 @@ void Session::reallocate_power(EventOutcome& out) {
     for (std::size_t i = 0; i < r.view.active.size(); ++i) {
         alloc_[r.view.active[i]] = r.power.powers[i];
     }
-    // alloc_ now holds the audited powers of the audited view; while no
-    // shed followed the audit, its verdict is run_verify's coverage check.
-    if (r.view_current) coverage_verdict_ = r.power.feasible;
+    // alloc_ now holds the audited powers of the state's view, and their
+    // verdict is run_verify's coverage check.
+    coverage_verdict_ = r.power.feasible;
     out.shed += r.shed.size();
     if (!r.shed.empty()) SAG_OBS_COUNT_ADD("serve.shed_ss", r.shed.size());
 }
 
-void Session::rebuild_backhaul() {
+void Session::rebuild_backhaul(const resilience::ActiveView& v) {
     SAG_OBS_SPAN("serve.backhaul");
-    const resilience::ActiveView v = state_.view();
     if (v.plan.rs_count() == 0) {
         conn_ = core::ConnectivityPlan{};
         conn_.feasible = true;
@@ -257,10 +256,9 @@ void Session::rebuild_backhaul() {
     backhaul_dirty_ = false;
 }
 
-void Session::run_verify() {
+void Session::run_verify(const resilience::ActiveView& v) {
     SAG_OBS_SPAN("serve.verify");
     const std::optional<bool> reescalated = std::exchange(coverage_verdict_, {});
-    const resilience::ActiveView v = state_.view();
     if (v.plan.rs_count() == 0) {
         verified_ = v.covered.empty();
         return;
@@ -326,8 +324,9 @@ void Session::adopt_plan(const core::SagResult& solved, EventOutcome& out) {
     std::iota(all.begin(), all.end(), std::size_t{0});
     rehome(all, out);
     reallocate_power(out);
-    rebuild_backhaul();
-    run_verify();
+    const resilience::ActiveView view = state_.view();
+    rebuild_backhaul(view);
+    run_verify(view);
     baseline_rs_ = active_rs_count();
     baseline_power_ = total_power();
 }
@@ -458,16 +457,18 @@ EventOutcome Session::apply(const Event& event) {
 
     // Backhaul: rebuild when the active RS set or the rate structure
     // changed; a gated-off rebuild leaves the plan explicitly degraded
-    // (stale backhaul), never silently wrong.
-    if (backhaul_dirty_ || state_.view().active != conn_active_) {
+    // (stale backhaul), never silently wrong. The ladder is done with
+    // the state, so one view serves the backhaul and the verifiers.
+    const resilience::ActiveView view = state_.view();
+    if (backhaul_dirty_ || view.active != conn_active_) {
         if (gate.expired(RepairStage::Backhaul)) {
             backhaul_dirty_ = true;
         } else {
-            rebuild_backhaul();
+            rebuild_backhaul(view);
         }
     }
 
-    run_verify();
+    run_verify(view);
     out.verified = verified_;
     out.unserved = unserved_count();
     out.degraded = out.unserved > 0 || !verified_;

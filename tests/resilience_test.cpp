@@ -368,12 +368,13 @@ TEST(RepairTest, RehomeWithinReachMatchesFullSort) {
     EXPECT_GE(placed, 30u * 20u);
 }
 
-/// A Reescalation's audit stays the state's verdict only while no shed
-/// followed it. SS 0 is served by RS 0 from 34 m; a newly assigned SS 1
-/// is served from 34 m by RS 1, which stands 6 m from SS 0 and drowns
-/// it. The first round fails on SS 0 alone, so every newly assigned SS
-/// is shed; the second round audits the state that is left.
-TEST(RepairTest, ReescalationViewIsCurrentOnlyWithoutALaterShed) {
+/// A shed in the last permitted round is followed by one closing
+/// allocation, so a Reescalation always describes the state it leaves.
+/// SS 0 is served by RS 0 from 34 m; a newly assigned SS 1 is served from
+/// 34 m by RS 1, which stands 6 m from SS 0 and drowns it. The first
+/// round fails on SS 0 alone, so every newly assigned SS is shed; with
+/// one round permitted, the closing allocation audits what is left.
+TEST(RepairTest, ReescalationAfterALastRoundShedReturnsTheStateLeft) {
     core::Scenario s = make_scenario(1, 2);
     s.subscribers = {{{34.0, 0.0}, 35.0}, {{74.0, 0.0}, 35.0}};
     const std::vector<geom::Vec2> pool = {{0.0, 0.0}, {40.0, 0.0}};
@@ -382,26 +383,22 @@ TEST(RepairTest, ReescalationViewIsCurrentOnlyWithoutALaterShed) {
     state.server = {0, 1};
     state.newly_assigned = {false, true};
 
-    RepairState one_round = state;
-    const Reescalation cut = one_round.reescalate(1);
-    EXPECT_EQ(cut.rounds, 1);
-    EXPECT_FALSE(cut.power.feasible);
-    EXPECT_EQ(cut.shed, std::vector<std::size_t>{1});
-    EXPECT_FALSE(cut.view_current);
-    EXPECT_NE(cut.view.covered, one_round.view().covered);
-
-    const Reescalation done = state.reescalate(2);
-    EXPECT_EQ(done.rounds, 2);
-    EXPECT_TRUE(done.power.feasible);
-    EXPECT_TRUE(done.view_current);
-    EXPECT_EQ(done.view.covered, state.view().covered);
-    EXPECT_EQ(done.view.active, state.view().active);
+    for (const int max_rounds : {1, 2}) {
+        RepairState run = state;
+        const Reescalation r = run.reescalate(max_rounds);
+        EXPECT_EQ(r.rounds, 2) << max_rounds << " rounds";
+        EXPECT_EQ(r.shed, std::vector<std::size_t>{1});
+        EXPECT_TRUE(r.power.feasible);
+        const ActiveView left = run.view();
+        EXPECT_EQ(r.view.covered, left.covered);
+        EXPECT_EQ(r.view.covered, std::vector<std::size_t>{0});
+        EXPECT_EQ(r.view.active, left.active);
+        // RS 1 served only the shed SS: it holds no power.
+        ASSERT_EQ(r.power.powers.size(), 1u);
+        EXPECT_EQ(r.view.active, std::vector<std::size_t>{0});
+    }
 }
 
-/// With subscribers left unrecoverable the covered scenario is a strict
-/// subset, and the power stage must still solve over *its* subscribers:
-/// with no degraded RS the repaired lower tier is exactly the LPQC
-/// optimum of the repaired topology.
 TEST(RepairTest, PartialRecoveryPowersAreTheOptimumOfTheRepairedPlan) {
     std::size_t partial = 0;
     for (int seed = 0; seed < 5; ++seed) {
