@@ -3,6 +3,10 @@
 // binaries, which measure end-to-end wall time.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "sag/core/candidates.h"
 #include "sag/core/ilpqc.h"
 #include "sag/core/power.h"
@@ -237,10 +241,11 @@ void BM_ServeEventMove(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeEventMove)->Arg(20)->Arg(40)->Arg(80)->Arg(300);
 
-/// Repair state: one RS slot fails and recovers alternately, so every
-/// other event re-homes that relay's subscribers and every event pays
-/// the Yates re-escalation plus a backhaul rebuild over the shifted
-/// active set.
+/// RS events: slot 0 fails and recovers alternately. Only the first
+/// failure re-homes subscribers (onto survivors or a patched relay);
+/// RS 0 serves nobody after it, so later events run the mutation, the
+/// candidate scan, the power stage and the verifiers, and keep the
+/// backhaul. BM_ServeEventJoinLeave is the row that rebuilds it.
 void BM_ServeEventFailRecover(benchmark::State& state) {
     const auto s = serve_shape(static_cast<std::size_t>(state.range(0)));
     serve::Session session(s, serve_bench_options());
@@ -254,6 +259,48 @@ void BM_ServeEventFailRecover(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_ServeEventFailRecover)->Arg(20)->Arg(40)->Arg(80)->Arg(300);
+
+/// Backhaul state: one subscriber joins at the grid point of the field
+/// farthest from every RS, with the largest request (so d_min holds),
+/// and leaves again. The first join patches a relay there; after it
+/// every join activates that relay and every leave idles it, so every
+/// event re-homes or drops one subscriber and rebuilds the backhaul over
+/// the kept pool graph.
+void BM_ServeEventJoinLeave(benchmark::State& state) {
+    const auto s = serve_shape(static_cast<std::size_t>(state.range(0)));
+    serve::Session session(s, serve_bench_options());
+    const std::vector<geom::Vec2> rs = session.snapshot().plan.rs_positions;
+    serve::Event join;
+    join.kind = serve::EventKind::SsJoin;
+    join.key = s.subscriber_count();
+    double farthest = 0.0;
+    for (int gx = 0; gx <= 40; ++gx) {
+        for (int gy = 0; gy <= 40; ++gy) {
+            const geom::Vec2 p{s.field.min.x + s.field.width() * gx / 40.0,
+                               s.field.min.y + s.field.height() * gy / 40.0};
+            double nearest = std::numeric_limits<double>::infinity();
+            for (const geom::Vec2& r : rs) nearest = std::min(nearest, geom::distance(p, r));
+            if (nearest > farthest) {
+                farthest = nearest;
+                join.pos = p;
+            }
+        }
+    }
+    for (const core::Subscriber& sub : s.subscribers) {
+        join.distance_request = std::max(join.distance_request, sub.distance_request);
+    }
+    serve::Event leave;
+    leave.kind = serve::EventKind::SsLeave;
+    leave.key = join.key;
+    if (session.apply(join).patched != 1) state.SkipWithError("the join patched no relay");
+    session.apply(leave);
+    bool joining = true;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(session.apply(joining ? join : leave));
+        joining = !joining;
+    }
+}
+BENCHMARK(BM_ServeEventJoinLeave)->Arg(300);
 
 }  // namespace
 

@@ -21,6 +21,7 @@ namespace sag::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::size_t kFirstArcs = 8;  ///< first capacity of an arc list
 
 /// Throws std::invalid_argument unless `coverage` assigns every subscriber
 /// of `scenario` to one of its RSs. The infeasible plans some coverage
@@ -34,76 +35,28 @@ void require_assignment(const Scenario& scenario, const CoveragePlan& coverage) 
     }
 }
 
-/// Algorithm 7 Steps 3-5: the MST over the usable BSs and the coverage
-/// RSs at `pos`, with each RS linked only to its nearest usable BS.
-/// Returns each RS's tree parent as a plan node: a BS index, or bs_count
-/// plus an RS index. MST vertices: 0 = a virtual super-root, whose
-/// zero-weight edges to the BSs let one Prim run yield the multi-rooted
-/// forest; 1..B' = usable_bs; then the RSs.
-std::vector<std::size_t> coverage_tree_parents(const Scenario& scenario,
-                                               std::span<const ids::BsId> usable_bs,
-                                               std::span<const geom::Vec2> pos, double dmin) {
+/// Algorithm 7 Step 5: the MST over the usable BSs and the graph's sites
+/// `sites`, as coverage RSs 0..R-1 in that order. Returns each RS's tree
+/// parent as a plan node: a BS index, or bs_count plus an RS index. MST
+/// vertices: 0 = a virtual super-root, whose zero-weight edges to the BSs
+/// let one Prim run yield the multi-rooted forest; 1..B' = the usable
+/// BSs; then the RSs.
+std::vector<std::size_t> coverage_tree_parents(const MbmcGraph& graph,
+                                               std::span<const std::size_t> sites,
+                                               std::size_t bs_count) {
+    const std::span<const ids::BsId> usable_bs = graph.usable_bs();
     const std::size_t nb = usable_bs.size();
     const std::size_t first_rs = 1 + nb;
-    const std::size_t cov_count = pos.size();
-    const auto hop_weight = [&](double dist) {
-        // Paper weight w1 = ceil(len/dmin) - 1 (relays needed on the edge);
-        // the epsilon*dist term only breaks ties toward shorter edges.
-        return std::ceil(dist / dmin - 1e-9) - 1.0 + 1e-6 * dist / dmin;
-    };
-    // Algorithm 7 Step 3: each RS links only to its *nearest* usable BS.
-    std::vector<std::size_t> nearest(cov_count);  // MST vertex of that BS
-    std::vector<double> bs_weight(cov_count);
-    std::vector<geom::Circle> reach(cov_count);  // RS, nearest-BS distance
-    for (std::size_t i = 0; i < cov_count; ++i) {
-        std::size_t best_b = 0;
-        double best_d = kInf;
-        for (std::size_t b = 0; b < nb; ++b) {
-            const double d =
-                geom::distance(pos[i], scenario.base_station(usable_bs[b]).pos);
-            if (d < best_d) {
-                best_d = d;
-                best_b = b;
-            }
-        }
-        nearest[i] = 1 + best_b;
-        bs_weight[i] = hop_weight(best_d);
-        reach[i] = {pos[i], best_d};
-    }
+    const std::size_t cov_count = sites.size();
+    std::vector<std::size_t> rs_of(graph.size(), cov_count);  // site -> RS
+    for (std::size_t i = 0; i < cov_count; ++i) rs_of[sites[i]] = i;
 
-    // The RS-RS arcs j -> i that can lower i's key, grouped by source j
-    // (CSR). BS keys are at most 0 and ties go to the lower index, so Prim
-    // takes every BS before any RS of non-negative key; once they are all
-    // in, each outside RS i has key <= bs_weight[i], and only a strictly
-    // lighter arc lowers it. hop_weight never decreases with distance, so
-    // such an arc is shorter than i's nearest-BS distance r: it lies in
-    // i's x-window, within r in y, and within r of i (each test widened by
-    // the window's slack, which dwarfs the rounding of the lengths).
-    struct Arc {
-        std::size_t to;
-        double weight;
-    };
-    std::vector<std::pair<std::size_t, Arc>> found;  // (source, arc)
-    std::vector<std::size_t> arc_begin(cov_count + 1, 0);
-    const geom::SweepIndex index = geom::sweep_index(reach);
-    for (std::size_t i = 0; i < cov_count; ++i) {
-        const double r = reach[i].radius + index.slack;
-        for (const std::size_t j : geom::x_window(reach, index, pos[i].x, reach[i].radius)) {
-            if (std::abs(pos[j].y - pos[i].y) > r) continue;
-            if (j == i || geom::distance_sq(pos[i], pos[j]) > r * r) continue;
-            const double w = hop_weight(geom::distance(pos[i], pos[j]));
-            if (w < bs_weight[i]) {
-                found.push_back({j, {first_rs + i, w}});
-                ++arc_begin[j + 1];
-            }
-        }
-    }
-    std::partial_sum(arc_begin.begin(), arc_begin.end(), arc_begin.begin());
-    std::vector<Arc> arcs(found.size());
-    std::vector<std::size_t> fill(arc_begin.begin(), arc_begin.end() - 1);
-    for (const auto& [j, arc] : found) arcs[fill[j]++] = arc;
-
+    // BS keys are at most 0 and ties go to the lower index, so Prim takes
+    // every BS before any RS of non-negative key; once they are all in,
+    // each outside RS i has key <= its BS edge, and only a strictly
+    // lighter arc lowers it: one of the graph's arcs.
     std::size_t bs_in_tree = 0;
+    std::size_t offered = 0;
     const auto mst_parent = graph::prim_mst(first_rs + cov_count, 0, [&](std::size_t u,
                                                                          auto&& relax) {
         if (u == 0) {
@@ -111,28 +64,36 @@ std::vector<std::size_t> coverage_tree_parents(const Scenario& scenario,
         } else if (u <= nb) {
             ++bs_in_tree;
             for (std::size_t i = 0; i < cov_count; ++i) {
-                if (nearest[i] == u) relax(first_rs + i, bs_weight[i]);
+                if (1 + graph.nearest_bs(sites[i]) == u) {
+                    relax(first_rs + i, graph.bs_weight(sites[i]));
+                }
             }
         } else {
             const std::size_t i = u - first_rs;
-            relax(nearest[i], bs_weight[i]);
+            const std::size_t s = sites[i];
+            relax(1 + graph.nearest_bs(s), graph.bs_weight(s));
             if (bs_in_tree < nb) {
                 // Taken ahead of a BS, so i's key is negative: it lies
                 // within ~1e-9 d_min of a BS or of an RS taken before it.
                 // RSs whose BS is still outside have infinite keys that
                 // any arc lowers, so offer the full dense row.
                 for (std::size_t j = 0; j < cov_count; ++j) {
-                    if (j != i) relax(first_rs + j, hop_weight(geom::distance(pos[i], pos[j])));
+                    if (j != i) {
+                        relax(first_rs + j, graph.hop_weight(geom::distance(
+                                                graph.site(s), graph.site(sites[j]))));
+                    }
                 }
                 return;
             }
-            for (std::size_t a = arc_begin[i]; a < arc_begin[i + 1]; ++a) {
-                relax(arcs[a].to, arcs[a].weight);
+            for (const MbmcGraph::Arc& arc : graph.arcs(s)) {
+                if (rs_of[arc.to] == cov_count) continue;  // not in the plan
+                relax(first_rs + rs_of[arc.to], arc.weight);
+                ++offered;
             }
         }
     });
+    SAG_OBS_COUNT_ADD("ucra.mbmc.arcs", offered);
 
-    const std::size_t bs_count = scenario.base_station_count();
     std::vector<std::size_t> parent(cov_count);
     for (std::size_t i = 0; i < cov_count; ++i) {
         const std::size_t v = mst_parent[first_rs + i];
@@ -145,16 +106,14 @@ std::vector<std::size_t> coverage_tree_parents(const Scenario& scenario,
     return parent;
 }
 
-/// Shared MBMC/MUST construction over a restricted set of usable BSs.
+/// Shared MBMC/MUST construction: Prim over `graph` restricted to
+/// `sites` (coverage RS i is site sites[i]), then steinerization.
 ConnectivityPlan build_connectivity(const Scenario& scenario,
-                                    const CoveragePlan& coverage,
-                                    std::span<const ids::BsId> usable_bs) {
-    require_assignment(scenario, coverage);
+                                    const CoveragePlan& coverage, const MbmcGraph& graph,
+                                    std::span<const std::size_t> sites) {
     const std::size_t bs_count = scenario.base_stations.size();
     const std::size_t cov_count = coverage.rs_count();
-    const double dmin = coverage.rs_count() > 0 && !scenario.subscribers.empty()
-                            ? scenario.min_distance_request()
-                            : 1.0;
+    const double dmin = graph.dmin();
 
     ConnectivityPlan plan;
     // Node layout: base stations, then coverage RSs, then connectivity RSs.
@@ -173,7 +132,7 @@ ConnectivityPlan build_connectivity(const Scenario& scenario,
         plan.feasible = true;
         return plan;
     }
-    if (usable_bs.empty()) {
+    if (graph.usable_bs().empty()) {
         // No usable BS root: nothing can be rooted. Return an explicit
         // infeasible plan (each coverage RS its own parent) instead of
         // letting the MST run rootless — with nb == 0 the MST's nearest-BS
@@ -187,7 +146,7 @@ ConnectivityPlan build_connectivity(const Scenario& scenario,
     }
 
     const std::vector<std::size_t> cov_tree_parent =  // plan node index
-        coverage_tree_parents(scenario, usable_bs, coverage.rs_positions, dmin);
+        coverage_tree_parents(graph, sites, bs_count);
 
     // Feasible distance of each coverage RS: min distance request over the
     // subscribers it serves; then the subtree minimum governs each edge
@@ -244,6 +203,17 @@ ConnectivityPlan build_connectivity(const Scenario& scenario,
     return plan;
 }
 
+/// MBMC/MUST over a graph built on the plan's own RSs, toward `usable_bs`.
+ConnectivityPlan solve_over_own_graph(const Scenario& scenario, const CoveragePlan& coverage,
+                                      std::span<const ids::BsId> usable_bs) {
+    require_assignment(scenario, coverage);
+    const MbmcGraph graph(scenario, usable_bs, coverage.rs_positions,
+                          mbmc_dmin(scenario, coverage));
+    std::vector<std::size_t> sites(coverage.rs_count());
+    std::iota(sites.begin(), sites.end(), std::size_t{0});
+    return build_connectivity(scenario, coverage, graph, sites);
+}
+
 /// Fills `chain` with the connectivity RSs of the steinerized chain above
 /// plan node `node`, bottom up, and returns the first node above them: the
 /// node's parent in the coverage-RS tree (a coverage RS or a BS).
@@ -282,10 +252,109 @@ void power_chains(std::size_t bs_count, std::size_t cov_count, ConnectivityPlan&
 
 }  // namespace
 
+MbmcGraph::MbmcGraph(const Scenario& scenario, std::span<const ids::BsId> usable_bs,
+                     std::span<const geom::Vec2> sites, double dmin)
+    : dmin_(dmin), bs_(usable_bs.begin(), usable_bs.end()) {
+    bs_pos_.reserve(bs_.size());
+    for (const ids::BsId b : bs_) bs_pos_.push_back(scenario.base_station(b).pos);
+    const std::size_t n = sites.size();
+    sites_.reserve(n);
+    nearest_.reserve(n);
+    bs_weight_.reserve(n);
+    arcs_.reserve(n);
+    std::vector<geom::Circle> reach(n);  // site, nearest-BS distance
+    for (std::size_t i = 0; i < n; ++i) reach[i] = {sites[i], add_site(sites[i])};
+    if (bs_.empty()) return;
+
+    // The arcs j -> i, found around their target i in ascending i and
+    // pushed straight onto source j's list, so each list ascends by
+    // target, as append() keeps it. (A staging copy to transpose would
+    // be the build's largest transient allocation.) A list's first
+    // allocation holds kFirstArcs: small plans keep a few arcs per RS,
+    // large ones tens, so this saves most regrowths. hop_weight never
+    // decreases with distance, so such an arc is shorter than i's
+    // nearest-BS distance r: it lies in i's x-window, within r in y, and
+    // within r of i (each test widened by the window's slack, which dwarfs
+    // the rounding of the lengths).
+    const geom::SweepIndex index = geom::sweep_index(reach);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double r = reach[i].radius + index.slack;
+        for (const std::size_t j : geom::x_window(reach, index, sites[i].x, reach[i].radius)) {
+            if (std::abs(sites[j].y - sites[i].y) > r) continue;
+            if (j == i || geom::distance_sq(sites[i], sites[j]) > r * r) continue;
+            const double w = hop_weight(geom::distance(sites[i], sites[j]));
+            if (w < bs_weight_[i]) {
+                if (arcs_[j].empty()) arcs_[j].reserve(kFirstArcs);
+                arcs_[j].push_back({i, w});
+            }
+        }
+    }
+}
+
+double MbmcGraph::add_site(const geom::Vec2& site) {
+    // Algorithm 7 Step 3: each RS links only to its *nearest* usable BS.
+    std::size_t best_b = 0;
+    double best_d = kInf;
+    for (std::size_t b = 0; b < bs_pos_.size(); ++b) {
+        const double d = geom::distance(site, bs_pos_[b]);
+        if (d < best_d) {
+            best_d = d;
+            best_b = b;
+        }
+    }
+    sites_.push_back(site);
+    nearest_.push_back(best_b);
+    bs_weight_.push_back(hop_weight(best_d));
+    arcs_.emplace_back();
+    return best_d;
+}
+
+void MbmcGraph::append(geom::Vec2 site) {
+    const std::size_t n = sites_.size();
+    add_site(site);
+    if (bs_.empty()) return;
+    // geom::distance is symmetric bit for bit (negating a difference is
+    // exact), so one length weighs the arc both ways.
+    for (std::size_t i = 0; i < n; ++i) {
+        const double w = hop_weight(geom::distance(sites_[i], site));
+        if (w < bs_weight_[i]) arcs_[n].push_back({i, w});
+        if (w < bs_weight_[n]) arcs_[i].push_back({n, w});
+    }
+}
+
+double mbmc_dmin(const Scenario& scenario, const CoveragePlan& coverage) {
+    return coverage.rs_count() > 0 && !scenario.subscribers.empty()
+               ? scenario.min_distance_request()
+               : 1.0;
+}
+
 ConnectivityPlan solve_mbmc(const Scenario& scenario, const CoveragePlan& coverage) {
     SAG_OBS_SPAN("ucra.mbmc");
     const auto all_bs = ids::all_ids<ids::BsId>(scenario.base_station_count());
-    return build_connectivity(scenario, coverage, all_bs);
+    return solve_over_own_graph(scenario, coverage, all_bs);
+}
+
+ConnectivityPlan solve_mbmc(const Scenario& scenario, const CoveragePlan& coverage,
+                            const MbmcGraph& graph, std::span<const std::size_t> sites) {
+    SAG_OBS_SPAN("ucra.mbmc");
+    require_assignment(scenario, coverage);
+    const std::span<const ids::BsId> usable_bs = graph.usable_bs();
+    bool all_bs = usable_bs.size() == scenario.base_station_count();
+    for (std::size_t b = 0; all_bs && b < usable_bs.size(); ++b) {
+        all_bs = usable_bs[b].index() == b;
+    }
+    if (!all_bs) throw std::invalid_argument("MBMC graph is not over every base station");
+    if (sites.size() != coverage.rs_count())
+        throw std::invalid_argument("MBMC needs one graph site per coverage RS");
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+        if (sites[i] >= graph.size() || (i > 0 && sites[i] <= sites[i - 1]) ||
+            graph.site(sites[i]) != coverage.rs_positions[i]) {
+            throw std::invalid_argument("MBMC graph sites do not match the coverage RSs");
+        }
+    }
+    if (!sites.empty() && graph.dmin() != mbmc_dmin(scenario, coverage))
+        throw std::invalid_argument("MBMC graph d_min differs from the plan's");
+    return build_connectivity(scenario, coverage, graph, sites);
 }
 
 ConnectivityPlan solve_must(const Scenario& scenario, const CoveragePlan& coverage,
@@ -294,7 +363,7 @@ ConnectivityPlan solve_must(const Scenario& scenario, const CoveragePlan& covera
     if (!bs.valid() || bs.index() >= scenario.base_station_count())
         throw std::out_of_range("bs out of range");
     const ids::BsId one[] = {bs};
-    return build_connectivity(scenario, coverage, one);
+    return solve_over_own_graph(scenario, coverage, one);
 }
 
 void allocate_power_ucpo(const Scenario& scenario, const CoveragePlan& coverage,

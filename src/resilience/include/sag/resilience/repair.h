@@ -20,9 +20,10 @@
 //      report sheds the newly-assigned SSs that break it (all of them
 //      when only older SSs fail) and retries; a shed in the last round
 //      is followed by one closing allocation of what is left;
-//   4. rebuild_backhaul — MBMC rebuilds the whole upper tier over the
-//      active coverage RSs, then UCPO re-optimizes the connectivity
-//      powers.
+//   4. backhaul — MBMC rebuilds the whole upper tier over the active
+//      coverage RSs, running Prim over a candidate graph the state keeps
+//      by pool slot (extended by each patched relay, rebuilt only when
+//      d_min changes), then UCPO re-optimizes the connectivity powers.
 //
 // repair() reports the subscribers it still cannot serve in
 // `unrecoverable` — never asserted on. Everything it keeps is
@@ -32,6 +33,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -39,6 +41,7 @@
 #include "sag/core/sag.h"
 #include "sag/core/scenario.h"
 #include "sag/core/snr_field.h"
+#include "sag/core/ucra.h"
 #include "sag/geometry/vec2.h"
 #include "sag/ids/ids.h"
 #include "sag/resilience/damage.h"
@@ -117,10 +120,18 @@ struct RepairState {
     Reescalation reescalate(int max_rounds);
     /// The current served view.
     ActiveView view() const;
-};
+    /// Stage 4: MBMC backhaul plus UCPO powers over `v`, a view of this
+    /// state. Prim runs over one core::MbmcGraph of every pool slot (dead
+    /// ones included) that the state keeps: built on the first call,
+    /// rebuilt when the view's d_min differs from the graph's, and
+    /// extended by each relay patched in since, in O(pool + B). The arcs
+    /// among the active slots are those of a graph over the view's plan,
+    /// so the backhaul equals core::solve_mbmc on that plan, bit for bit.
+    core::ConnectivityPlan backhaul(const ActiveView& v);
 
-/// Stage 4: MBMC backhaul plus UCPO powers over `view`'s plan.
-core::ConnectivityPlan rebuild_backhaul(const ActiveView& view);
+private:
+    std::optional<core::MbmcGraph> graph_;  ///< over pool slots 0..size()-1
+};
 
 struct RepairOptions {
     /// Stage-2 budget of patched-in relays; 0 disables patching.

@@ -196,9 +196,17 @@ Reescalation RepairState::reescalate(int max_rounds) {
     return r;
 }
 
-core::ConnectivityPlan rebuild_backhaul(const ActiveView& view) {
-    core::ConnectivityPlan conn = core::solve_mbmc(view.covered_scenario, view.plan);
-    core::allocate_power_ucpo(view.covered_scenario, view.plan, conn);
+core::ConnectivityPlan RepairState::backhaul(const ActiveView& v) {
+    const double dmin = core::mbmc_dmin(v.covered_scenario, v.plan);
+    if (!graph_ || (v.plan.rs_count() > 0 && graph_->dmin() != dmin)) {
+        SAG_OBS_COUNT("resilience.backhaul.graph_builds");
+        const auto all_bs = ids::all_ids<ids::BsId>(scenario().base_station_count());
+        graph_.emplace(scenario(), all_bs, field.rs_positions(), dmin);
+    }
+    while (graph_->size() < pool_size()) graph_->append(position(graph_->size()));
+    core::ConnectivityPlan conn =
+        core::solve_mbmc(v.covered_scenario, v.plan, *graph_, v.active);
+    core::allocate_power_ucpo(v.covered_scenario, v.plan, conn);
     return conn;
 }
 
@@ -264,7 +272,7 @@ RepairOutcome repair(const core::Scenario& scenario,
     core::ConnectivityPlan conn;
     {
         SAG_OBS_SPAN("resilience.repair.backhaul");
-        conn = rebuild_backhaul(power.view);
+        conn = state.backhaul(power.view);
     }
 
     std::sort(out.unrecoverable.begin(), out.unrecoverable.end());

@@ -8,11 +8,12 @@
 // repair from the same stage functions resilience::repair runs —
 // re-home violated SSs onto surviving RSs, patch new relays from the
 // IAC candidate pool, re-escalate powers with the Yates fixed point,
-// re-steinerize the backhaul. What is serve's own is around them:
-// event validation and mutation, the candidate scan, and the check of
-// every stage against a shared exec::Deadline (the StageGate). When a
-// stage's gate is expired the handler drops one rung down the
-// degradation ladder
+// re-steinerize the backhaul when its inputs changed (over the MBMC
+// candidate graph the RepairState keeps by pool slot). What is serve's
+// own is around them: event validation and mutation, the candidate
+// scan, and the check of every stage against a shared exec::Deadline
+// (the StageGate). When a stage's gate is expired the handler drops one
+// rung down the degradation ladder
 //
 //     full repair -> re-home-only -> accept-degraded-with-flagged-SSs
 //
@@ -160,6 +161,23 @@ public:
 private:
     static constexpr std::size_t kUnserved = resilience::RepairState::kUnserved;
 
+    /// Everything stage 4 reads of a served view: the active pool slots
+    /// and, per active RS, its strictest distance request (MBMC's hop
+    /// bound; their minimum is d_min) and its largest P_ss (UCPO's chain
+    /// power). Equal inputs give an equal backhaul.
+    struct BackhaulInputs {
+        std::vector<std::size_t> active;
+        std::vector<double> request;
+        std::vector<double> p_ss;  ///< linear watts
+        bool operator==(const BackhaulInputs&) const = default;
+    };
+    /// The inputs of `plan`, whose SS c is SS slot covered[c] and whose
+    /// RS i is pool slot active[i]: O(S + R) reads of the live requests
+    /// and of p_ss_.
+    BackhaulInputs backhaul_inputs(const core::CoveragePlan& plan,
+                                   std::span<const std::size_t> covered,
+                                   std::span<const std::size_t> active) const;
+
     /// Fresh all-alive pool at P_max over `positions`: no failures, no
     /// allocation, every SS unserved.
     void reset_pool(std::span<const geom::Vec2> positions);
@@ -173,8 +191,9 @@ private:
     void patch(EventOutcome& out);
     void reallocate_power(EventOutcome& out);
     // The two stages after the ladder read one view of the state it left.
-    void rebuild_backhaul(const resilience::ActiveView& v);
-    void run_verify(const resilience::ActiveView& v);
+    void rebuild_backhaul(const resilience::ActiveView& v, const BackhaulInputs& inputs);
+    /// `backhaul_current`: conn_ was built from the view's inputs.
+    void run_verify(const resilience::ActiveView& v, bool backhaul_current);
     void adopt_or_fail_resolve(EventOutcome& out);
     void maybe_trigger_resolve(EventOutcome& out);
     void adopt_plan(const core::SagResult& solved, EventOutcome& out);
@@ -190,11 +209,14 @@ private:
     resilience::RepairState state_;
     resilience::FailureSet failures_;
     std::vector<std::uint64_t> slot_key_;  ///< slot -> session key
+    /// slot -> P_ss (Scenario::min_rx_power), linear watts: kept with the
+    /// slot's request, so the per-event stage-4 check evaluates no gain.
+    std::vector<double> p_ss_;
 
     std::vector<double> alloc_;  ///< per pool RS: allocated watts
     core::ConnectivityPlan conn_;
-    std::vector<std::size_t> conn_active_;  ///< active set conn_ was built over
-    bool backhaul_dirty_ = false;
+    /// The inputs conn_ was built from; none when they are unknown.
+    std::optional<BackhaulInputs> conn_inputs_;
     bool verified_ = false;
     /// The power stage's coverage verdict on the state it left behind,
     /// consumed by the next run_verify in place of a second audit.

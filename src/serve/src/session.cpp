@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -42,7 +43,11 @@ void Session::reset_pool(std::span<const geom::Vec2> positions) {
 void Session::init_from_deployment(const core::SagResult& deployment) {
     reset_pool(deployment.coverage.rs_positions);
     slot_key_.resize(scenario_.subscriber_count());
-    for (std::size_t k = 0; k < slot_key_.size(); ++k) slot_key_[k] = k;
+    p_ss_.resize(scenario_.subscriber_count());
+    for (std::size_t k = 0; k < slot_key_.size(); ++k) {
+        slot_key_[k] = k;
+        p_ss_[k] = scenario_.min_rx_power(ids::SsId{k}).watts();
+    }
     for (ids::SsId j : scenario_.ss_ids()) {
         const ids::RsId rs = deployment.coverage.assignment[j];
         if (rs != ids::RsId::invalid() && rs.index() < state_.pool_size()) {
@@ -56,10 +61,16 @@ void Session::init_from_deployment(const core::SagResult& deployment) {
         alloc_[i] = deployment.lower_power.powers[i];
     }
     conn_ = deployment.connectivity;
-    // The deployment's backhaul was built over its full coverage plan.
-    conn_active_.resize(state_.pool_size());
-    std::iota(conn_active_.begin(), conn_active_.end(), std::size_t{0});
-    backhaul_dirty_ = false;
+    // A feasible deployment's backhaul was built over its full coverage
+    // plan.
+    conn_inputs_.reset();
+    if (deployment.coverage.feasible) {
+        std::vector<std::size_t> all_ss(slot_key_.size());
+        std::iota(all_ss.begin(), all_ss.end(), std::size_t{0});
+        std::vector<std::size_t> all_rs(state_.pool_size());
+        std::iota(all_rs.begin(), all_rs.end(), std::size_t{0});
+        conn_inputs_ = backhaul_inputs(deployment.coverage, all_ss, all_rs);
+    }
     // Trust the pipeline's own verification verdict for the seed plan;
     // every subsequent event re-verifies independently.
     verified_ = deployment.feasible;
@@ -132,8 +143,9 @@ void Session::apply_mutation(const Event& e) {
             scenario_.subscribers.emplace_back(e.pos, e.distance_request);
             state_.server.push_back(kUnserved);
             slot_key_.push_back(e.key);
+            p_ss_.push_back(
+                scenario_.min_rx_power(ids::SsId{scenario_.subscriber_count() - 1}).watts());
             state_.field.add_subscriber(ids::SsId{scenario_.subscriber_count() - 1});
-            backhaul_dirty_ = true;
             break;
         }
         case EventKind::SsLeave: {
@@ -145,13 +157,14 @@ void Session::apply_mutation(const Event& e) {
                 scenario_.subscribers[k] = scenario_.subscribers[last];
                 state_.server[k] = state_.server[last];
                 slot_key_[k] = slot_key_[last];
+                p_ss_[k] = p_ss_[last];
             }
             scenario_.subscribers.pop_back();
             state_.server.pop_back();
             slot_key_.pop_back();
+            p_ss_.pop_back();
             state_.field.remove_subscriber(ids::SsId{last});
             if (k != last) state_.field.update_subscriber(ids::SsId{k});
-            backhaul_dirty_ = true;
             break;
         }
         case EventKind::SsMove: {
@@ -163,8 +176,8 @@ void Session::apply_mutation(const Event& e) {
         case EventKind::SsRate: {
             const std::size_t k = find_slot(e.key);
             scenario_.subscribers[k].distance_request = e.distance_request;
+            p_ss_[k] = scenario_.min_rx_power(ids::SsId{k}).watts();
             state_.field.update_subscriber(ids::SsId{k});
-            backhaul_dirty_ = true;  // hop bounds derive from rate requests
             break;
         }
         case EventKind::RsFail: {
@@ -244,19 +257,31 @@ void Session::reallocate_power(EventOutcome& out) {
     if (!r.shed.empty()) SAG_OBS_COUNT_ADD("serve.shed_ss", r.shed.size());
 }
 
-void Session::rebuild_backhaul(const resilience::ActiveView& v) {
-    SAG_OBS_SPAN("serve.backhaul");
-    if (v.plan.rs_count() == 0) {
-        conn_ = core::ConnectivityPlan{};
-        conn_.feasible = true;
-    } else {
-        conn_ = resilience::rebuild_backhaul(v);
+Session::BackhaulInputs Session::backhaul_inputs(const core::CoveragePlan& plan,
+                                                 std::span<const std::size_t> covered,
+                                                 std::span<const std::size_t> active) const {
+    BackhaulInputs in;
+    in.active.assign(active.begin(), active.end());
+    in.request.assign(active.size(), std::numeric_limits<double>::infinity());
+    in.p_ss.assign(active.size(), 0.0);
+    for (std::size_t c = 0; c < covered.size(); ++c) {
+        const std::size_t r = plan.assignment[ids::SsId{c}].index();
+        if (r >= active.size()) continue;  // an SS the plan leaves unassigned
+        const std::size_t k = covered[c];
+        in.request[r] = std::min(in.request[r], scenario_.subscribers[k].distance_request);
+        in.p_ss[r] = std::max(in.p_ss[r], p_ss_[k]);
     }
-    conn_active_ = v.active;
-    backhaul_dirty_ = false;
+    return in;
 }
 
-void Session::run_verify(const resilience::ActiveView& v) {
+void Session::rebuild_backhaul(const resilience::ActiveView& v,
+                               const BackhaulInputs& inputs) {
+    SAG_OBS_SPAN("serve.backhaul");
+    conn_ = state_.backhaul(v);
+    conn_inputs_ = inputs;
+}
+
+void Session::run_verify(const resilience::ActiveView& v, bool backhaul_current) {
     SAG_OBS_SPAN("serve.verify");
     const std::optional<bool> reescalated = std::exchange(coverage_verdict_, {});
     if (v.plan.rs_count() == 0) {
@@ -273,11 +298,9 @@ void Session::run_verify(const resilience::ActiveView& v) {
         }
         cov_ok = core::verify_coverage(v.covered_scenario, v.plan, powers).feasible;
     }
-    bool topo_ok = false;
-    if (!backhaul_dirty_ && conn_active_ == v.active) {
-        topo_ok =
-            core::verify_connectivity(v.covered_scenario, v.plan, conn_).feasible;
-    }
+    const bool topo_ok =
+        backhaul_current &&
+        core::verify_connectivity(v.covered_scenario, v.plan, conn_).feasible;
     verified_ = cov_ok && topo_ok;
 }
 
@@ -325,8 +348,8 @@ void Session::adopt_plan(const core::SagResult& solved, EventOutcome& out) {
     rehome(all, out);
     reallocate_power(out);
     const resilience::ActiveView view = state_.view();
-    rebuild_backhaul(view);
-    run_verify(view);
+    rebuild_backhaul(view, backhaul_inputs(view.plan, view.covered, view.active));
+    run_verify(view, true);
     baseline_rs_ = active_rs_count();
     baseline_power_ = total_power();
 }
@@ -455,20 +478,18 @@ EventOutcome Session::apply(const Event& event) {
             break;
     }
 
-    // Backhaul: rebuild when the active RS set or the rate structure
-    // changed; a gated-off rebuild leaves the plan explicitly degraded
-    // (stale backhaul), never silently wrong. The ladder is done with
-    // the state, so one view serves the backhaul and the verifiers.
+    // Backhaul: rebuild unless the view's stage-4 inputs are those the
+    // kept backhaul was built from; a gated-off rebuild leaves them
+    // differing, so the plan is explicitly degraded (stale backhaul),
+    // never silently wrong. The ladder is done with the state, so one
+    // view serves the backhaul and the verifiers.
     const resilience::ActiveView view = state_.view();
-    if (backhaul_dirty_ || view.active != conn_active_) {
-        if (gate.expired(RepairStage::Backhaul)) {
-            backhaul_dirty_ = true;
-        } else {
-            rebuild_backhaul(view);
-        }
+    const BackhaulInputs inputs = backhaul_inputs(view.plan, view.covered, view.active);
+    if (conn_inputs_ != inputs && !gate.expired(RepairStage::Backhaul)) {
+        rebuild_backhaul(view, inputs);
     }
 
-    run_verify(view);
+    run_verify(view, conn_inputs_ == inputs);
     out.verified = verified_;
     out.unserved = unserved_count();
     out.degraded = out.unserved > 0 || !verified_;

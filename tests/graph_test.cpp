@@ -109,6 +109,28 @@ TEST(PrimTest, MatchesDenseOracle) {
     }
 }
 
+TEST(PrimTest, MatchesDenseOracleOnDeepHeaps) {
+    // Up to ~300 vertices put 7-8 levels in the heap, so decrease-key
+    // sifts up and the pops sift down through many levels, under the
+    // same ties as above (weights in {-1, ..., 4}) and missing edges.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    std::mt19937_64 rng(11);
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t n = 100 + rng() % 201;
+        const std::uint64_t missing = rng() % 8;  // out of 8
+        std::vector<std::vector<double>> w(n, std::vector<double>(n, inf));
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = i + 1; j < n; ++j) {
+                if (rng() % 8 < missing) continue;
+                w[i][j] = w[j][i] = static_cast<double>(rng() % 6) - 1.0;
+            }
+        }
+        const std::size_t root = rng() % n;
+        EXPECT_EQ(prim_over(w, root), prim_dense_oracle(w, root))
+            << "trial " << trial << ", n " << n;
+    }
+}
+
 TEST(PrimTest, UnreachableVertexStaysRootless) {
     constexpr double inf = std::numeric_limits<double>::infinity();
     std::vector<std::vector<double>> w{{inf, 1.0, inf},

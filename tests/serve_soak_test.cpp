@@ -18,6 +18,7 @@
 // digests are of a libstdc++ build. When a change means to move an
 // output, re-record the digest the failure prints and say why in
 // CHANGES.md.
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -27,6 +28,7 @@
 
 #include "sag/core/feasibility.h"
 #include "sag/core/sag.h"
+#include "sag/core/ucra.h"
 #include "sag/io/event_io.h"
 #include "sag/io/resilience_io.h"
 #include "sag/resilience/damage.h"
@@ -133,6 +135,37 @@ void expect_digest(const std::string& bytes, const Golden& golden) {
         << ": 0x" << std::hex << got;
 }
 
+/// FNV-1a over a connectivity plan's 64-bit words: positions, kinds,
+/// parents and powers (ucra_test's MbmcGolden digest).
+std::uint64_t plan_digest(const core::ConnectivityPlan& plan) {
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto add = [&](std::uint64_t v) {
+        for (int b = 0; b < 64; b += 8) {
+            h ^= (v >> b) & 0xffU;
+            h *= 1099511628211ULL;
+        }
+    };
+    add(plan.node_count());
+    for (std::size_t v = 0; v < plan.node_count(); ++v) {
+        add(std::bit_cast<std::uint64_t>(plan.positions[v].x));
+        add(std::bit_cast<std::uint64_t>(plan.positions[v].y));
+        add(static_cast<std::uint64_t>(plan.kinds[v]));
+        add(plan.parent[v]);
+        add(std::bit_cast<std::uint64_t>(plan.powers[v]));
+    }
+    return h;
+}
+
+/// The session's kept backhaul is the one a scratch MBMC + UCPO builds
+/// over its snapshot's plan, bit for bit.
+void expect_scratch_backhaul(const Session& session, std::size_t event) {
+    const Session::Snapshot snap = session.snapshot();
+    core::ConnectivityPlan scratch = core::solve_mbmc(snap.covered_scenario, snap.plan);
+    core::allocate_power_ucpo(snap.covered_scenario, snap.plan, scratch);
+    EXPECT_EQ(plan_digest(snap.connectivity), plan_digest(scratch))
+        << "event " << event << ": backhaul differs from a scratch MBMC + UCPO";
+}
+
 struct SoakStats {
     std::size_t rejected = 0;
     std::size_t degraded_events = 0;
@@ -140,10 +173,19 @@ struct SoakStats {
     std::string fingerprint;
 };
 
-SoakStats soak(Session& session, const std::vector<Event>& events) {
+/// Runs `events` through `session`, whose options carry `faults`. After
+/// every accepted event whose backhaul stage was not gated off, the kept
+/// backhaul must equal a scratch one.
+SoakStats soak(Session& session, const std::vector<Event>& events,
+               const FaultPlan& faults = {}) {
     SoakStats stats;
+    const unsigned backhaul_bit = 1u << static_cast<unsigned>(RepairStage::Backhaul);
     for (const Event& e : events) {
         const EventOutcome out = session.apply(e);
+        if (out.level != RepairLevel::Rejected &&
+            (faults.stage_timeout_mask(out.event_index) & backhaul_bit) == 0) {
+            expect_scratch_backhaul(session, out.event_index);
+        }
         // The contract, event by event: verified or explicitly flagged.
         EXPECT_TRUE(out.verified || out.degraded)
             << "event " << out.event_index << " (" << to_string(out.level)
@@ -183,7 +225,7 @@ TEST(ServeSoakTest, FaultInjectedChurnNeverBreaksTheContract) {
         churn_stream(101, 24, deployment.coverage.rs_count(), 1200));
 
     Session session(scenario, deployment, opts);
-    const SoakStats stats = soak(session, events);
+    const SoakStats stats = soak(session, events, opts.faults);
 
     // Corruption guarantees rejected events; churn guarantees repairs;
     // the drift budget guarantees adopted re-solves over 2000 events.
@@ -223,16 +265,16 @@ TEST(ServeSoakTest, SoakReplayIsByteIdenticalAcrossRunsAndThreads) {
     opts.threads = 1;
     Session serial_a(scenario, deployment, opts);
     Session serial_b(scenario, deployment, opts);
-    const SoakStats a = soak(serial_a, events);
-    const SoakStats b = soak(serial_b, events);
+    const SoakStats a = soak(serial_a, events, opts.faults);
+    const SoakStats b = soak(serial_b, events, opts.faults);
     EXPECT_EQ(a.fingerprint, b.fingerprint);  // run-to-run determinism
 
     opts.threads = 4;
     Session threaded(scenario, deployment, opts);
-    const SoakStats c = soak(threaded, events);
+    const SoakStats c = soak(threaded, events, opts.faults);
     EXPECT_EQ(a.fingerprint, c.fingerprint);  // thread-count determinism
 
-    expect_digest(a.fingerprint, Golden{0x41e8c273a476a63aULL, 0x41e8c273a476a63aULL});
+    expect_digest(a.fingerprint, Golden{0x5671aee7301bd53cULL, 0x5671aee7301bd53cULL});
 }
 
 /// The 4 km / 300-SS / 9-BS city at -15 dB and its solved deployment.

@@ -2,7 +2,9 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -365,6 +367,124 @@ TEST(MbmcGolden, ByteIdenticalOnSeededFamilies) {
         EXPECT_EQ(mbmc_digest, g.mbmc);
         EXPECT_EQ(must_digest, g.must);
     }
+}
+
+// ---- The candidate graph --------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every site, nearest BS, BS weight and arc of `a` and `b`, bit for bit.
+void expect_same_graph(const MbmcGraph& a, const MbmcGraph& b) {
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(bits(a.dmin()), bits(b.dmin()));
+    for (std::size_t s = 0; s < a.size(); ++s) {
+        SCOPED_TRACE(::testing::Message() << "site " << s);
+        EXPECT_EQ(a.site(s), b.site(s));
+        EXPECT_EQ(a.nearest_bs(s), b.nearest_bs(s));
+        EXPECT_EQ(bits(a.bs_weight(s)), bits(b.bs_weight(s)));
+        const std::span<const MbmcGraph::Arc> x = a.arcs(s);
+        const std::span<const MbmcGraph::Arc> y = b.arcs(s);
+        ASSERT_EQ(x.size(), y.size());
+        for (std::size_t k = 0; k < x.size(); ++k) {
+            EXPECT_EQ(x[k].to, y[k].to);
+            EXPECT_EQ(bits(x[k].weight), bits(y[k].weight));
+        }
+    }
+}
+
+TEST(MbmcGraphTest, AppendingSitesMatchesBuildingOverTheLongerList) {
+    // The golden families, lattice ties and RSs on BSs included, toward
+    // every BS (MBMC) and toward BS 0 alone (MUST's O(R^2) arcs).
+    for (const MbmcGoldenRow& g : kMbmcGolden) {
+        const Family f =
+            golden_family(g.subscribers, g.side, g.base_stations, g.lattice, g.seed);
+        const std::span<const geom::Vec2> sites = f.coverage.rs_positions;
+        const double dmin = mbmc_dmin(f.scenario, f.coverage);
+        const auto all_bs = ids::all_ids<BsId>(f.scenario.base_station_count());
+        const BsId bs0[] = {BsId{0}};
+        for (const std::span<const BsId> usable :
+             {std::span<const BsId>(all_bs), std::span<const BsId>(bs0)}) {
+            const MbmcGraph built(f.scenario, usable, sites, dmin);
+            for (const std::size_t head : {std::size_t{0}, sites.size() / 2}) {
+                SCOPED_TRACE(::testing::Message() << g.subscribers << " subscribers, "
+                                                  << usable.size() << " BSs, " << head
+                                                  << " sites built before appending");
+                MbmcGraph grown(f.scenario, usable, sites.first(head), dmin);
+                for (std::size_t s = head; s < sites.size(); ++s) grown.append(sites[s]);
+                expect_same_graph(built, grown);
+            }
+        }
+    }
+}
+
+TEST(MbmcGraphTest, PrimOverAPoolGraphMatchesTheCompactedPlan) {
+    // A graph over every RS of a golden family is a pool; a random subset
+    // of it is the active set of a served view. The plan compacted onto
+    // that subset (its RSs in pool order, the subscribers they serve)
+    // must get the tree solve_mbmc builds from scratch, bit for bit.
+    std::mt19937_64 rng(5);
+    for (const MbmcGoldenRow& g : kMbmcGolden) {
+        const Family f =
+            golden_family(g.subscribers, g.side, g.base_stations, g.lattice, g.seed);
+        const std::size_t pool = f.coverage.rs_count();
+        const auto all_bs = ids::all_ids<BsId>(f.scenario.base_station_count());
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<std::size_t> active;
+            std::vector<std::size_t> plan_rs(pool, pool);
+            CoveragePlan cov;
+            for (std::size_t r = 0; r < pool; ++r) {
+                if (rng() % 3 == 0) continue;
+                plan_rs[r] = active.size();
+                active.push_back(r);
+                cov.rs_positions.push_back(f.coverage.rs_positions[r]);
+            }
+            Scenario s = f.scenario;
+            s.subscribers.clear();
+            for (const SsId j : f.scenario.ss_ids()) {
+                const std::size_t r = plan_rs[f.coverage.assignment[j].index()];
+                if (r == pool) continue;
+                s.subscribers.push_back(f.scenario.subscriber(j));
+                cov.assignment.push_back(RsId{r});
+            }
+            cov.feasible = true;
+            SCOPED_TRACE(::testing::Message() << g.subscribers << " subscribers, trial "
+                                              << trial << ", " << active.size() << " of "
+                                              << pool << " RSs active");
+            const MbmcGraph graph(f.scenario, all_bs, f.coverage.rs_positions,
+                                  mbmc_dmin(s, cov));
+            ConnectivityPlan pooled = solve_mbmc(s, cov, graph, active);
+            allocate_power_ucpo(s, cov, pooled);
+            ConnectivityPlan scratch = solve_mbmc(s, cov);
+            allocate_power_ucpo(s, cov, scratch);
+            EXPECT_TRUE(pooled.feasible);
+            EXPECT_EQ(plan_digest(pooled), plan_digest(scratch));
+        }
+    }
+}
+
+TEST(MbmcGraphTest, RejectsAGraphThatDoesNotMatchThePlan) {
+    Scenario s = linear_scenario();
+    s.subscribers = {{{0.0, 0.0}, 40.0}, {{200.0, 0.0}, 40.0}};
+    const auto cov = plan_of({{0.0, 0.0}, {200.0, 0.0}}, {RsId{0}, RsId{1}});
+    const BsId bs[] = {BsId{0}};
+    const std::vector<geom::Vec2> pool = {{0.0, 0.0}, {100.0, 0.0}, {200.0, 0.0}};
+    const MbmcGraph graph(s, bs, pool, 40.0);
+    const std::size_t good[] = {0, 2};
+    EXPECT_EQ(plan_digest(solve_mbmc(s, cov, graph, good)), plan_digest(solve_mbmc(s, cov)));
+
+    const std::size_t unsorted[] = {2, 0};
+    const std::size_t wrong_site[] = {0, 1};
+    const std::size_t too_few[] = {0};
+    const std::size_t past_end[] = {0, 3};
+    for (const std::span<const std::size_t> sites :
+         {std::span<const std::size_t>(unsorted), std::span<const std::size_t>(wrong_site),
+          std::span<const std::size_t>(too_few), std::span<const std::size_t>(past_end)}) {
+        EXPECT_THROW((void)solve_mbmc(s, cov, graph, sites), std::invalid_argument);
+    }
+    const MbmcGraph other_dmin(s, bs, pool, 30.0);
+    EXPECT_THROW((void)solve_mbmc(s, cov, other_dmin, good), std::invalid_argument);
+    const MbmcGraph no_bs(s, {}, pool, 40.0);
+    EXPECT_THROW((void)solve_mbmc(s, cov, no_bs, good), std::invalid_argument);
 }
 
 }  // namespace

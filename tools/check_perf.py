@@ -42,6 +42,7 @@ GATED_PREFIXES = (
     "BM_Mbmc",
     "BM_ServeEventMove",
     "BM_ServeEventFailRecover",
+    "BM_ServeEventJoinLeave",
 )
 
 
