@@ -30,8 +30,6 @@ namespace sag::bench {
 /// Command-line knobs shared by all benchmark binaries.
 ///   --seeds=N    runs per point (default 10, the paper's count)
 ///   --fast       3 seeds and reduced ILP budgets (CI-friendly)
-///   --threads=N  parallel seed evaluation where the binary supports it
-///                (never used for wall-clock measurements)
 ///   --report[=FILE]  write an obs::RunReport with per-phase spans and
 ///                solver counters (default results/<binary>_report.json;
 ///                schema in docs/OBSERVABILITY.md)
@@ -41,13 +39,12 @@ namespace sag::bench {
 struct BenchConfig {
     int seeds = 10;
     bool fast = false;
-    int threads = 1;
     std::string report_path;  ///< empty = no run report requested
 
     static BenchConfig parse(int argc, char** argv,
                              std::initializer_list<std::string_view> own_flags = {}) {
         const auto usage = [&](std::FILE* out) {
-            std::fprintf(out, "usage: %s [--seeds=N] [--threads=N] [--fast]"
+            std::fprintf(out, "usage: %s [--seeds=N] [--fast]"
                               " [--report[=FILE]]", argv[0]);
             for (const std::string_view f : own_flags) {
                 std::fprintf(out, " [%.*s%s]", static_cast<int>(f.size()), f.data(),
@@ -66,8 +63,6 @@ struct BenchConfig {
             const std::string arg = argv[i];
             if (arg.rfind("--seeds=", 0) == 0) {
                 cfg.seeds = std::atoi(arg.c_str() + 8);
-            } else if (arg.rfind("--threads=", 0) == 0) {
-                cfg.threads = std::atoi(arg.c_str() + 10);
             } else if (arg == "--fast") {
                 cfg.fast = true;
                 cfg.seeds = 3;
@@ -87,7 +82,6 @@ struct BenchConfig {
             }
         }
         if (cfg.seeds < 1) cfg.seeds = 1;
-        if (cfg.threads < 1) cfg.threads = 1;
         return cfg;
     }
 };

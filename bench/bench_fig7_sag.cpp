@@ -5,6 +5,8 @@
 // at P_max); the gap widens with the field size.
 #include "bench_common.h"
 
+#include <algorithm>
+
 #include "sag/exec/thread_pool.h"
 
 #include "sag/core/candidates.h"
@@ -27,13 +29,12 @@ double darp_total(const core::Scenario& s, const core::CoveragePlan& plan) {
 
 void field_sweep(const char* figure, sim::GeneratorConfig (*preset)(std::size_t users),
                  const std::vector<std::size_t>& user_counts, double grid,
-                 const BenchConfig& bc) {
+                 const BenchConfig& bc, exec::ThreadPool& pool) {
     bench::print_header(figure, "total power: SAG vs SAMC/IAC/GAC + DARP");
     sim::Table table({"users", "SAG", "SAMC+DARP", "IAC+DARP", "GAC+DARP"});
     const std::size_t iac_nodes = bc.fast ? 50'000 : 400'000;
     const std::size_t gac_nodes = bc.fast ? 30'000 : 200'000;
 
-    exec::ThreadPool pool(static_cast<std::size_t>(bc.threads));
     for (const std::size_t users : user_counts) {
         const sim::GeneratorConfig cfg = preset(users);
         // Evaluate seeds in parallel into per-seed slots (deterministic
@@ -92,15 +93,23 @@ void field_sweep(const char* figure, sim::GeneratorConfig (*preset)(std::size_t 
 }  // namespace
 
 int main(int argc, char** argv) {
-    const BenchConfig bc = BenchConfig::parse(argc, argv);
+    const BenchConfig bc = BenchConfig::parse(argc, argv, {"--threads="});
     const sag::bench::ReportScope report_scope(bc);
+    // --threads=N evaluates each point's seeds on N workers, into per-seed
+    // slots reduced in seed order.
+    int threads = 1;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--threads=", 0) == 0) threads = std::atoi(arg.c_str() + 10);
+    }
+    exec::ThreadPool pool(static_cast<std::size_t>(std::max(threads, 1)));
     std::printf("Fig. 7 reproduction (seeds per point: %d%s)\n\n", bc.seeds,
                 bc.fast ? ", fast mode" : "");
     field_sweep("Fig 7(a)", sim::presets::field300, {5, 10, 15, 20, 25, 30, 35, 40},
-                15.0, bc);
+                15.0, bc, pool);
     field_sweep("Fig 7(b)", sim::presets::field500,
-                {5, 10, 15, 20, 25, 30, 35, 40, 45, 50}, 15.0, bc);
+                {5, 10, 15, 20, 25, 30, 35, 40, 45, 50}, 15.0, bc, pool);
     field_sweep("Fig 7(c)", sim::presets::field800, {20, 30, 40, 50, 60, 70}, 20.0,
-                bc);
+                bc, pool);
     return 0;
 }

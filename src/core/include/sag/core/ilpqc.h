@@ -15,14 +15,6 @@ struct IlpqcOptions {
     /// Wall-clock limit in seconds (0 disables). Mainly caps the cost of
     /// infeasibility proofs on SNR-tight instances.
     double time_budget_seconds = 0.0;
-    /// Worker threads for the branch-and-bound: 1 = the serial solver,
-    /// 0 = exec default (SAG_THREADS env / hardware concurrency), else
-    /// that many. Any value != 1 routes through the deterministic
-    /// parallel solver (opt::solve_set_cover_bnb_parallel) with one
-    /// incremental SNR oracle per root branch; with an ample node budget
-    /// the chosen cover matches the serial solver's exactly. Note the
-    /// node budget then applies per root branch, not globally.
-    std::size_t threads = 1;
 };
 
 /// Solves the paper's ILPQC (3.1)-(3.5): minimum number of candidate

@@ -21,11 +21,6 @@ struct SamcOptions {
     /// always safe and measurably extends SAMC's feasibility range at
     /// tight thresholds. Off reproduces the paper's algorithm verbatim.
     bool allow_reassignment = true;
-    /// Worker threads for the per-zone hitting-set batch (zones are
-    /// independent, so the fan-out is deterministic): 1 = serial on the
-    /// calling thread, 0 = exec default (SAG_THREADS env / hardware
-    /// concurrency). The per-zone repair loop stays serial either way.
-    std::size_t threads = 1;
 };
 
 /// SAMC output: the coverage plan plus the zones it was solved over

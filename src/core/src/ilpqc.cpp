@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "sag/core/snr.h"
@@ -73,47 +72,20 @@ CoveragePlan solve_ilpqc_coverage(const Scenario& scenario,
     opt::SetCoverBnBOptions bnb;
     bnb.node_budget = options.node_budget;
     bnb.time_budget_seconds = options.time_budget_seconds;
-    bnb.threads = options.threads;
     // A placement larger than one RS per subscriber (plus a little padding
     // slack) is never useful; capping the search keeps infeasibility
     // proofs from enumerating absurd cover sizes.
     bnb.max_size = n + 4;
 
-    opt::SetCoverBnBResult result;
-    if (options.threads == 1) {
-        SnrFeasibilityOracle snr_oracle(scenario, candidates);
-        std::vector<ids::CandId> chosen_ids;
-        const opt::CoverOracle oracle = [&](std::span<const std::size_t> chosen) {
-            chosen_ids.clear();
-            chosen_ids.reserve(chosen.size());
-            for (const std::size_t c : chosen) chosen_ids.push_back(ids::CandId{c});
-            return snr_oracle.feasible(chosen_ids);
-        };
-        result = opt::solve_set_cover_bnb(inst, oracle, bnb);
-    } else {
-        // Parallel search: every root branch builds its own incremental
-        // oracle (the SnrFeasibilityOracle diffs against *its* previous
-        // query, so sharing one across subtrees would corrupt the diff).
-        // The factory itself captures only const state, so the fan-out
-        // (exec::ThreadPool inside solve_set_cover_bnb_parallel) shares
-        // nothing mutable across workers — by construction, and checked
-        // by the clang thread-safety build plus the §6 confinement lint.
-        const opt::CoverOracleFactory factory = [&scenario, candidates]() {
-            auto snr_oracle =
-                std::make_shared<SnrFeasibilityOracle>(scenario, candidates);
-            auto chosen_ids = std::make_shared<std::vector<ids::CandId>>();
-            return opt::CoverOracle(
-                [snr_oracle, chosen_ids](std::span<const std::size_t> chosen) {
-                    chosen_ids->clear();
-                    chosen_ids->reserve(chosen.size());
-                    for (const std::size_t c : chosen) {
-                        chosen_ids->push_back(ids::CandId{c});
-                    }
-                    return snr_oracle->feasible(*chosen_ids);
-                });
-        };
-        result = opt::solve_set_cover_bnb_parallel(inst, factory, bnb);
-    }
+    SnrFeasibilityOracle snr_oracle(scenario, candidates);
+    std::vector<ids::CandId> chosen_ids;
+    const opt::CoverOracle oracle = [&](std::span<const std::size_t> chosen) {
+        chosen_ids.clear();
+        chosen_ids.reserve(chosen.size());
+        for (const std::size_t c : chosen) chosen_ids.push_back(ids::CandId{c});
+        return snr_oracle.feasible(chosen_ids);
+    };
+    const opt::SetCoverBnBResult result = opt::solve_set_cover_bnb(inst, oracle, bnb);
 
     plan.search_nodes = result.nodes_explored;
     SAG_OBS_COUNT_ADD("ilpqc.bnb.nodes", result.nodes_explored);

@@ -323,12 +323,8 @@ SamcResult solve_samc(const Scenario& scenario, const SamcOptions& options) {
     result.plan.feasible = true;
 
     // Stage 1+2: build every zone's disk family, then solve all hitting
-    // sets in one batch — the zone fan-out seam (options.threads). The
-    // repair stages below depend on each zone's own points only, but stay
-    // serial: their SnrField probes dominate only on pathological zones.
-    // The fan-out itself is confined to exec::ThreadPool inside
-    // geometric_hitting_sets (zone slots, no shared mutable state), so
-    // the thread-safety/TSan gauntlets cover this path transitively.
+    // sets in one batch. The repair stages below then run zone by zone on
+    // each zone's own points.
     std::vector<std::vector<geom::Circle>> zone_disks;
     zone_disks.reserve(result.zones.size());
     for (const auto& zone : result.zones) {
@@ -337,8 +333,7 @@ SamcResult solve_samc(const Scenario& scenario, const SamcOptions& options) {
         for (const ids::SsId j : zone) disks.push_back(scenario.feasible_circle(j));
         zone_disks.push_back(std::move(disks));
     }
-    const auto zone_points =
-        opt::geometric_hitting_sets(zone_disks, options.hitting_set, options.threads);
+    const auto zone_points = opt::geometric_hitting_sets(zone_disks, options.hitting_set);
 
     for (const ids::ZoneId z : result.zones.ids()) {
         SAG_OBS_SPAN("samc.zone");

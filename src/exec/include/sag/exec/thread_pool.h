@@ -11,14 +11,11 @@
 
 namespace sag::exec {
 
-/// A minimal fixed-size worker pool. Used by parallel_for_index to spread
-/// independent work items across cores; callers stay deterministic
-/// because work items are indexed and outputs land in pre-sized slots
-/// (no order-dependent accumulation).
-///
-/// Lives in the dependency-bottom sag_exec library so that both the
-/// solver layers (opt, core) and the experiment harness (sim) can share
-/// one pool abstraction without an upward dependency.
+/// A minimal fixed-size worker pool. Its users are serve::Session, which
+/// runs background re-solves on a one-worker pool, and bench_fig7_sag,
+/// which evaluates seeds through parallel_for_index. Callers stay
+/// deterministic because work items are indexed and outputs land in
+/// pre-sized slots (no order-dependent accumulation).
 ///
 /// Locking discipline is a compile-time property: every shared member is
 /// SAG_GUARDED_BY(mutex_), so an unguarded access fails the clang
@@ -26,14 +23,12 @@ namespace sag::exec {
 /// (docs/STATIC_ANALYSIS.md §8).
 class ThreadPool {
 public:
-    /// `threads` == 0 picks default_thread_count().
-    explicit ThreadPool(std::size_t threads = 0);
+    /// Starts `threads` workers; callers pass at least 1.
+    explicit ThreadPool(std::size_t threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
-
-    std::size_t thread_count() const { return workers_.size(); }
 
     /// Enqueues a task; tasks must not throw (std::terminate otherwise).
     void submit(std::function<void()> task);
@@ -52,16 +47,6 @@ private:
     std::size_t in_flight_ SAG_GUARDED_BY(mutex_) = 0;
     bool stopping_ SAG_GUARDED_BY(mutex_) = false;
 };
-
-/// Pool width used when a caller passes `threads == 0`: the SAG_THREADS
-/// environment variable when set to a positive integer, else
-/// hardware_concurrency (minimum 1). One knob caps every parallel stage
-/// in the repo — solver fan-outs and the experiment harness alike.
-std::size_t default_thread_count();
-
-/// Resolves a per-call thread-count option: 0 -> default_thread_count(),
-/// anything else is taken literally (callers use 1 for "force serial").
-std::size_t resolve_thread_count(std::size_t requested);
 
 /// Runs fn(i) for i in [0, count) on `pool`, blocking until all complete.
 /// fn must only write to its own index's output slot.

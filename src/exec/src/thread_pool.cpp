@@ -1,13 +1,8 @@
 #include "sag/exec/thread_pool.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <string>
-
 namespace sag::exec {
 
 ThreadPool::ThreadPool(std::size_t threads) {
-    if (threads == 0) threads = default_thread_count();
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
@@ -57,21 +52,6 @@ void ThreadPool::worker_loop() {
             if (in_flight_ == 0) all_done_.notify_all();
         }
     }
-}
-
-std::size_t default_thread_count() {
-    if (const char* env = std::getenv("SAG_THREADS")) {
-        char* end = nullptr;
-        const long parsed = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && parsed > 0) {
-            return static_cast<std::size_t>(parsed);
-        }
-    }
-    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-std::size_t resolve_thread_count(std::size_t requested) {
-    return requested == 0 ? default_thread_count() : requested;
 }
 
 void parallel_for_index(ThreadPool& pool, std::size_t count,

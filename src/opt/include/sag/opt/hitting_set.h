@@ -48,14 +48,12 @@ std::vector<geom::Vec2> geometric_hitting_set(std::span<const geom::Circle> disk
                                               const HittingSetOptions& options = {});
 
 /// Batch form: out[z] = geometric_hitting_set(instances[z], options) for
-/// every zone z. With `threads != 1` the zones fan out across a
-/// sag::exec thread pool (0 = exec default, i.e. SAG_THREADS env /
-/// hardware concurrency); each zone is solved independently into its
-/// own indexed output slot, so results are deterministic and identical
-/// to the serial loop regardless of scheduling. This is the SAMC
-/// per-zone parallelism seam (Algorithm 1 treats zones independently).
+/// every zone z, solved in zone order (Algorithm 1 treats zones
+/// independently). SAMC solves all its zones through this one call, so
+/// the `opt.hitting_set.batch` span holds a solve's whole hitting-set
+/// time.
 std::vector<std::vector<geom::Vec2>> geometric_hitting_sets(
     std::span<const std::vector<geom::Circle>> instances,
-    const HittingSetOptions& options = {}, std::size_t threads = 1);
+    const HittingSetOptions& options = {});
 
 }  // namespace sag::opt

@@ -31,20 +31,10 @@ std::optional<std::vector<std::size_t>> greedy_set_cover(const SetCoverInstance&
 /// under the chosen candidate set. Must be side-effect free.
 using CoverOracle = std::function<bool(std::span<const std::size_t>)>;
 
-/// Builds a fresh, independently stateful CoverOracle. The parallel
-/// branch-and-bound gives every root branch its own oracle instance, so a
-/// stateful oracle (e.g. the incremental SnrFeasibilityOracle) never sees
-/// interleaved queries from two subtrees. Must be safe to invoke
-/// concurrently; each returned oracle is used by one thread at a time.
-using CoverOracleFactory = std::function<CoverOracle()>;
-
 struct SetCoverBnBOptions {
     /// Search-node budget; when exhausted the solver returns the best
     /// oracle-feasible cover found so far (anytime behaviour mirroring a
-    /// MIP time limit). Serial: one budget across all depths. Parallel:
-    /// each root branch of each deepening level gets this budget for its
-    /// subtree (documented semantics — results stay
-    /// scheduling-independent because every subtree's cutoff is its own).
+    /// MIP time limit). One budget across all depths.
     std::size_t node_budget = 4'000'000;
     /// Wall-clock limit in seconds (checked every 1024 nodes); 0 or
     /// negative disables it. Infeasibility proofs with expensive oracles
@@ -53,11 +43,6 @@ struct SetCoverBnBOptions {
     double time_budget_seconds = 0.0;
     /// Hard cap on solution size; defaults to the number of candidates.
     std::size_t max_size = SIZE_MAX;
-    /// Worker threads for solve_set_cover_bnb_parallel: 1 = explore root
-    /// branches on the calling thread, 0 = the exec default
-    /// (SAG_THREADS env / hardware concurrency). Ignored by the serial
-    /// solve_set_cover_bnb.
-    std::size_t threads = 1;
 };
 
 struct SetCoverBnBResult {
@@ -79,20 +64,6 @@ struct SetCoverBnBResult {
 SetCoverBnBResult solve_set_cover_bnb(const SetCoverInstance& inst,
                                       const CoverOracle& oracle,
                                       const SetCoverBnBOptions& options = {});
-
-/// Parallel variant of solve_set_cover_bnb with deterministic merging:
-/// each iterative-deepening level splits at the root pivot's branches
-/// (the exact branch order the serial DFS would try) and explores every
-/// branch's subtree concurrently, each with its own oracle from
-/// `oracle_factory` and its own node budget. The merged winner is the
-/// lowest-ordered successful branch, so the chosen cover is independent
-/// of thread scheduling — and identical to the serial solver's whenever
-/// the budget is ample (tested). `proven_optimal` additionally requires
-/// that no earlier deepening level exhausted a branch budget (a smaller
-/// cover can only hide behind an exhausted smaller level).
-SetCoverBnBResult solve_set_cover_bnb_parallel(
-    const SetCoverInstance& inst, const CoverOracleFactory& oracle_factory,
-    const SetCoverBnBOptions& options = {});
 
 /// Lower bound on the optimal cover size: greedily extracts elements whose
 /// candidate sets are pairwise disjoint (each needs a distinct set).

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "sag/exec/thread_pool.h"
 #include "sag/geometry/sweep.h"
 #include "sag/obs/obs.h"
 #include "sag/opt/set_cover.h"
@@ -250,24 +249,12 @@ std::vector<geom::Vec2> geometric_hitting_set(std::span<const geom::Circle> disk
 
 std::vector<std::vector<geom::Vec2>> geometric_hitting_sets(
     std::span<const std::vector<geom::Circle>> instances,
-    const HittingSetOptions& options, std::size_t threads) {
+    const HittingSetOptions& options) {
     SAG_OBS_SPAN("opt.hitting_set.batch");
     std::vector<std::vector<geom::Vec2>> out(instances.size());
-    if (threads == 1 || instances.size() <= 1) {
-        for (std::size_t z = 0; z < instances.size(); ++z) {
-            out[z] = geometric_hitting_set(instances[z], options);
-        }
-        return out;
-    }
-    SAG_OBS_COUNT_ADD("opt.hitting_set.parallel_zones", instances.size());
-    exec::ThreadPool pool(exec::resolve_thread_count(threads));
-    // Each zone writes only its own slot; worker-thread obs events merge
-    // at snapshot via the recorder's per-thread buffers. All locking
-    // lives behind exec::ThreadPool / obs::Recorder (annotated
-    // exec::Mutex — the check_static §6 confinement lint keeps it so).
-    exec::parallel_for_index(pool, instances.size(), [&](std::size_t z) {
+    for (std::size_t z = 0; z < instances.size(); ++z) {
         out[z] = geometric_hitting_set(instances[z], options);
-    });
+    }
     return out;
 }
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "sag/exec/deadline.h"
-#include "sag/exec/thread_pool.h"
 #include "sag/obs/obs.h"
 
 namespace sag::opt {
@@ -272,158 +271,6 @@ SetCoverBnBResult solve_set_cover_bnb(const SetCoverInstance& inst,
     // When the budget was not exhausted and no cover of any size passed the
     // oracle, the instance is genuinely infeasible (proven).
     if (!search.budget_exhausted && !result.feasible) result.proven_optimal = true;
-    return result;
-}
-
-namespace {
-
-/// The root branch list exactly as Search::dfs computes it on an empty
-/// chosen set: pivot = element with the fewest covering candidates,
-/// branches = its candidates ordered by covered-element gain descending
-/// (same comparator, same input sequence, so ties resolve identically).
-std::vector<std::size_t> root_branches(
-    const SetCoverInstance& inst,
-    const std::vector<std::vector<std::size_t>>& covering) {
-    std::size_t pivot = inst.element_count;
-    std::size_t pivot_options = std::numeric_limits<std::size_t>::max();
-    for (std::size_t e = 0; e < inst.element_count; ++e) {
-        if (covering[e].size() < pivot_options) {
-            pivot_options = covering[e].size();
-            pivot = e;
-        }
-    }
-    if (pivot == inst.element_count || pivot_options == 0) return {};
-    std::vector<std::pair<std::size_t, std::size_t>> branches;  // (gain, set)
-    for (const std::size_t s : covering[pivot]) {
-        branches.emplace_back(inst.sets[s].size(), s);
-    }
-    std::sort(branches.begin(), branches.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    std::vector<std::size_t> order;
-    order.reserve(branches.size());
-    for (const auto& [gain, s] : branches) {
-        (void)gain;
-        order.push_back(s);
-    }
-    return order;
-}
-
-struct BranchOutcome {
-    bool found = false;
-    bool exhausted = false;
-    std::vector<std::size_t> cover;
-    std::size_t nodes = 0;
-};
-
-}  // namespace
-
-SetCoverBnBResult solve_set_cover_bnb_parallel(
-    const SetCoverInstance& inst, const CoverOracleFactory& oracle_factory,
-    const SetCoverBnBOptions& options) {
-    SAG_OBS_SPAN("opt.set_cover.bnb_parallel");
-    SetCoverBnBResult result;
-    if (!inst.coverable()) return result;
-    if (inst.element_count == 0) {
-        result.feasible = true;
-        result.proven_optimal = true;
-        return result;
-    }
-
-    const auto covering = inst.covering_sets();
-    const std::size_t lb = std::max<std::size_t>(1, disjoint_elements_lower_bound(inst));
-    const std::size_t ub = std::min(options.max_size, inst.sets.size());
-
-    // Anytime fallback, as in the serial solver (its own oracle instance).
-    std::optional<std::vector<std::size_t>> fallback;
-    {
-        const CoverOracle oracle = oracle_factory ? oracle_factory() : CoverOracle{};
-        if (auto greedy = greedy_set_cover(inst)) {
-            if (!oracle || oracle(*greedy)) fallback = std::move(*greedy);
-        }
-    }
-
-    const std::vector<std::size_t> branches = root_branches(inst, covering);
-    if (branches.empty()) return result;  // defensive; coverable() rules it out
-
-    // One absolute expiry instant shared by every branch of every level
-    // (copying a Deadline copies the instant), so the parallel search's
-    // cutoff semantics match the serial solver's.
-    const exec::Deadline deadline =
-        exec::Deadline::after_seconds(options.time_budget_seconds);
-
-    exec::ThreadPool pool(exec::resolve_thread_count(options.threads));
-    bool exhausted_any = false;  // across finished levels: taints optimality
-    std::size_t total_nodes = 0;
-
-    for (std::size_t k = lb; k <= ub; ++k) {
-        if (fallback && fallback->size() <= k) {
-            result.chosen = *fallback;
-            result.feasible = true;
-            result.proven_optimal = !exhausted_any;
-            result.nodes_explored = total_nodes;
-            return result;
-        }
-
-        SAG_OBS_COUNT_ADD("opt.set_cover.bnb.branches", branches.size());
-        // Lock-free by construction: every worker owns outcomes[b] and a
-        // private Search/oracle; the only synchronization is the pool's
-        // annotated wait_idle barrier inside parallel_for_index, so the
-        // clang thread-safety build has nothing unguarded to flag here.
-        std::vector<BranchOutcome> outcomes(branches.size());
-        exec::parallel_for_index(pool, branches.size(), [&](std::size_t b) {
-            const CoverOracle oracle =
-                oracle_factory ? oracle_factory() : CoverOracle{};
-            Search search{inst,
-                          covering,
-                          oracle,
-                          options,
-                          /*target_size=*/k,
-                          /*nodes=*/0,
-                          /*budget_exhausted=*/false,
-                          deadline,
-                          /*chosen=*/{},
-                          std::vector<bool>(inst.sets.size(), false),
-                          std::vector<int>(inst.element_count, 0),
-                          /*uncovered=*/inst.element_count,
-                          /*found=*/{}};
-            search.spend_node();  // the root node the serial DFS charges
-            search.take(branches[b]);
-            BranchOutcome& out = outcomes[b];
-            out.found = search.dfs();
-            out.exhausted = search.budget_exhausted;
-            out.nodes = search.nodes;
-            if (out.found) out.cover = std::move(search.found);
-        });
-
-        bool level_exhausted = false;
-        const BranchOutcome* winner = nullptr;
-        for (const BranchOutcome& out : outcomes) {
-            total_nodes += out.nodes;
-            if (out.exhausted) level_exhausted = true;
-            if (out.found && winner == nullptr) winner = &out;
-        }
-        if (winner != nullptr) {
-            // Lowest-ordered success: the same branch the serial DFS would
-            // have succeeded in first, so the merge is scheduling-free.
-            result.chosen = winner->cover;
-            result.feasible = true;
-            result.proven_optimal = !exhausted_any;
-            result.nodes_explored = total_nodes;
-            return result;
-        }
-        if (level_exhausted) {
-            exhausted_any = true;
-            break;  // anytime: fall back rather than deepen past a cutoff
-        }
-    }
-
-    result.nodes_explored = total_nodes;
-    if (fallback) {
-        result.chosen = *fallback;
-        result.feasible = true;
-        result.proven_optimal = false;
-    }
-    if (!exhausted_any && !result.feasible) result.proven_optimal = true;
     return result;
 }
 

@@ -104,6 +104,34 @@ TEST(HittingSetTest, SwapDisabledStillHitsAll) {
     EXPECT_TRUE(hits_all(disks, pts));
 }
 
+TEST(HittingSetTest, BatchMatchesPerInstance) {
+    std::mt19937 rng(3);
+    std::uniform_real_distribution<double> coord(-120.0, 120.0);
+    std::uniform_real_distribution<double> radius(15.0, 45.0);
+    std::uniform_int_distribution<std::size_t> count(3, 10);
+    std::vector<std::vector<Circle>> zones;
+    for (int z = 0; z < 8; ++z) {
+        std::vector<Circle> disks;
+        const std::size_t n = count(rng);
+        for (std::size_t d = 0; d < n; ++d) {
+            disks.push_back({{coord(rng), coord(rng)}, radius(rng)});
+        }
+        zones.push_back(std::move(disks));
+    }
+    const auto batch = geometric_hitting_sets(zones);
+    ASSERT_EQ(batch.size(), zones.size());
+    for (std::size_t z = 0; z < zones.size(); ++z) {
+        const auto single = geometric_hitting_set(zones[z]);
+        ASSERT_EQ(batch[z].size(), single.size()) << "zone " << z;
+        for (std::size_t p = 0; p < single.size(); ++p) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[z][p].x),
+                      std::bit_cast<std::uint64_t>(single[p].x));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[z][p].y),
+                      std::bit_cast<std::uint64_t>(single[p].y));
+        }
+    }
+}
+
 /// Property sweep over seeds and swap depth: result always hits all disks,
 /// never exceeds the disk count, and deeper swaps never do worse.
 class HittingSetProperty

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sag/sim/paper_presets.h"
 #include "sag/sim/stats.h"
 #include "sag/sim/stopwatch.h"
 #include "sag/sim/table.h"
@@ -65,6 +66,31 @@ TEST(TableTest, NanRendersAsNa) {
     std::ostringstream os;
     t.print(os);
     EXPECT_EQ(os.str(), "    x\n-----\n  n/a\n");
+}
+
+TEST(PaperPresetsTest, MatchSectionFourSettings) {
+    // The presets start from GeneratorConfig's defaults: the §IV base.
+    const GeneratorConfig base;
+    EXPECT_DOUBLE_EQ(base.min_distance_request, 30.0);
+    EXPECT_DOUBLE_EQ(base.max_distance_request, 40.0);
+    EXPECT_DOUBLE_EQ(base.snr_threshold_db.db(), -15.0);
+    EXPECT_EQ(base.base_station_count, 4u);
+
+    EXPECT_DOUBLE_EQ(presets::field500(20).field_side, 500.0);
+    EXPECT_EQ(presets::field500(20).subscriber_count, 20u);
+    EXPECT_DOUBLE_EQ(presets::field800(70).field_side, 800.0);
+    EXPECT_DOUBLE_EQ(presets::field800_relaxed(50).snr_threshold_db.db(), -40.0);
+    EXPECT_DOUBLE_EQ(presets::field300(10).field_side, 300.0);
+    EXPECT_DOUBLE_EQ(presets::snr_sweep_point(units::Decibel{-11.55}).snr_threshold_db.db(), -11.55);
+    EXPECT_EQ(presets::topology_showcase().bs_layout, BsLayout::Corners);
+}
+
+TEST(PaperPresetsTest, PresetsGenerateValidScenarios) {
+    for (const auto& cfg :
+         {presets::field500(20), presets::field800(70), presets::field300(10),
+          presets::topology_showcase()}) {
+        EXPECT_NO_THROW((void)generate_scenario(cfg, 1));
+    }
 }
 
 }  // namespace

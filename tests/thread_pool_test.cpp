@@ -1,18 +1,19 @@
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sag/sim/paper_presets.h"
 #include "sag/exec/thread_pool.h"
 
-namespace sag::sim {
+namespace sag {
 namespace {
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
     exec::ThreadPool pool(4);
-    EXPECT_EQ(pool.thread_count(), 4u);
     std::atomic<int> counter{0};
     for (int i = 0; i < 100; ++i) {
         pool.submit([&counter] { counter.fetch_add(1); });
@@ -27,9 +28,27 @@ TEST(ThreadPoolTest, WaitIdleOnFreshPoolReturnsImmediately) {
     SUCCEED();
 }
 
-TEST(ThreadPoolTest, ZeroThreadsPicksHardwareConcurrency) {
-    exec::ThreadPool pool(0);
-    EXPECT_GE(pool.thread_count(), 1u);
+TEST(ThreadPoolTest, RunsAsManyTasksAtOnceAsItHasWorkers) {
+    // Each task waits until all kWorkers tasks have started. Only a pool
+    // with kWorkers live workers lets them all meet; a narrower one runs
+    // into the shared deadline and fails instead of hanging.
+    constexpr int kWorkers = 4;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::atomic<int> started{0};
+    std::atomic<int> met{0};
+    exec::ThreadPool pool(kWorkers);
+    for (int i = 0; i < kWorkers; ++i) {
+        pool.submit([&] {
+            started.fetch_add(1);
+            while (started.load() < kWorkers &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+            }
+            if (started.load() == kWorkers) met.fetch_add(1);
+        });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(met.load(), kWorkers);
 }
 
 TEST(ThreadPoolTest, ReusableAcrossWaves) {
@@ -73,30 +92,5 @@ TEST(ParallelForTest, DeterministicReductionViaSlots) {
     EXPECT_DOUBLE_EQ(compute(1), compute(7));
 }
 
-TEST(PaperPresetsTest, MatchSectionFourSettings) {
-    // The presets start from GeneratorConfig's defaults: the §IV base.
-    const GeneratorConfig base;
-    EXPECT_DOUBLE_EQ(base.min_distance_request, 30.0);
-    EXPECT_DOUBLE_EQ(base.max_distance_request, 40.0);
-    EXPECT_DOUBLE_EQ(base.snr_threshold_db.db(), -15.0);
-    EXPECT_EQ(base.base_station_count, 4u);
-
-    EXPECT_DOUBLE_EQ(presets::field500(20).field_side, 500.0);
-    EXPECT_EQ(presets::field500(20).subscriber_count, 20u);
-    EXPECT_DOUBLE_EQ(presets::field800(70).field_side, 800.0);
-    EXPECT_DOUBLE_EQ(presets::field800_relaxed(50).snr_threshold_db.db(), -40.0);
-    EXPECT_DOUBLE_EQ(presets::field300(10).field_side, 300.0);
-    EXPECT_DOUBLE_EQ(presets::snr_sweep_point(units::Decibel{-11.55}).snr_threshold_db.db(), -11.55);
-    EXPECT_EQ(presets::topology_showcase().bs_layout, BsLayout::Corners);
-}
-
-TEST(PaperPresetsTest, PresetsGenerateValidScenarios) {
-    for (const auto& cfg :
-         {presets::field500(20), presets::field800(70), presets::field300(10),
-          presets::topology_showcase()}) {
-        EXPECT_NO_THROW((void)generate_scenario(cfg, 1));
-    }
-}
-
 }  // namespace
-}  // namespace sag::sim
+}  // namespace sag
