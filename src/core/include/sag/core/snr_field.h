@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sag/core/scenario.h"
@@ -70,6 +71,17 @@ public:
     static SnrField at_max_power(const Scenario& scenario,
                                  std::span<const geom::Vec2> rs_positions,
                                  std::span<const ids::SsId> subs);
+
+    /// Two fields over every subscriber and the same RS positions, at
+    /// `powers0` and `powers1`, from one gain sweep: the two-column
+    /// wireless::rx_total evaluates each link's gain once for both. Each
+    /// field's totals are bit for bit those of
+    /// SnrField(scenario, rs_positions, powers_c), in every dispatch
+    /// mode. PRO builds its P_max probe field and its P_c audit field
+    /// this way, for R*S gain evaluations instead of 2*R*S.
+    static std::pair<SnrField, SnrField> paired(
+        const Scenario& scenario, std::span<const geom::Vec2> rs_positions,
+        std::span<const double> powers0, std::span<const double> powers1);
 
     const Scenario& scenario() const { return *scenario_; }
 
@@ -199,6 +211,13 @@ public:
     };
 
 private:
+    /// The constructors' state with every total still zero; the public
+    /// constructor refreshes it, `paired` fills two at once.
+    struct Unbuilt {};
+    SnrField(Unbuilt, const Scenario& scenario,
+             std::span<const geom::Vec2> rs_positions,
+             std::span<const double> powers, std::span<const ids::SsId> subs);
+
     struct UndoRecord {
         enum class Kind { Move, Power, Add, Remove } kind;
         ids::RsId index;

@@ -31,9 +31,11 @@ public:
     };
 
     /// The graph over `sites` (possibly none) toward `usable_bs`, found
-    /// with one sweep-index window of radius nd_i (i's nearest-BS
-    /// distance) per site i: O(S*B + W + E) for B usable BSs and W sites
-    /// summed over the windows. With no usable BS no arc is kept.
+    /// with one geom::box_window of half-side nd_i (i's nearest-BS
+    /// distance) per site i over the y-strips of the sites' sweep index:
+    /// O(S*B + S log S + W + E) for B usable BSs and W strip entries
+    /// summed over the windows (the `ucra.mbmc.window_entries` counter).
+    /// With no usable BS no arc is kept.
     MbmcGraph(const Scenario& scenario, std::span<const ids::BsId> usable_bs,
               std::span<const geom::Vec2> sites, double dmin);
 
@@ -58,7 +60,8 @@ public:
 
 private:
     /// Records `site` with its nearest BS and no arcs; returns its
-    /// nearest-BS distance.
+    /// nearest-BS distance. Squared distances pick the BSs that can tie
+    /// the least; only those are measured with hypot.
     double add_site(const geom::Vec2& site);
 
     double dmin_;
@@ -86,7 +89,8 @@ double mbmc_dmin(const Scenario& scenario, const CoveragePlan& coverage);
 /// The MST is exact but sparse: the tree (ties included) is the one the
 /// complete-graph dense Prim gives. A zero-weight super-root takes every
 /// BS first, and the weight never decreases with length, so Prim
-/// (graph::prim_mst) relaxes only the BS edges and the MbmcGraph arcs.
+/// (graph::prim_mst) relaxes only the BS edges, each BS's from its RSs
+/// bucketed once per call, and the MbmcGraph arcs.
 /// The one exception is an RS that Prim takes while some BS is still
 /// outside the tree (its key is negative: it lies within ~1e-9 d_min of a
 /// BS, or of another such RS): it offers its whole row. This overload

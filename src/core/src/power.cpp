@@ -122,12 +122,17 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
     // own subscribers.
     const auto served = plan.served_lists();
 
-    // Algorithm 6 state: the field's powers are the working vector p1
-    // (Step 9 re-syncs them to the committed Ptmp before they are read
-    // again), committed[i] marks removal from K. The field spans all
+    // Algorithm 6 state: the probe field's powers are the working vector
+    // p1 (Step 9 re-syncs them to the committed Ptmp before they are read
+    // again), committed[i] marks removal from K. The audit field holds
+    // the coverage floors, which are the answer whenever every RS is
+    // committed by a drop. One gain sweep builds both; they span all
     // subscribers, so tracked-local SsIds coincide with global.
     const std::vector<double> start(n, pmax.watts());
-    SnrField field(scenario, plan.rs_positions, start);
+    std::vector<double> floors(n);
+    for (const ids::RsId i : plan.rs_ids()) floors[i.index()] = p_min[i].watts();
+    auto [field, floor_field] =
+        SnrField::paired(scenario, plan.rs_positions, start, floors);
     ids::IdVec<ids::RsId, units::Watt> p_tmp(n, pmax);
     std::vector<bool> committed(n, false);
     std::size_t remaining = n;
@@ -200,7 +205,12 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
     out.powers.reserve(n);
     for (const units::Watt p : p_tmp) out.powers.push_back(p.watts());
     out.total = std::accumulate(out.powers.begin(), out.powers.end(), 0.0);
-    out.feasible = verify_coverage(scenario, plan, out.powers).feasible;
+    // When the answer is P_c, the P_c field is a from-scratch field at
+    // the answer: audit on it. A paid premium leaves another vector,
+    // audited on a field of its own.
+    out.feasible = std::ranges::equal(out.powers, floor_field.rs_powers())
+                       ? verify_coverage(floor_field, plan).feasible
+                       : verify_coverage(scenario, plan, out.powers).feasible;
     return out;
 }
 

@@ -1,6 +1,7 @@
 #include "sag/core/snr_field.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -12,7 +13,8 @@
 
 namespace sag::core {
 
-SnrField::SnrField(const Scenario& scenario, std::span<const geom::Vec2> rs_positions,
+SnrField::SnrField(Unbuilt, const Scenario& scenario,
+                   std::span<const geom::Vec2> rs_positions,
                    std::span<const double> powers, std::span<const ids::SsId> subs)
     : scenario_(&scenario),
       kernel_(scenario.gain_kernel()),
@@ -37,6 +39,11 @@ SnrField::SnrField(const Scenario& scenario, std::span<const geom::Vec2> rs_posi
     total_.assign(sub_ids_.size(), 0.0);
     comp_.assign(sub_ids_.size(), 0.0);
     SAG_OBS_GAUGE("snr_field.simd_lanes", wireless::simd_lanes());
+}
+
+SnrField::SnrField(const Scenario& scenario, std::span<const geom::Vec2> rs_positions,
+                   std::span<const double> powers, std::span<const ids::SsId> subs)
+    : SnrField(Unbuilt{}, scenario, rs_positions, powers, subs) {
     refresh();
 }
 
@@ -60,6 +67,30 @@ SnrField SnrField::at_max_power(const Scenario& scenario,
     return SnrField(scenario, rs_positions, powers, subs);
 }
 
+std::pair<SnrField, SnrField> SnrField::paired(
+    const Scenario& scenario, std::span<const geom::Vec2> rs_positions,
+    std::span<const double> powers0, std::span<const double> powers1) {
+    const auto subs = ids::all_ids<ids::SsId>(scenario.subscriber_count());
+    std::pair<SnrField, SnrField> fields{
+        SnrField(Unbuilt{}, scenario, rs_positions, powers0, subs),
+        SnrField(Unbuilt{}, scenario, rs_positions, powers1, subs)};
+    SnrField& a = fields.first;
+    SnrField& b = fields.second;
+    for (std::size_t k = 0; k < a.sub_x_.size(); ++k) {
+        std::array<double, 2> totals{};
+        std::array<double, 2> comps{};
+        wireless::rx_total(a.kernel_, a.sub_pos(k), a.rs_xs(), a.rs_ys(),
+                           units::WattSpan{a.rs_power_},
+                           units::WattSpan{b.rs_power_}, totals, comps);
+        a.total_[k] = totals[0];
+        a.comp_[k] = comps[0];
+        b.total_[k] = totals[1];
+        b.comp_[k] = comps[1];
+    }
+    SAG_OBS_COUNT_ADD("snr_field.gain_evals", a.rs_count() * a.tracked_count());
+    return fields;
+}
+
 void SnrField::apply_rs_contribution(const geom::Vec2& pos, units::Watt power,
                                      double sign) {
     // Neumaier accumulation of sign * power * gain at every tracked
@@ -69,6 +100,7 @@ void SnrField::apply_rs_contribution(const geom::Vec2& pos, units::Watt power,
     // Transaction rollback and remove_rs depend on.
     wireless::accumulate_rx(kernel_, pos, power * sign, sub_xs(), sub_ys(),
                             total_, comp_);
+    SAG_OBS_COUNT_ADD("snr_field.gain_evals", sub_x_.size());
 }
 
 void SnrField::move_rs(ids::RsId i, const geom::Vec2& to) {
@@ -102,6 +134,7 @@ void SnrField::set_power(ids::RsId i, units::Watt power) {
     journal({UndoRecord::Kind::Power, i, {}, rs_power(i)});
     power_delta(rs_pos_[i.index()], rs_power(i), power, sub_xs(), sub_ys(),
                 total_, comp_);
+    SAG_OBS_COUNT_ADD("snr_field.gain_evals", 2 * sub_x_.size());
     rs_power_[i.index()] = power.watts();
     after_mutation();
 }
@@ -270,10 +303,15 @@ void SnrField::recompute_subscriber(ids::SsId kk) {
     const std::size_t k = kk.index();
     wireless::rx_total(kernel_, sub_pos(k), rs_xs(), rs_ys(),
                        units::WattSpan{rs_power_}, total_[k], comp_[k]);
+    SAG_OBS_COUNT_ADD("snr_field.gain_evals", rs_pos_.size());
 }
 
 void SnrField::refresh() {
-    for (const ids::SsId k : tracked_ids()) recompute_subscriber(k);
+    for (std::size_t k = 0; k < sub_x_.size(); ++k) {
+        wireless::rx_total(kernel_, sub_pos(k), rs_xs(), rs_ys(),
+                           units::WattSpan{rs_power_}, total_[k], comp_[k]);
+    }
+    SAG_OBS_COUNT_ADD("snr_field.gain_evals", rs_pos_.size() * sub_x_.size());
 }
 
 double SnrField::verify_against_scratch() const {

@@ -50,6 +50,15 @@ std::vector<std::size_t> coverage_tree_parents(const MbmcGraph& graph,
     const std::size_t cov_count = sites.size();
     std::vector<std::size_t> rs_of(graph.size(), cov_count);  // site -> RS
     for (std::size_t i = 0; i < cov_count; ++i) rs_of[sites[i]] = i;
+    // The RSs by nearest BS, each bucket ascending (a counting sort): BS
+    // b's row relaxes by_bs[bucket[b], bucket[b + 1]), the order a scan
+    // of every RS would take, in O(its RSs).
+    std::vector<std::size_t> bucket(nb + 1, 0);
+    for (std::size_t i = 0; i < cov_count; ++i) ++bucket[graph.nearest_bs(sites[i]) + 1];
+    std::partial_sum(bucket.begin(), bucket.end(), bucket.begin());
+    std::vector<std::size_t> by_bs(cov_count);
+    std::vector<std::size_t> next(bucket.begin(), bucket.end() - 1);
+    for (std::size_t i = 0; i < cov_count; ++i) by_bs[next[graph.nearest_bs(sites[i])]++] = i;
 
     // BS keys are at most 0 and ties go to the lower index, so Prim takes
     // every BS before any RS of non-negative key; once they are all in,
@@ -63,10 +72,9 @@ std::vector<std::size_t> coverage_tree_parents(const MbmcGraph& graph,
             for (std::size_t b = 1; b <= nb; ++b) relax(b, 0.0);
         } else if (u <= nb) {
             ++bs_in_tree;
-            for (std::size_t i = 0; i < cov_count; ++i) {
-                if (1 + graph.nearest_bs(sites[i]) == u) {
-                    relax(first_rs + i, graph.bs_weight(sites[i]));
-                }
+            for (std::size_t k = bucket[u - 1]; k < bucket[u]; ++k) {
+                const std::size_t i = by_bs[k];
+                relax(first_rs + i, graph.bs_weight(sites[i]));
             }
         } else {
             const std::size_t i = u - first_rs;
@@ -268,34 +276,48 @@ MbmcGraph::MbmcGraph(const Scenario& scenario, std::span<const ids::BsId> usable
 
     // The arcs j -> i, found around their target i in ascending i and
     // pushed straight onto source j's list, so each list ascends by
-    // target, as append() keeps it. (A staging copy to transpose would
-    // be the build's largest transient allocation.) A list's first
-    // allocation holds kFirstArcs: small plans keep a few arcs per RS,
-    // large ones tens, so this saves most regrowths. hop_weight never
-    // decreases with distance, so such an arc is shorter than i's
-    // nearest-BS distance r: it lies in i's x-window, within r in y, and
-    // within r of i (each test widened by the window's slack, which dwarfs
-    // the rounding of the lengths).
-    const geom::SweepIndex index = geom::sweep_index(reach);
+    // target, as append() keeps it, whatever order a window visits in.
+    // (A staging copy to transpose would be the build's largest transient
+    // allocation.) A list's first allocation holds kFirstArcs: small
+    // plans keep a few arcs per RS, large ones tens, so this saves most
+    // regrowths. hop_weight never decreases with distance, so such an arc
+    // is shorter than i's nearest-BS distance r: it lies in i's box
+    // window, within r in y, and within r of i (each test widened by the
+    // index's slack, which dwarfs the rounding of the lengths).
+    const geom::SweepIndex index = geom::strip_sweep_index(reach);
+    std::size_t entries = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const double r = reach[i].radius + index.slack;
-        for (const std::size_t j : geom::x_window(reach, index, sites[i].x, reach[i].radius)) {
-            if (std::abs(sites[j].y - sites[i].y) > r) continue;
-            if (j == i || geom::distance_sq(sites[i], sites[j]) > r * r) continue;
+        entries += geom::box_window(reach, index, sites[i], reach[i].radius, [&](std::size_t j) {
+            if (std::abs(sites[j].y - sites[i].y) > r) return;
+            if (j == i || geom::distance_sq(sites[i], sites[j]) > r * r) return;
             const double w = hop_weight(geom::distance(sites[i], sites[j]));
             if (w < bs_weight_[i]) {
                 if (arcs_[j].empty()) arcs_[j].reserve(kFirstArcs);
                 arcs_[j].push_back({i, w});
             }
-        }
+        });
     }
+    SAG_OBS_COUNT_ADD("ucra.mbmc.window_entries", entries);
 }
 
 double MbmcGraph::add_site(const geom::Vec2& site) {
-    // Algorithm 7 Step 3: each RS links only to its *nearest* usable BS.
+    // Algorithm 7 Step 3: each RS links only to its *nearest* usable BS,
+    // the least geom::distance, ties to the lower position. Both lengths
+    // come from the same rounded differences, and a squared length errs
+    // by a few ulps (an absolute 2^-1074 per operation once it is
+    // subnormal), so every BS at the least distance has a square within
+    // 1e-12 relative plus 1e-300 of the least square. Only those are
+    // measured with hypot.
+    double least_sq = kInf;
+    for (const geom::Vec2& b : bs_pos_) {
+        least_sq = std::min(least_sq, geom::distance_sq(site, b));
+    }
+    const double bound = least_sq * (1.0 + 1e-12) + 1e-300;
     std::size_t best_b = 0;
     double best_d = kInf;
     for (std::size_t b = 0; b < bs_pos_.size(); ++b) {
+        if (geom::distance_sq(site, bs_pos_[b]) > bound) continue;
         const double d = geom::distance(site, bs_pos_[b]);
         if (d < best_d) {
             best_d = d;

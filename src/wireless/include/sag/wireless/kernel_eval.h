@@ -12,8 +12,8 @@
 namespace sag::wireless {
 
 /// Batch GainKernel evaluation over structure-of-arrays buffers: the
-/// Release-mode hot path behind SnrField deltas, SNR reads, and gain
-/// matrices.
+/// Release-mode hot path behind SnrField builds, deltas, SNR reads, and
+/// gain matrices.
 ///
 /// Two implementations sit behind one runtime dispatch:
 ///
@@ -86,6 +86,18 @@ void batch_gain(const GainKernel& kernel, const geom::Vec2& pos,
 void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
               units::MetersSpan rs_x, units::MetersSpan rs_y,
               units::WattSpan rs_power, double& total, double& comp);
+
+/// rx_total for two power columns over the same RS positions: each
+/// link's gain is evaluated once and feeds both Neumaier accumulations,
+/// column c into (totals[c], comps[c]). Both columns run the one-column
+/// body's arithmetic in its lane order, so each pair is bit for bit what
+/// rx_total returns for that column alone, in every dispatch mode. Half
+/// the gain evaluations of two calls: SnrField::paired builds two fields
+/// from it.
+void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
+              units::MetersSpan rs_x, units::MetersSpan rs_y,
+              units::WattSpan power0, units::WattSpan power1,
+              std::span<double, 2> totals, std::span<double, 2> comps);
 
 /// Definition-2 SNR for a whole subscriber column at once:
 ///   signal_k = rs_power[serving[k]] * gain(rs[serving[k]] -> sub_k)

@@ -1,5 +1,6 @@
 #include "sag/wireless/kernel_eval.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -24,8 +25,8 @@ void batch_gain_avx2(const GainKernel& kernel, const geom::Vec2& pos,
                      std::size_t n);
 void rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
                    const double* rs_x, const double* rs_y,
-                   const double* rs_power, std::size_t n, double& total,
-                   double& comp);
+                   std::span<const double* const> rs_power, std::size_t n,
+                   double* totals, double* comps);
 void batch_snr_avx2(const GainKernel& kernel, const double* rs_x,
                     const double* rs_y, const double* rs_power,
                     const std::uint32_t* serving, const double* sub_x,
@@ -107,14 +108,18 @@ void batch_gain_scalar(const GainKernel& kernel, const geom::Vec2& pos,
     }
 }
 
+/// Both rx_total forms: C power columns, one gain per link feeding
+/// column c's Neumaier pair (totals[c], comps[c]).
+template <std::size_t C>
 void rx_total_scalar(const GainKernel& kernel, const geom::Vec2& rx,
                      const double* rs_x, const double* rs_y,
-                     const double* rs_power, std::size_t n, double& total,
-                     double& comp) {
+                     const double* const* rs_power, std::size_t n,
+                     double* totals, double* comps) {
     for (std::size_t i = 0; i < n; ++i) {
-        const double term =
-            rs_power[i] * scalar_gain(kernel, {rs_x[i], rs_y[i]}, rx);
-        neumaier(total, comp, term);
+        const double g = scalar_gain(kernel, {rs_x[i], rs_y[i]}, rx);
+        for (std::size_t c = 0; c < C; ++c) {
+            neumaier(totals[c], comps[c], rs_power[c][i] * g);
+        }
     }
 }
 
@@ -150,6 +155,33 @@ inline bool use_avx2(const GainKernel& kernel) {
 #else
     return active_simd_mode() == SimdMode::Avx2 && plan_pow(kernel).valid;
 #endif
+}
+
+/// Both rx_total forms behind the dispatch: the totals of one or two
+/// power columns over the same RS columns, each started from zero.
+void rx_total_columns(const GainKernel& kernel, const geom::Vec2& rx,
+                      units::MetersSpan rs_x, units::MetersSpan rs_y,
+                      std::span<const double* const> rs_power,
+                      double* totals, double* comps) {
+    const std::size_t n = rs_x.size();
+    assert(rs_y.size() == n);
+    assert(rs_power.size() == 1 || rs_power.size() == 2);
+    std::fill_n(totals, rs_power.size(), 0.0);
+    std::fill_n(comps, rs_power.size(), 0.0);
+#ifndef SAG_SIMD_DISABLED
+    if (use_avx2(kernel)) {
+        rx_total_avx2(kernel, rx, rs_x.data(), rs_y.data(), rs_power, n,
+                      totals, comps);
+        return;
+    }
+#endif
+    if (rs_power.size() == 1) {
+        rx_total_scalar<1>(kernel, rx, rs_x.data(), rs_y.data(),
+                           rs_power.data(), n, totals, comps);
+    } else {
+        rx_total_scalar<2>(kernel, rx, rs_x.data(), rs_y.data(),
+                           rs_power.data(), n, totals, comps);
+    }
 }
 
 }  // namespace
@@ -209,19 +241,19 @@ void batch_gain(const GainKernel& kernel, const geom::Vec2& pos,
 void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
               units::MetersSpan rs_x, units::MetersSpan rs_y,
               units::WattSpan rs_power, double& total, double& comp) {
-    const std::size_t n = rs_x.size();
-    assert(rs_y.size() == n && rs_power.size() == n);
-    total = 0.0;
-    comp = 0.0;
-#ifndef SAG_SIMD_DISABLED
-    if (detail::use_avx2(kernel)) {
-        detail::rx_total_avx2(kernel, rx, rs_x.data(), rs_y.data(),
-                              rs_power.data(), n, total, comp);
-        return;
-    }
-#endif
-    detail::rx_total_scalar(kernel, rx, rs_x.data(), rs_y.data(),
-                            rs_power.data(), n, total, comp);
+    assert(rs_power.size() == rs_x.size());
+    const double* const columns[] = {rs_power.data()};
+    detail::rx_total_columns(kernel, rx, rs_x, rs_y, columns, &total, &comp);
+}
+
+void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
+              units::MetersSpan rs_x, units::MetersSpan rs_y,
+              units::WattSpan power0, units::WattSpan power1,
+              std::span<double, 2> totals, std::span<double, 2> comps) {
+    assert(power0.size() == rs_x.size() && power1.size() == rs_x.size());
+    const double* const columns[] = {power0.data(), power1.data()};
+    detail::rx_total_columns(kernel, rx, rs_x, rs_y, columns, totals.data(),
+                             comps.data());
 }
 
 void batch_snr(const GainKernel& kernel, units::MetersSpan rs_x,

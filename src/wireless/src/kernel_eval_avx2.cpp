@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "sag/wireless/kernel_eval.h"
 
@@ -164,46 +165,79 @@ void batch_gain_avx2(const GainKernel& kernel, const geom::Vec2& pos,
     }
 }
 
-void rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
-                   const double* rs_x, const double* rs_y,
-                   const double* rs_power, std::size_t n, double& total,
-                   double& comp) {
+namespace {
+
+/// rx_total's body over C power columns (1 or 2): each block's gain4 is
+/// evaluated once and feeds every column's four lane accumulators, which
+/// fold deterministically (lane 0 -> 3, totals then residuals) at the
+/// end. Column c's arithmetic is the one-column body's, so its result
+/// does not depend on the columns beside it.
+template <std::size_t C>
+void rx_total_lanes(const GainKernel& kernel, const geom::Vec2& rx,
+                      const double* rs_x, const double* rs_y,
+                      const double* const* rs_power, std::size_t n,
+                      double* totals, double* comps) {
     const PowPlan plan = plan_pow(kernel);
     const __m256d px = _mm256_set1_pd(rx.x);
     const __m256d py = _mm256_set1_pd(rx.y);
     const __m256d clamp2 = _mm256_set1_pd(kernel.clamp_m * kernel.clamp_m);
     const __m256d scale = _mm256_set1_pd(kernel.scale);
-    // Four independent lane accumulators, folded deterministically
-    // (lane 0 -> 3, totals then residuals) at the end; the fold order is
-    // fixed, so the same inputs always produce the same double.
-    alignas(32) double lane_total[4] = {0.0, 0.0, 0.0, 0.0};
-    alignas(32) double lane_comp[4] = {0.0, 0.0, 0.0, 0.0};
+    alignas(32) double lane_total[C][4] = {};
+    alignas(32) double lane_comp[C][4] = {};
     // `live` masks the terms of a padded tail's dead lanes to exact
     // zeros, which leave a lane accumulator unchanged.
-    const auto block = [&](const double* x, const double* y, const double* p,
-                           __m256d live) {
+    const auto block = [&](const double* x, const double* y,
+                           const double* const* p, __m256d live) {
         const __m256d dx = _mm256_sub_pd(px, _mm256_loadu_pd(x));
         const __m256d dy = _mm256_sub_pd(py, _mm256_loadu_pd(y));
         const __m256d g = gain4(dx, dy, clamp2, scale, plan);
-        const __m256d term = _mm256_mul_pd(_mm256_loadu_pd(p), g);
-        neumaier4(_mm256_and_pd(term, live), lane_total, lane_comp);
+        for (std::size_t c = 0; c < C; ++c) {
+            const __m256d term = _mm256_mul_pd(_mm256_loadu_pd(p[c]), g);
+            neumaier4(_mm256_and_pd(term, live), lane_total[c], lane_comp[c]);
+        }
     };
     const __m256d all_live = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    const double* p[C];
     std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) block(rs_x + i, rs_y + i, rs_power + i, all_live);
-    if (const std::size_t r = n - i; r != 0) {
-        const Tail4<double> x(rs_x + i, r), y(rs_y + i, r), p(rs_power + i, r);
-        block(x.lane, y.lane, p.lane, live_lanes(r));
+    for (; i + 4 <= n; i += 4) {
+        for (std::size_t c = 0; c < C; ++c) p[c] = rs_power[c] + i;
+        block(rs_x + i, rs_y + i, p, all_live);
     }
-    for (int lane = 0; lane < 4; ++lane) {
-        const double sum = total + lane_total[lane];
-        if (std::abs(total) >= std::abs(lane_total[lane])) {
-            comp += (total - sum) + lane_total[lane];
-        } else {
-            comp += (lane_total[lane] - sum) + total;
+    if (const std::size_t r = n - i; r != 0) {
+        const Tail4<double> x(rs_x + i, r), y(rs_y + i, r);
+        // One column pads column 0 twice and reads the first copy only.
+        const Tail4<double> p0(rs_power[0] + i, r), p1(rs_power[C - 1] + i, r);
+        const double* const tail[] = {p0.lane, p1.lane};
+        block(x.lane, y.lane, tail, live_lanes(r));
+    }
+    for (std::size_t c = 0; c < C; ++c) {
+        double& total = totals[c];
+        double& comp = comps[c];
+        for (int lane = 0; lane < 4; ++lane) {
+            const double sum = total + lane_total[c][lane];
+            if (std::abs(total) >= std::abs(lane_total[c][lane])) {
+                comp += (total - sum) + lane_total[c][lane];
+            } else {
+                comp += (lane_total[c][lane] - sum) + total;
+            }
+            total = sum;
+            comp += lane_comp[c][lane];
         }
-        total = sum;
-        comp += lane_comp[lane];
+    }
+}
+
+}  // namespace
+
+void rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
+                   const double* rs_x, const double* rs_y,
+                   std::span<const double* const> rs_power, std::size_t n,
+                   double* totals, double* comps) {
+    if (rs_power.size() == 1) {
+        rx_total_lanes<1>(kernel, rx, rs_x, rs_y, rs_power.data(), n,
+                            totals, comps);
+    } else {
+        rx_total_lanes<2>(kernel, rx, rs_x, rs_y, rs_power.data(), n,
+                            totals, comps);
     }
 }
 

@@ -383,6 +383,95 @@ TEST_P(SweepProperty, MatchesBruteForce) {
     }
 }
 
+/// Property: after the caller's exact test (center within reach + slack
+/// of the probe), a box_window yields exactly the brute-force set; it
+/// visits every center of the box [c +- reach] x [c +- reach], each once,
+/// and nothing outside the box widened by twice the slack. Random fields,
+/// duplicate centers, negative coordinates, zero radii, one infinite
+/// radius, one disk and none.
+TEST_P(SweepProperty, BoxWindowMatchesBruteForce) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::mt19937_64 rng(GetParam());
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    struct Family {
+        int n;
+        double side;     ///< centers uniform in a square of this side,
+        double offset;   ///< shifted by this along both axes,
+        double lattice;  ///< and snapped to a lattice of this pitch (0: off)
+        double r_max;    ///< radii uniform in [0, r_max]
+        bool one_infinite;  ///< disk 0's radius is infinite
+    };
+    const Family families[] = {
+        {300, 1000.0, 0.0, 0.0, 60.0, false},
+        {200, 100.0, 0.0, 10.0, 5.0, false},         // duplicate centers
+        {250, 1000.0, -2000.0, 0.0, 40.0, false},    // every coordinate negative
+        {200, 200.0, 0.0, 10.0, 0.0, false},         // zero radii: one strip per x
+        {150, 1000.0, 0.0, 0.0, 80.0, true},         // one infinite radius
+        {1, 1000.0, 0.0, 0.0, 10.0, false},
+        {0, 1000.0, 0.0, 0.0, 10.0, false},
+    };
+    for (std::size_t f = 0; f < std::size(families); ++f) {
+        const Family& fam = families[f];
+        std::vector<Circle> disks;
+        for (int i = 0; i < fam.n; ++i) {
+            Vec2 c{(unit(rng) - 0.5) * fam.side + fam.offset,
+                   (unit(rng) - 0.5) * fam.side + fam.offset};
+            if (fam.lattice > 0.0) {
+                c = {fam.lattice * std::round(c.x / fam.lattice),
+                     fam.lattice * std::round(c.y / fam.lattice)};
+            }
+            disks.push_back({c, fam.r_max * unit(rng)});
+        }
+        if (fam.one_infinite) disks[0].radius = kInf;
+        const SweepIndex index = strip_sweep_index(disks);
+        ASSERT_EQ(index.by_x, sweep_index(disks).by_x) << "family " << f;
+        ASSERT_EQ(index.by_y.size(), disks.size()) << "family " << f;
+        ASSERT_EQ(index.strip_start.back(), disks.size()) << "family " << f;
+
+        // Probes at random points and on centers, with each disk's own
+        // radius as MBMC uses it and with fixed reaches.
+        std::vector<std::pair<Vec2, double>> probes;
+        for (const double reach : {0.0, 12.0, 80.0, 400.0}) {
+            probes.emplace_back(Vec2{(unit(rng) - 0.5) * fam.side + fam.offset,
+                                     (unit(rng) - 0.5) * fam.side + fam.offset},
+                                reach);
+        }
+        for (std::size_t i = 0; i < disks.size(); i += 7) {
+            probes.emplace_back(disks[i].center, disks[i].radius);
+        }
+        for (const auto& [c, reach] : probes) {
+            SCOPED_TRACE(::testing::Message() << "family " << f << " probe (" << c.x
+                                              << ", " << c.y << ") reach " << reach);
+            const double r = reach + index.slack;
+            std::vector<std::size_t> visited;
+            std::vector<std::size_t> kept;
+            const std::size_t scanned =
+                box_window(disks, index, c, reach, [&](std::size_t i) {
+                    visited.push_back(i);
+                    if (distance_sq(disks[i].center, c) <= r * r) kept.push_back(i);
+                });
+            EXPECT_GE(scanned, visited.size());
+            std::sort(visited.begin(), visited.end());
+            EXPECT_EQ(std::adjacent_find(visited.begin(), visited.end()), visited.end());
+            std::sort(kept.begin(), kept.end());
+            std::vector<std::size_t> brute;
+            for (std::size_t i = 0; i < disks.size(); ++i) {
+                const Vec2 d = disks[i].center - c;
+                if (distance_sq(disks[i].center, c) <= r * r) brute.push_back(i);
+                if (std::abs(d.x) <= reach && std::abs(d.y) <= reach) {
+                    EXPECT_TRUE(std::binary_search(visited.begin(), visited.end(), i))
+                        << "disk " << i;
+                }
+            }
+            EXPECT_EQ(kept, brute);
+            for (const std::size_t i : visited) {
+                EXPECT_LE(std::abs(disks[i].center.x - c.x), reach + 2.0 * index.slack);
+                EXPECT_LE(std::abs(disks[i].center.y - c.y), reach + 2.0 * index.slack);
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepProperty, ::testing::Values(101, 202, 303, 404));
 
 }  // namespace

@@ -403,7 +403,7 @@ TEST(ProTest, MatchesTransactionalReference) {
         grid.emplace_back(cfg, seed++);
     }
 
-    int solved = 0, premium_instances = 0, shadowed = 0;
+    int solved = 0, premium_instances = 0, floor_instances = 0, shadowed = 0;
     for (const auto& [cfg, instance_seed] : grid) {
         const Scenario s = sim::generate_scenario(cfg, instance_seed);
         const auto plan = solve_samc(s).plan;
@@ -415,13 +415,21 @@ TEST(ProTest, MatchesTransactionalReference) {
             << "seed " << instance_seed;
         EXPECT_EQ(pro.iterations, ref.allocation.iterations) << "seed " << instance_seed;
         EXPECT_EQ(pro.feasible, ref.allocation.feasible) << "seed " << instance_seed;
+        // PRO audits a P_c answer on the field it built beside its probe
+        // field; the verdict is the from-scratch audit's.
+        EXPECT_EQ(pro.feasible, verify_coverage(s, plan, pro.powers).feasible)
+            << "seed " << instance_seed;
         EXPECT_EQ(pro.total, ref.allocation.total) << "seed " << instance_seed;
         if (ref.premiums > 0) ++premium_instances;
+        if (ref.premiums == 0) ++floor_instances;
         if (cfg.propagation) ++shadowed;
     }
     // The grid must keep exercising the premium path (Steps 10-13 read the
-    // field the probes left behind) and the scalar-only kernel.
+    // field the probes left behind, and the answer is audited from
+    // scratch), the all-drops path (the answer is P_c, audited on PRO's
+    // own P_c field) and the scalar-only kernel.
     EXPECT_GE(premium_instances, 50) << solved << " instances solved";
+    EXPECT_GE(floor_instances, 50) << solved << " instances solved";
     EXPECT_GE(shadowed, 4) << solved << " instances solved";
 }
 

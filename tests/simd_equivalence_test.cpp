@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -378,6 +379,60 @@ TEST(SimdEquivalence, RxTotalIgnoresTrailingZeroPowerRss) {
                 EXPECT_EQ(padded_total, total) << "n=" << n << " m=" << m;
                 EXPECT_EQ(padded_comp, comp) << "n=" << n << " m=" << m;
             }
+        }
+    }
+}
+
+// The two-column rx_total evaluates each gain once for both columns and
+// must leave each column's (total, comp) bit for bit where a one-column
+// call leaves it: every tail length (n = 0..9), zero-power columns, and
+// hostile geometry (links inside the clamp radius, a receiver on an RS,
+// huge and negative coordinates, shadowed links on the scalar path).
+TEST(SimdEquivalence, TwoColumnRxTotalMatchesTwoOneColumnCalls) {
+    std::mt19937_64 rng(2424);
+    std::uniform_real_distribution<double> watt(0.0, 50.0);
+    wireless::GainKernel shadowed;
+    shadowed.scale = 3.0;
+    shadowed.alpha = 2.5;
+    shadowed.sigma_db = 6.0;
+    shadowed.seed = 17;
+    for (std::size_t n = 0; n <= 9; ++n) {
+        for (int round = 0; round < 12; ++round) {
+            const wireless::GainKernel k =
+                round == 11 ? shadowed : random_eligible_kernel(rng);
+            Soa rs = random_points(rng, n, round % 3 == 0 ? 1e6 : 150.0);
+            Vec2 rx{watt(rng) - 25.0, watt(rng) - 25.0};
+            if (n > 0 && round % 4 == 1) rx = {rs.x[0], rs.y[0]};  // on an RS
+            if (n > 1 && round % 4 == 2) {  // inside the clamp radius
+                rs.x[1] = rx.x + 1e-3;
+                rs.y[1] = rx.y;
+            }
+            std::vector<double> p0(n), p1(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                p0[i] = watt(rng);
+                p1[i] = round % 5 == 3 ? 0.0 : watt(rng);  // a zero-power column
+                if (round % 5 == 4 && i % 2 == 0) p0[i] = 0.0;  // zeros in a column
+            }
+            double t0 = 0.0, c0 = 0.0, t1 = 0.0, c1 = 0.0;
+            wireless::rx_total(k, rx, rs.xs(), rs.ys(), WattSpan{p0}, t0, c0);
+            wireless::rx_total(k, rx, rs.xs(), rs.ys(), WattSpan{p1}, t1, c1);
+            // Stale outputs must be overwritten, not accumulated into.
+            std::array<double, 2> totals{watt(rng), watt(rng)};
+            std::array<double, 2> comps{watt(rng), watt(rng)};
+            wireless::rx_total(k, rx, rs.xs(), rs.ys(), WattSpan{p0},
+                               WattSpan{p1}, totals, comps);
+            SCOPED_TRACE(::testing::Message() << "n=" << n << " round=" << round);
+            EXPECT_TRUE(same_bits(totals[0], t0));
+            EXPECT_TRUE(same_bits(comps[0], c0));
+            EXPECT_TRUE(same_bits(totals[1], t1));
+            EXPECT_TRUE(same_bits(comps[1], c1));
+            // The column order does not matter either.
+            wireless::rx_total(k, rx, rs.xs(), rs.ys(), WattSpan{p1},
+                               WattSpan{p0}, totals, comps);
+            EXPECT_TRUE(same_bits(totals[0], t1));
+            EXPECT_TRUE(same_bits(comps[0], c1));
+            EXPECT_TRUE(same_bits(totals[1], t0));
+            EXPECT_TRUE(same_bits(comps[1], c0));
         }
     }
 }

@@ -14,6 +14,7 @@
 #include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
+#include "sag/obs/obs.h"
 #include "sag/sim/scenario_gen.h"
 
 namespace sag::core {
@@ -119,6 +120,79 @@ TEST(SnrFieldTest, ThousandMixedDeltasMatchScratchTo1e12) {
         }
     }
     EXPECT_LE(field.verify_against_scratch(), 1e-12);
+}
+
+/// Bit equality, exact for infinities and signed zeros alike.
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The gain evaluations `build` reports through snr_field.gain_evals.
+template <class Build>
+std::uint64_t gain_evals_of(Build&& build) {
+    obs::ScopedRecorder recorder;
+    build();
+    const auto counters = recorder.snapshot().counters;
+    const auto it = counters.find("snr_field.gain_evals");
+    return it == counters.end() ? 0 : it->second;
+}
+
+// The paired build shares one gain sweep between two fields; each must
+// equal a field built alone at its powers in every slot's total, bit for
+// bit, and answer the same SNR reads. Covers zero RSs, zero subscribers,
+// every column-tail length, zero-power columns and an RS on a subscriber.
+TEST(SnrFieldTest, PairedBuildMatchesTwoFromScratchFields) {
+    std::mt19937_64 rng(99);
+    std::uniform_real_distribution<double> coord(-250.0, 250.0);
+    for (const std::size_t users : {std::size_t{0}, std::size_t{1}, std::size_t{37}}) {
+        Scenario s = random_scenario(users == 0 ? 1 : users, 500.0, 5);
+        if (users == 0) s.subscribers.clear();
+        std::uniform_real_distribution<double> power(0.0, s.radio.max_power.watts());
+        for (std::size_t rs_count = 0; rs_count <= 9; ++rs_count) {
+            std::vector<geom::Vec2> rs;
+            std::vector<double> p0, p1;
+            for (std::size_t i = 0; i < rs_count; ++i) {
+                rs.push_back(i == 0 && users > 0 ? s.subscribers[0].pos
+                                                 : geom::Vec2{coord(rng), coord(rng)});
+                p0.push_back(s.radio.max_power.watts());
+                p1.push_back(rs_count % 3 == 2 ? 0.0 : power(rng));
+            }
+            SCOPED_TRACE(::testing::Message() << users << " subscribers, " << rs_count
+                                              << " RSs");
+            const auto [a, b] = SnrField::paired(s, rs, p0, p1);
+            const SnrField lone_a(s, rs, p0);
+            const SnrField lone_b(s, rs, p1);
+            ASSERT_EQ(a.tracked_count(), s.subscriber_count());
+            ASSERT_EQ(b.tracked_count(), s.subscriber_count());
+            EXPECT_EQ(std::vector<double>(a.rs_powers().begin(), a.rs_powers().end()), p0);
+            EXPECT_EQ(std::vector<double>(b.rs_powers().begin(), b.rs_powers().end()), p1);
+            for (const SsId k : a.tracked_ids()) {
+                EXPECT_TRUE(same_bits(a.total_rx(k), lone_a.total_rx(k))) << k;
+                EXPECT_TRUE(same_bits(b.total_rx(k), lone_b.total_rx(k))) << k;
+                for (const RsId i : a.rs_ids()) {
+                    EXPECT_TRUE(same_bits(a.snr_of(k, i), lone_a.snr_of(k, i)));
+                    EXPECT_TRUE(same_bits(b.snr_of(k, i), lone_b.snr_of(k, i)));
+                }
+            }
+        }
+    }
+}
+
+// snr_field.gain_evals counts a paired build's shared sweep once: R*S,
+// where two separate builds count 2*R*S.
+TEST(SnrFieldTest, PairedBuildEvaluatesEachGainOnce) {
+    const Scenario s = random_scenario(40, 500.0, 8);
+    std::vector<geom::Vec2> rs;
+    for (std::size_t i = 0; i < 6; ++i) rs.push_back(s.subscribers[i * 6].pos);
+    const std::vector<double> p0(rs.size(), s.radio.max_power.watts());
+    const std::vector<double> p1(rs.size(), s.radio.max_power.watts() / 4.0);
+    const std::uint64_t rs_by_ss = rs.size() * s.subscriber_count();
+    EXPECT_EQ(gain_evals_of([&] { (void)SnrField::paired(s, rs, p0, p1); }), rs_by_ss);
+    EXPECT_EQ(gain_evals_of([&] {
+                  const SnrField a(s, rs, p0);
+                  const SnrField b(s, rs, p1);
+              }),
+              2 * rs_by_ss);
 }
 
 TEST(SnrFieldTest, TransactionRollsBackEveryDeltaKind) {
@@ -255,11 +329,6 @@ TEST(SnrFieldTest, ExtraNoiseLowersSnr) {
     const double clean = serving_snr(s, rs, powers);
     s.radio.snr_ambient_noise = units::Watt{0.065};
     EXPECT_LT(serving_snr(s, rs, powers), clean);
-}
-
-/// Bit equality, exact for infinities and signed zeros alike.
-bool same_bits(double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 // The what-if read against the delta it predicts: for every RS i and

@@ -1,6 +1,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -460,6 +461,112 @@ TEST(MbmcGraphTest, PrimOverAPoolGraphMatchesTheCompactedPlan) {
             EXPECT_EQ(plan_digest(pooled), plan_digest(scratch));
         }
     }
+}
+
+/// Position in `usable` of the BS nearest `site` by a plain geom::distance
+/// scan: strictly nearer wins, ties go to the lower position.
+std::size_t scan_nearest_bs(const Scenario& s, std::span<const BsId> usable,
+                            const geom::Vec2& site) {
+    std::size_t best = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (std::size_t b = 0; b < usable.size(); ++b) {
+        const double d = geom::distance(site, s.base_station(usable[b]).pos);
+        if (d < best_d) {
+            best_d = d;
+            best = b;
+        }
+    }
+    return best;
+}
+
+/// `graph` against Algorithm 7's candidate graph found by plain scans:
+/// each site's nearest BS, and every arc j -> i lighter than i's BS edge
+/// over all n^2 ordered pairs, each source's arcs by ascending target.
+void expect_all_pairs_graph(const Scenario& s, std::span<const BsId> usable,
+                            std::span<const geom::Vec2> sites, const MbmcGraph& graph) {
+    const std::size_t n = sites.size();
+    ASSERT_EQ(graph.size(), n);
+    std::vector<double> bs_weight(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t b = scan_nearest_bs(s, usable, sites[i]);
+        bs_weight[i] = graph.hop_weight(
+            usable.empty() ? std::numeric_limits<double>::infinity()
+                           : geom::distance(sites[i], s.base_station(usable[b]).pos));
+        EXPECT_EQ(graph.nearest_bs(i), b) << "site " << i;
+        EXPECT_EQ(bits(graph.bs_weight(i)), bits(bs_weight[i])) << "site " << i;
+    }
+    std::vector<std::vector<MbmcGraph::Arc>> arcs(n);
+    for (std::size_t i = 0; i < n && !usable.empty(); ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const double w = graph.hop_weight(geom::distance(sites[i], sites[j]));
+            if (j != i && w < bs_weight[i]) arcs[j].push_back({i, w});
+        }
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+        const std::span<const MbmcGraph::Arc> got = graph.arcs(j);
+        ASSERT_EQ(got.size(), arcs[j].size()) << "source " << j;
+        for (std::size_t k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(got[k].to, arcs[j][k].to) << "source " << j;
+            EXPECT_EQ(bits(got[k].weight), bits(arcs[j][k].weight)) << "source " << j;
+        }
+    }
+}
+
+TEST(MbmcGraphTest, MatchesAnAllPairsScan) {
+    // The golden families (lattice ties, duplicate RSs, RSs on BSs)
+    // toward every BS, toward BS 0 alone (MUST) and toward none.
+    for (const MbmcGoldenRow& g : kMbmcGolden) {
+        const Family f =
+            golden_family(g.subscribers, g.side, g.base_stations, g.lattice, g.seed);
+        const std::span<const geom::Vec2> sites = f.coverage.rs_positions;
+        const auto all_bs = ids::all_ids<BsId>(f.scenario.base_station_count());
+        const BsId bs0[] = {BsId{0}};
+        for (const std::span<const BsId> usable :
+             {std::span<const BsId>(all_bs), std::span<const BsId>(bs0),
+              std::span<const BsId>()}) {
+            SCOPED_TRACE(::testing::Message() << g.subscribers << " subscribers, "
+                                              << usable.size() << " BSs");
+            const MbmcGraph graph(f.scenario, usable, sites,
+                                  mbmc_dmin(f.scenario, f.coverage));
+            expect_all_pairs_graph(f.scenario, usable, sites, graph);
+        }
+    }
+}
+
+TEST(MbmcGraphTest, NearestBsTiesGoToTheLowerPosition) {
+    // BSs on an integer lattice, some repeated verbatim: sites on and
+    // between lattice points sit at exactly equal distances from several
+    // BSs (3-4-5 and 1-7 / 5-5 triangles give equal squares from unequal
+    // offsets), and a subnormal cluster makes every square underflow.
+    Scenario s;
+    s.field = geom::Rect::centered_square(200.0);
+    for (int x = -20; x <= 20; x += 10) {
+        for (int y = -20; y <= 20; y += 10) {
+            s.base_stations.push_back({{double(x), double(y)}});
+        }
+    }
+    s.base_stations.push_back({{0.0, 0.0}});    // co-located with an earlier BS
+    s.base_stations.push_back({{-20.0, 20.0}});
+    s.base_stations.push_back({{3.0, 4.0}});
+    s.base_stations.push_back({{5.0, 0.0}});
+    s.base_stations.push_back({{1.0, 7.0}});
+    s.base_stations.push_back({{5.0, 5.0}});
+    s.base_stations.push_back({{1e-320, 0.0}});
+    s.base_stations.push_back({{0.0, 2e-320}});
+    std::vector<geom::Vec2> sites;
+    for (int x = -25; x <= 25; ++x) {
+        for (int y = -25; y <= 25; y += 5) sites.push_back({double(x), double(y)});
+    }
+    sites.push_back({0.0, 0.0});
+    sites.push_back({5e-321, 1e-320});
+    sites.push_back({-1e-320, -1e-320});
+    sites.push_back({1e6, -1e6});
+    const auto all_bs = ids::all_ids<BsId>(s.base_station_count());
+    const MbmcGraph graph(s, all_bs, sites, 10.0);
+    expect_all_pairs_graph(s, all_bs, sites, graph);
+    MbmcGraph grown(s, all_bs, {}, 10.0);
+    for (const geom::Vec2& p : sites) grown.append(p);
+    expect_all_pairs_graph(s, all_bs, sites, grown);
 }
 
 TEST(MbmcGraphTest, RejectsAGraphThatDoesNotMatchThePlan) {
