@@ -11,7 +11,6 @@
 #include "sag/core/ilpqc.h"
 #include "sag/core/power.h"
 #include "sag/core/samc.h"
-#include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
 #include "sag/core/ucra.h"
 #include "sag/core/zone_partition.h"
@@ -122,7 +121,7 @@ BENCHMARK(BM_Mbmc)->Arg(10)->Arg(20)->Arg(40)->Arg(300)->Arg(2400);
 // --- snr_field_delta: single-RS-move SNR re-evaluation, scratch vs
 // incremental, at the paper's 800x800 m preset. One RS per 8 subscribers
 // (the paper's coverage density ballpark); each iteration relocates one RS
-// and re-reads every subscriber's SNR.
+// and re-reads every subscriber's snr_of, as the solvers do.
 
 struct DeltaBenchFixture {
     core::Scenario scenario;
@@ -146,14 +145,25 @@ struct DeltaBenchFixture {
     }
 };
 
+/// Every subscriber's snr_of under the fixture's serving map.
+void read_snrs(const core::SnrField& field,
+               const ids::IdVec<ids::SsId, ids::RsId>& serving,
+               std::vector<double>& out) {
+    for (const ids::SsId k : field.tracked_ids()) {
+        out[k.index()] = field.snr_of(k, serving[k]);
+    }
+}
+
 void BM_SnrFieldDeltaScratch(benchmark::State& state) {
     DeltaBenchFixture f(static_cast<std::size_t>(state.range(0)));
+    std::vector<double> snrs(f.serving.size());
     bool flip = false;
     for (auto _ : state) {
         f.rs[0] = flip ? f.away : f.home;
         flip = !flip;
-        benchmark::DoNotOptimize(
-            core::coverage_snrs(f.scenario, f.rs, f.powers, f.serving));
+        const core::SnrField field(f.scenario, f.rs, f.powers);
+        read_snrs(field, f.serving, snrs);
+        benchmark::DoNotOptimize(snrs);
     }
 }
 BENCHMARK(BM_SnrFieldDeltaScratch)->Arg(500)->Arg(1000)->Arg(2000);
@@ -167,7 +177,7 @@ void BM_SnrFieldDeltaIncremental(benchmark::State& state) {
     for (auto _ : state) {
         field.move_rs(ids::RsId{0}, flip ? f.away : f.home);
         flip = !flip;
-        field.snrs(f.serving, snrs);
+        read_snrs(field, f.serving, snrs);
         benchmark::DoNotOptimize(snrs);
     }
 }
@@ -190,7 +200,7 @@ void BM_SnrFieldDeltaWithRecorder(benchmark::State& state) {
     for (auto _ : state) {
         field.move_rs(ids::RsId{0}, flip ? f.away : f.home);
         flip = !flip;
-        field.snrs(f.serving, snrs);
+        read_snrs(field, f.serving, snrs);
         benchmark::DoNotOptimize(snrs);
     }
     const auto report = recorder.snapshot();

@@ -38,6 +38,13 @@ struct CoveragePlan {
     ids::IdVec<ids::RsId, std::vector<ids::SsId>> served_lists() const;
 };
 
+/// Throws std::invalid_argument unless `plan` assigns each of
+/// `subscriber_count` subscribers to one of its RSs. The infeasible plans
+/// some coverage solvers return hold RsId::invalid() entries. Every
+/// consumer that indexes by the assignment calls it where it enters: the
+/// lower-tier power allocators and the upper tier (MBMC, MUST, UCPO).
+void require_assignment(const CoveragePlan& plan, std::size_t subscriber_count);
+
 /// Node classes of the upper-tier relay tree.
 enum class NodeKind { BaseStation, CoverageRs, ConnectivityRs };
 

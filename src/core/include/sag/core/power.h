@@ -27,12 +27,18 @@ struct PowerAllocation {
 /// power delivering each served subscriber's required received power
 /// P^j_ss over its access link — the interference-free data-rate floor,
 /// 0 for an RS serving nobody. One pass over the subscribers.
+///
+/// This and every allocator below but the baseline throw
+/// std::invalid_argument (`require_assignment`) unless `plan` assigns
+/// each subscriber to one of its RSs; the baseline reports such a plan
+/// infeasible through verify_coverage.
 ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(const Scenario& scenario,
                                                          const CoveragePlan& plan);
 
 /// SNR power P_snr for RS `rs` given everyone else's current powers (in
 /// watts, one per RS): the minimum transmit power that lifts each served
-/// subscriber's SNR to beta.
+/// subscriber's SNR to beta. A cross-check oracle: each interference is a
+/// plain sum of scalar per-link gains, not the allocators' field.
 units::Watt snr_power_floor(const Scenario& scenario, const CoveragePlan& plan,
                             ids::RsId rs, std::span<const double> powers);
 
@@ -79,13 +85,14 @@ struct CappedPower {
 /// more (at most 10,000 sweeps). When the first sweep changes nothing, p0
 /// is returned (iterations = 1) and audited on that field; otherwise a
 /// from-scratch verify_coverage audits the answer (docs/PERFORMANCE.md,
-/// "Yates fixed point on the field"). No gain matrix is built. Throws
-/// std::invalid_argument unless there is one cap per RS.
+/// "Yates fixed point on the field"). Throws std::invalid_argument
+/// unless there is one cap per RS.
 CappedPower allocate_power_capped(const Scenario& scenario, const CoveragePlan& plan,
                                   std::span<const double> caps);
 
 /// Same optimum computed by the dense-simplex LP solver instead of the
-/// fixed point — used to cross-check allocate_power_optimal in tests.
+/// fixed point, over scalar per-link gains — used to cross-check
+/// allocate_power_optimal in tests.
 PowerAllocation allocate_power_optimal_lp(const Scenario& scenario,
                                           const CoveragePlan& plan);
 

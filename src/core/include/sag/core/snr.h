@@ -2,29 +2,11 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "sag/core/scenario.h"
 #include "sag/ids/ids.h"
 
 namespace sag::core {
-
-/// Interference-limited SNR (linear) seen by each subscriber in `subs`
-/// (scenario-global SsIds) when served per `assignment` (per tracked
-/// subscriber: the serving RsId into rs_positions) and every RS transmits
-/// its entry of `powers`. Interference is the total received power from
-/// all *other* RSs in rs_positions (paper Definition 2); base stations do
-/// not radiate on the access band in this model. A zero serving signal
-/// (e.g. the serving RS powered down) reports SNR 0, never infinity, even
-/// when the interference is also zero. Implemented as a one-shot
-/// core::SnrField (snr_field.h); solvers that probe many nearby
-/// configurations should hold a field and apply deltas instead of calling
-/// this per candidate.
-std::vector<double> coverage_snrs(const Scenario& scenario,
-                                  std::span<const geom::Vec2> rs_positions,
-                                  std::span<const double> powers,
-                                  std::span<const ids::SsId> subs,
-                                  ids::IdSpan<ids::SsId, const ids::RsId> assignment);
 
 /// SNR-optimal feasible assignment: each subscriber in `subs` picks the
 /// nearest RS within its distance request (nearest maximizes the received
@@ -35,17 +17,14 @@ std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(
     const Scenario& scenario, std::span<const geom::Vec2> rs_positions,
     std::span<const ids::SsId> subs);
 
-/// All-subscriber overloads (subs = 0..n-1).
-std::vector<double> coverage_snrs(const Scenario& scenario,
-                                  std::span<const geom::Vec2> rs_positions,
-                                  std::span<const double> powers,
-                                  ids::IdSpan<ids::SsId, const ids::RsId> assignment);
+/// All-subscriber overload (subs = 0..n-1).
 std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(
     const Scenario& scenario, std::span<const geom::Vec2> rs_positions);
 
 /// True when every subscriber in `subs` clears the scenario's SNR
-/// threshold with all RSs at max power under the nearest assignment.
-/// This is the ILPQC oracle and SAMC's recheck primitive.
+/// threshold with all RSs at max power under the nearest assignment: a
+/// one-shot SnrField, the reference the incremental SnrFeasibilityOracle
+/// is tested against.
 bool snr_feasible_at_max_power(const Scenario& scenario,
                                std::span<const geom::Vec2> rs_positions,
                                std::span<const ids::SsId> subs);

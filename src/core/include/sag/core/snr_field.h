@@ -20,7 +20,8 @@ namespace sag::core {
 /// answers SNR queries for any serving choice in O(1). Mutations
 /// (`move_rs`, `set_power`, `add_rs`, `remove_rs`) update the cache in
 /// O(tracked subscribers) — one path-loss evaluation per subscriber —
-/// instead of the O(subscribers x RSs) full rebuild of `coverage_snrs`.
+/// instead of an O(subscribers x RSs) rebuild. `snr_of` and its what-if
+/// twin `snr_with_power` are the one Definition 2 read.
 ///
 /// Exactness: each per-subscriber total is kept as a Neumaier-compensated
 /// (sum, comp) pair. Every delta adds/subtracts the *same doubles* a
@@ -32,10 +33,11 @@ namespace sag::core {
 ///
 /// Layout and speed: subscriber and RS state live in structure-of-arrays
 /// double columns (x, y, reach, power), and every O(tracked) loop runs
-/// through the wireless::kernel_eval batch evaluators — 4-lane AVX2 when
-/// the runtime `SAG_SIMD` dispatch and the kernel's shape allow it,
-/// otherwise a scalar path byte-identical to the historical per-link
-/// loop. In both modes the kernels are position-independent (a link's
+/// through the two wireless::kernel_eval batch kernels (accumulate_rx
+/// for deltas, rx_total for builds) — 4-lane AVX2 when the runtime
+/// `SAG_SIMD` dispatch and the kernel's shape allow it, otherwise a
+/// scalar path byte-identical to the historical per-link loop. In both
+/// modes the kernels are position-independent (a link's
 /// gain is the same double wherever it is computed), so the
 /// add/subtract-the-same-double invariant holds in every mode, and a
 /// what-if read over one slot (`snr_with_power`) reproduces a full-column
@@ -152,10 +154,6 @@ public:
     /// is the current power, where set_power is a no-op. O(1).
     double snr_with_power(ids::SsId k, ids::RsId serving, units::Watt p) const;
 
-    /// True when snr_of(k, serving) clears beta with relative slack.
-    bool meets_threshold(ids::SsId k, ids::RsId serving,
-                         double rel_slack = 1e-12) const;
-
     /// Tracked-local IDs of subscribers failing either their distance
     /// request against `serving[k]` or the SNR threshold. `serving` maps
     /// tracked-local subscriber -> RS, one entry per tracked subscriber.
@@ -167,23 +165,7 @@ public:
     bool all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> serving,
                             double rel_slack = 1e-12) const;
 
-    /// Bulk snr_of: out[k] = snr_of(k, serving[k]) for every tracked
-    /// subscriber, through the batch (SIMD-dispatched) kernel — the read
-    /// side of the Fig. 3-7 sweep loops. Agrees with per-element snr_of
-    /// to 1e-9 relative (docs/PERFORMANCE.md: the interference
-    /// subtraction amplifies the per-term bound by the SNR magnitude);
-    /// byte-identical under the scalar mode. `out` must have
-    /// tracked_count() entries.
-    void snrs(ids::IdSpan<ids::SsId, const ids::RsId> serving,
-              std::span<double> out) const;
-
     // --- Maintenance.
-
-    /// Exact from-scratch rebuild of tracked slot k's total. Safe to call
-    /// concurrently for distinct k.
-    void recompute_subscriber(ids::SsId k);
-    /// From-scratch rebuild of every tracked total (serial).
-    void refresh();
 
     /// Debug equivalence: every `interval` mutations, recompute the field
     /// from scratch and abort (assert) on >1e-9 relative divergence.
@@ -237,6 +219,12 @@ private:
     /// total received power of `total_rx` watts (snr_of's edge rules).
     double snr_at(ids::SsId k, ids::RsId serving, units::Watt power,
                   double total_rx) const;
+    /// True when snr_of(k, serving) clears beta with relative slack.
+    bool meets_threshold(ids::SsId k, ids::RsId serving, double rel_slack) const;
+    /// Exact from-scratch rebuild of tracked slot k's total.
+    void recompute_subscriber(ids::SsId k);
+    /// From-scratch rebuild of every tracked total.
+    void refresh();
     void insert_rs(ids::RsId i, const geom::Vec2& pos, units::Watt power);
     void journal(UndoRecord rec);
     void rollback_to(std::size_t mark);
@@ -255,8 +243,8 @@ private:
     /// model-consistency invariant and the hot-loop devirtualization.
     wireless::GainKernel kernel_;
     /// RS state: the Vec2 vector is the API master (rs_positions() hands
-    /// out a span of it); the x/y columns mirror it for the gather-indexed
-    /// batch reads and are updated by every mutation in lockstep.
+    /// out a span of it); the x/y columns mirror it for rx_total's
+    /// column sweeps and are updated by every mutation in lockstep.
     std::vector<geom::Vec2> rs_pos_;
     std::vector<double> rs_x_, rs_y_;
     std::vector<double> rs_power_;

@@ -1,6 +1,7 @@
 #include "sag/core/deployment.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace sag::core {
 
@@ -11,6 +12,15 @@ ids::IdVec<ids::RsId, std::vector<ids::SsId>> CoveragePlan::served_lists() const
         if (i.valid() && i.index() < rs_count()) served[i].push_back(j);
     }
     return served;
+}
+
+void require_assignment(const CoveragePlan& plan, std::size_t subscriber_count) {
+    if (plan.assignment.size() != subscriber_count)
+        throw std::invalid_argument("coverage assignment size differs from subscriber count");
+    for (const ids::RsId i : plan.assignment) {
+        if (i.index() >= plan.rs_count())
+            throw std::invalid_argument("subscriber not assigned to a coverage RS");
+    }
 }
 
 std::size_t ConnectivityPlan::count(NodeKind kind) const {

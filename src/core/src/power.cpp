@@ -10,38 +10,10 @@
 #include "sag/core/snr_field.h"
 #include "sag/obs/obs.h"
 #include "sag/opt/lp.h"
-#include "sag/wireless/kernel_eval.h"
 
 namespace sag::core {
 
 namespace {
-
-/// Per-link path gains g[rs][sub] under the scenario's propagation model
-/// (kernel resolved once; shadowing models fade each link
-/// deterministically). A bulk double matrix: IDs cross into it via
-/// .index(). Each row is one batch_gain sweep of the subscriber SoA
-/// columns (SIMD-dispatched; see docs/PERFORMANCE.md). Only the two
-/// cross-check oracles, snr_power_floor and allocate_power_optimal_lp,
-/// build it.
-std::vector<std::vector<double>> gain_matrix(const Scenario& scenario,
-                                             const CoveragePlan& plan) {
-    const wireless::GainKernel kernel = scenario.gain_kernel();
-    const std::size_t n = scenario.subscriber_count();
-    std::vector<double> ss_x, ss_y;
-    ss_x.reserve(n);
-    ss_y.reserve(n);
-    for (const ids::SsId j : scenario.ss_ids()) {
-        ss_x.push_back(scenario.subscriber(j).pos.x);
-        ss_y.push_back(scenario.subscriber(j).pos.y);
-    }
-    std::vector<std::vector<double>> g(plan.rs_count(), std::vector<double>(n));
-    for (const ids::RsId i : plan.rs_ids()) {
-        wireless::batch_gain(kernel, plan.rs_position(i),
-                             units::MetersSpan{ss_x}, units::MetersSpan{ss_y},
-                             g[i.index()]);
-    }
-    return g;
-}
 
 /// P_snr of RS `rs` (paper §III-A2): the smallest power letting each of
 /// its `served` subscribers clear beta against the interference `field`
@@ -78,6 +50,7 @@ bool exceeds_cap(double want, double cap) {
 
 ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(
     const Scenario& scenario, const CoveragePlan& plan) {
+    require_assignment(plan, scenario.subscriber_count());
     ids::IdVec<ids::RsId, units::Watt> floors(plan.rs_count(), units::Watt{0.0});
     for (const ids::SsId j : scenario.ss_ids()) {
         const ids::RsId i = plan.assignment[j];
@@ -91,18 +64,20 @@ ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(
 
 units::Watt snr_power_floor(const Scenario& scenario, const CoveragePlan& plan,
                             ids::RsId rs, std::span<const double> powers) {
-    const auto g = gain_matrix(scenario, plan);
+    const wireless::GainKernel kernel = scenario.gain_kernel();
+    const auto gain = [&](ids::RsId i, ids::SsId j) {
+        const geom::Vec2& ss = scenario.subscriber(j).pos;
+        return kernel.gain(plan.rs_position(i), ss,
+                           geom::distance(plan.rs_position(i), ss));
+    };
     const auto served = plan.served_lists();
     units::Watt need{0.0};
     for (const ids::SsId j : served[rs]) {
         units::Watt interference = scenario.radio.snr_ambient_noise;
-        for (std::size_t k = 0; k < g.size(); ++k) {
-            if (k != rs.index()) {
-                interference += units::Watt{powers[k] * g[k][j.index()]};
-            }
+        for (const ids::RsId k : plan.rs_ids()) {
+            if (k != rs) interference += units::Watt{powers[k.index()] * gain(k, j)};
         }
-        need = std::max(need, scenario.snr_threshold() * interference /
-                                  g[rs.index()][j.index()]);
+        need = std::max(need, scenario.snr_threshold() * interference / gain(rs, j));
     }
     return need;
 }
@@ -116,6 +91,8 @@ PowerAllocation allocate_power_pro(const Scenario& scenario, const CoveragePlan&
     const wireless::GainKernel kernel = scenario.gain_kernel();
     const double beta = scenario.snr_threshold_linear();
 
+    // The floors check the assignment first (require_assignment): an
+    // incomplete one throws before anything below indexes by it.
     const ids::IdVec<ids::RsId, units::Watt> p_min =
         coverage_power_floors(scenario, plan);
     // Per-RS served lists: a probe only re-checks the SNR of the RS's
@@ -220,9 +197,10 @@ CappedPower allocate_power_capped(const Scenario& scenario, const CoveragePlan& 
     constexpr double kTolerance = 1e-10;  // largest change of a fixed-point sweep
     const std::size_t n = plan.rs_count();
     if (caps.size() != n) throw std::invalid_argument("one cap per RS required");
-    const auto served = plan.served_lists();
+    // Throws on an incomplete assignment, like PRO, before any use of it.
     const ids::IdVec<ids::RsId, units::Watt> floors =
         coverage_power_floors(scenario, plan);
+    const auto served = plan.served_lists();
 
     // Yates (1995): Gauss-Seidel sweeps of the standard interference
     // function max(P_c, P_snr), from p0 = min(P_c, cap), climb to its
@@ -291,9 +269,10 @@ PowerAllocation allocate_power_optimal(const Scenario& scenario,
 
 PowerAllocation allocate_power_optimal_lp(const Scenario& scenario,
                                           const CoveragePlan& plan) {
+    require_assignment(plan, scenario.subscriber_count());
     PowerAllocation out;
     const std::size_t n = plan.rs_count();
-    const auto g = gain_matrix(scenario, plan);
+    const wireless::GainKernel kernel = scenario.gain_kernel();
 
     opt::LinearProgram lp;
     lp.objective.assign(n, 1.0);
@@ -301,16 +280,23 @@ PowerAllocation allocate_power_optimal_lp(const Scenario& scenario,
     const double beta = scenario.snr_threshold_linear();
     for (const ids::SsId j : scenario.ss_ids()) {
         const ids::RsId i = plan.assignment[j];
+        const geom::Vec2& ss = scenario.subscriber(j).pos;
+        // g_kj for every RS k: one scalar gain per link.
+        std::vector<double> g(n);
+        for (const ids::RsId k : plan.rs_ids()) {
+            g[k.index()] = kernel.gain(plan.rs_position(k), ss,
+                                       geom::distance(plan.rs_position(k), ss));
+        }
         // (3.8) data rate: Pi * g_ij >= P^j_ss
         std::vector<double> rate(n, 0.0);
-        rate[i.index()] = g[i.index()][j.index()];
+        rate[i.index()] = g[i.index()];
         lp.add_constraint(std::move(rate), opt::LinearProgram::Relation::GreaterEq,
                           scenario.min_rx_power(j).watts());
         // (3.9) SNR, linearized with the ambient-noise term:
         // Pi*g_ij - beta * sum_{k != i} Pk*g_kj >= beta * N_amb
         std::vector<double> snr(n, 0.0);
-        for (std::size_t k = 0; k < n; ++k) snr[k] = -beta * g[k][j.index()];
-        snr[i.index()] = g[i.index()][j.index()];
+        for (std::size_t k = 0; k < n; ++k) snr[k] = -beta * g[k];
+        snr[i.index()] = g[i.index()];
         lp.add_constraint(std::move(snr), opt::LinearProgram::Relation::GreaterEq,
                           beta * scenario.radio.snr_ambient_noise.watts());
     }

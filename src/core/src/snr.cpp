@@ -7,19 +7,6 @@
 
 namespace sag::core {
 
-std::vector<double> coverage_snrs(const Scenario& scenario,
-                                  std::span<const geom::Vec2> rs_positions,
-                                  std::span<const double> powers,
-                                  std::span<const ids::SsId> subs,
-                                  ids::IdSpan<ids::SsId, const ids::RsId> assignment) {
-    const SnrField field(scenario, rs_positions, powers, subs);
-    std::vector<double> snrs(subs.size(), 0.0);
-    for (const ids::SsId k : field.tracked_ids()) {
-        snrs[k.index()] = field.snr_of(k, assignment[k]);
-    }
-    return snrs;
-}
-
 std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(
     const Scenario& scenario, std::span<const geom::Vec2> rs_positions,
     std::span<const ids::SsId> subs) {
@@ -46,14 +33,6 @@ std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(
         assignment[ids::SsId{k}] = ids::RsId{best};
     }
     return assignment;
-}
-
-std::vector<double> coverage_snrs(const Scenario& scenario,
-                                  std::span<const geom::Vec2> rs_positions,
-                                  std::span<const double> powers,
-                                  ids::IdSpan<ids::SsId, const ids::RsId> assignment) {
-    const auto subs = ids::all_ids<ids::SsId>(scenario.subscriber_count());
-    return coverage_snrs(scenario, rs_positions, powers, subs, assignment);
 }
 
 std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(

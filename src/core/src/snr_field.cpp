@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
 #include "sag/core/snr.h"
@@ -280,23 +279,6 @@ bool SnrField::all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> servin
         if (!meets_threshold(k, serving[k], rel_slack)) return false;
     }
     return true;
-}
-
-void SnrField::snrs(ids::IdSpan<ids::SsId, const ids::RsId> serving,
-                    std::span<double> out) const {
-    assert(serving.size() == sub_x_.size() && out.size() == sub_x_.size());
-    // The batch kernel gathers RS columns through raw 32-bit indices;
-    // this is the IdSpan -> bulk-buffer boundary.
-    std::vector<std::uint32_t> raw(serving.size());
-    for (const ids::SsId k : tracked_ids()) {
-        assert(serving[k].index() < rs_pos_.size());
-        // SAG_RAW_OK: building the kernel's u32 gather column from RsIds.
-        raw[k.index()] = serving[k].value();
-    }
-    wireless::batch_snr(kernel_, rs_xs(), rs_ys(),
-                        units::WattSpan{rs_power_}, raw, sub_xs(), sub_ys(),
-                        total_, comp_, scenario_->radio.snr_ambient_noise,
-                        out);
 }
 
 void SnrField::recompute_subscriber(ids::SsId kk) {

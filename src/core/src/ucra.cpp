@@ -23,18 +23,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kFirstArcs = 8;  ///< first capacity of an arc list
 
-/// Throws std::invalid_argument unless `coverage` assigns every subscriber
-/// of `scenario` to one of its RSs. The infeasible plans some coverage
-/// solvers return hold RsId::invalid() entries.
-void require_assignment(const Scenario& scenario, const CoveragePlan& coverage) {
-    if (coverage.assignment.size() != scenario.subscriber_count())
-        throw std::invalid_argument("coverage assignment size differs from subscriber count");
-    for (const ids::SsId j : scenario.ss_ids()) {
-        if (coverage.assignment[j].index() >= coverage.rs_count())
-            throw std::invalid_argument("subscriber not assigned to a coverage RS");
-    }
-}
-
 /// Algorithm 7 Step 5: the MST over the usable BSs and the graph's sites
 /// `sites`, as coverage RSs 0..R-1 in that order. Returns each RS's tree
 /// parent as a plan node: a BS index, or bs_count plus an RS index. MST
@@ -214,7 +202,7 @@ ConnectivityPlan build_connectivity(const Scenario& scenario,
 /// MBMC/MUST over a graph built on the plan's own RSs, toward `usable_bs`.
 ConnectivityPlan solve_over_own_graph(const Scenario& scenario, const CoveragePlan& coverage,
                                       std::span<const ids::BsId> usable_bs) {
-    require_assignment(scenario, coverage);
+    require_assignment(coverage, scenario.subscriber_count());
     const MbmcGraph graph(scenario, usable_bs, coverage.rs_positions,
                           mbmc_dmin(scenario, coverage));
     std::vector<std::size_t> sites(coverage.rs_count());
@@ -359,7 +347,7 @@ ConnectivityPlan solve_mbmc(const Scenario& scenario, const CoveragePlan& covera
 ConnectivityPlan solve_mbmc(const Scenario& scenario, const CoveragePlan& coverage,
                             const MbmcGraph& graph, std::span<const std::size_t> sites) {
     SAG_OBS_SPAN("ucra.mbmc");
-    require_assignment(scenario, coverage);
+    require_assignment(coverage, scenario.subscriber_count());
     const std::span<const ids::BsId> usable_bs = graph.usable_bs();
     bool all_bs = usable_bs.size() == scenario.base_station_count();
     for (std::size_t b = 0; all_bs && b < usable_bs.size(); ++b) {
@@ -391,7 +379,7 @@ ConnectivityPlan solve_must(const Scenario& scenario, const CoveragePlan& covera
 void allocate_power_ucpo(const Scenario& scenario, const CoveragePlan& coverage,
                          ConnectivityPlan& plan) {
     SAG_OBS_SPAN("ucra.ucpo");
-    require_assignment(scenario, coverage);
+    require_assignment(coverage, scenario.subscriber_count());
     // P^i_rs: strictest received-power requirement among i's subscribers.
     std::vector<units::Watt> p_rs(coverage.rs_count(), units::Watt{0.0});
     for (const ids::SsId j : scenario.ss_ids()) {
@@ -412,7 +400,7 @@ void allocate_power_ucpo_aggregated(const Scenario& scenario,
                                     const CoveragePlan& coverage,
                                     ConnectivityPlan& plan) {
     SAG_OBS_SPAN("ucra.ucpo_aggregated");
-    require_assignment(scenario, coverage);
+    require_assignment(coverage, scenario.subscriber_count());
     const std::size_t bs_count = scenario.base_stations.size();
     const std::size_t cov_count = coverage.rs_count();
 

@@ -136,10 +136,6 @@ public:
     const resilience::FailureSet& outstanding_failures() const {
         return failures_;
     }
-    /// Session keys of the currently unserved (flagged) SSs, ascending.
-    std::vector<std::uint64_t> unserved_keys() const;
-    /// True when a triggered re-solve has not yet been adopted/failed.
-    bool resolve_pending() const { return resolve_pending_; }
     /// The live scenario (subscribers mutate with churn). This is what a
     /// from-scratch oracle solve would be handed right now.
     const core::Scenario& scenario() const { return scenario_; }

@@ -521,15 +521,6 @@ double Session::total_power() const {
     return lower + conn_.upper_tier_power();
 }
 
-std::vector<std::uint64_t> Session::unserved_keys() const {
-    std::vector<std::uint64_t> keys;
-    for (std::size_t k = 0; k < state_.server.size(); ++k) {
-        if (state_.server[k] == kUnserved) keys.push_back(slot_key_[k]);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
 Session::Snapshot Session::snapshot() const {
     resilience::ActiveView v = state_.view();
     Snapshot snap;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <string_view>
 
@@ -12,8 +11,10 @@
 namespace sag::wireless {
 
 /// Batch GainKernel evaluation over structure-of-arrays buffers: the
-/// Release-mode hot path behind SnrField builds, deltas, SNR reads, and
-/// gain matrices.
+/// Release-mode hot path behind SnrField builds and deltas. Two kernels,
+/// the two the field runs: accumulate_rx moves every tracked total by
+/// one RS's contribution, rx_total rebuilds one subscriber's total from
+/// the RS columns.
 ///
 /// Two implementations sit behind one runtime dispatch:
 ///
@@ -28,11 +29,11 @@ namespace sag::wireless {
 ///     relative, tested in simd_equivalence_test). The last n mod 4
 ///     elements run as one padded vector block, not a scalar tail, so
 ///     the kernels are position-independent: a link's gain is the same
-///     double wherever it is computed, and element k of accumulate_rx,
-///     batch_gain or batch_snr equals the same element computed alone
-///     in a one-element span. That is what lets SnrField answer a
-///     what-if read for one subscriber with exactly the arithmetic a
-///     full-column delta would apply.
+///     double wherever it is computed, and element k of accumulate_rx
+///     equals the same element computed alone in a one-element span.
+///     That is what lets SnrField answer a what-if read for one
+///     subscriber with exactly the arithmetic a full-column delta would
+///     apply.
 ///
 /// Dispatch is resolved once per process from the `SAG_SIMD` environment
 /// variable ("auto" default, "scalar", "avx2") intersected with compile
@@ -65,17 +66,13 @@ bool kernel_simd_eligible(const GainKernel& kernel);
 /// into (totals[k], comps[k]) for every k. The SnrField delta kernel:
 /// sign is baked into the power (+p to add an RS contribution, -p to
 /// retract it; negation is exact, so retraction subtracts the same
-/// double). All four spans must have equal length.
+/// double). All four spans must have equal length. Into zeroed totals
+/// at unit power, totals[k] is the link's dispatched gain bit for bit
+/// (0 + 1·g, comp 0).
 void accumulate_rx(const GainKernel& kernel, const geom::Vec2& pos,
                    units::Watt signed_power, units::MetersSpan xs,
                    units::MetersSpan ys, std::span<double> totals,
                    std::span<double> comps);
-
-/// gains[k] = kernel.gain(pos -> (xs[k], ys[k])): one transmitter against
-/// a subscriber column (gain-matrix rows, serving-signal columns).
-void batch_gain(const GainKernel& kernel, const geom::Vec2& pos,
-                units::MetersSpan xs, units::MetersSpan ys,
-                std::span<double> gains);
 
 /// Neumaier-compensated total received power at `rx` from the RS SoA
 /// columns (the from-scratch rebuild of one subscriber's total). Scalar
@@ -98,20 +95,6 @@ void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
               units::MetersSpan rs_x, units::MetersSpan rs_y,
               units::WattSpan power0, units::WattSpan power1,
               std::span<double, 2> totals, std::span<double, 2> comps);
-
-/// Definition-2 SNR for a whole subscriber column at once:
-///   signal_k = rs_power[serving[k]] * gain(rs[serving[k]] -> sub_k)
-///   out[k]   = signal_k / (totals[k] + comps[k] - signal_k + ambient)
-/// with the same edge semantics as SnrField::snr_of (zero signal -> 0,
-/// zero denominator with positive signal -> +inf). `serving` holds raw RS
-/// indices (the IdSpan boundary is the caller's); the AVX2 path gathers
-/// RS columns through them with _mm256_i32gather_pd.
-void batch_snr(const GainKernel& kernel, units::MetersSpan rs_x,
-               units::MetersSpan rs_y, units::WattSpan rs_power,
-               std::span<const std::uint32_t> serving, units::MetersSpan sub_x,
-               units::MetersSpan sub_y, std::span<const double> totals,
-               std::span<const double> comps, units::Watt ambient,
-               std::span<double> out_snr);
 
 namespace detail {
 

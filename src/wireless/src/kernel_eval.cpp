@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <string_view>
 
 namespace sag::wireless {
@@ -20,19 +19,10 @@ void accumulate_rx_avx2(const GainKernel& kernel, const geom::Vec2& pos,
                         units::Watt signed_power, const double* xs,
                         const double* ys, double* totals, double* comps,
                         std::size_t n);
-void batch_gain_avx2(const GainKernel& kernel, const geom::Vec2& pos,
-                     const double* xs, const double* ys, double* gains,
-                     std::size_t n);
 void rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
                    const double* rs_x, const double* rs_y,
                    std::span<const double* const> rs_power, std::size_t n,
                    double* totals, double* comps);
-void batch_snr_avx2(const GainKernel& kernel, const double* rs_x,
-                    const double* rs_y, const double* rs_power,
-                    const std::uint32_t* serving, const double* sub_x,
-                    const double* sub_y, const double* totals,
-                    const double* comps, units::Watt ambient,
-                    double* out_snr, std::size_t n);
 bool cpu_has_avx2();
 #endif
 
@@ -100,14 +90,6 @@ void accumulate_rx_scalar(const GainKernel& kernel, const geom::Vec2& pos,
     }
 }
 
-void batch_gain_scalar(const GainKernel& kernel, const geom::Vec2& pos,
-                       const double* xs, const double* ys, double* gains,
-                       std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-        gains[k] = scalar_gain(kernel, pos, {xs[k], ys[k]});
-    }
-}
-
 /// Both rx_total forms: C power columns, one gain per link feeding
 /// column c's Neumaier pair (totals[c], comps[c]).
 template <std::size_t C>
@@ -123,39 +105,12 @@ void rx_total_scalar(const GainKernel& kernel, const geom::Vec2& rx,
     }
 }
 
-void batch_snr_scalar(const GainKernel& kernel, const double* rs_x,
-                      const double* rs_y, const double* rs_power,
-                      const std::uint32_t* serving, const double* sub_x,
-                      const double* sub_y, const double* totals,
-                      const double* comps, units::Watt ambient,
-                      double* out_snr, std::size_t n) {
-    const double ambient_w = ambient.watts();
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::uint32_t s = serving[k];
-        const geom::Vec2 sub{sub_x[k], sub_y[k]};
-        const double signal =
-            rs_power[s] * scalar_gain(kernel, {rs_x[s], rs_y[s]}, sub);
-        if (signal <= 0.0) {
-            out_snr[k] = 0.0;  // a silent server delivers no SNR
-            continue;
-        }
-        const double interference =
-            (totals[k] + comps[k]) - signal + ambient_w;
-        out_snr[k] = interference > 0.0
-                         ? signal / interference
-                         : std::numeric_limits<double>::infinity();
-    }
-}
-
+#ifndef SAG_SIMD_DISABLED
 /// True when this call should take the vector path.
 inline bool use_avx2(const GainKernel& kernel) {
-#ifdef SAG_SIMD_DISABLED
-    (void)kernel;
-    return false;
-#else
     return active_simd_mode() == SimdMode::Avx2 && plan_pow(kernel).valid;
-#endif
 }
+#endif
 
 /// Both rx_total forms behind the dispatch: the totals of one or two
 /// power columns over the same RS columns, each started from zero.
@@ -222,22 +177,6 @@ void accumulate_rx(const GainKernel& kernel, const geom::Vec2& pos,
                                  ys.data(), totals.data(), comps.data(), n);
 }
 
-void batch_gain(const GainKernel& kernel, const geom::Vec2& pos,
-                units::MetersSpan xs, units::MetersSpan ys,
-                std::span<double> gains) {
-    const std::size_t n = xs.size();
-    assert(ys.size() == n && gains.size() == n);
-#ifndef SAG_SIMD_DISABLED
-    if (detail::use_avx2(kernel)) {
-        detail::batch_gain_avx2(kernel, pos, xs.data(), ys.data(),
-                                gains.data(), n);
-        return;
-    }
-#endif
-    detail::batch_gain_scalar(kernel, pos, xs.data(), ys.data(), gains.data(),
-                              n);
-}
-
 void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
               units::MetersSpan rs_x, units::MetersSpan rs_y,
               units::WattSpan rs_power, double& total, double& comp) {
@@ -254,30 +193,6 @@ void rx_total(const GainKernel& kernel, const geom::Vec2& rx,
     const double* const columns[] = {power0.data(), power1.data()};
     detail::rx_total_columns(kernel, rx, rs_x, rs_y, columns, totals.data(),
                              comps.data());
-}
-
-void batch_snr(const GainKernel& kernel, units::MetersSpan rs_x,
-               units::MetersSpan rs_y, units::WattSpan rs_power,
-               std::span<const std::uint32_t> serving, units::MetersSpan sub_x,
-               units::MetersSpan sub_y, std::span<const double> totals,
-               std::span<const double> comps, units::Watt ambient,
-               std::span<double> out_snr) {
-    const std::size_t n = sub_x.size();
-    assert(sub_y.size() == n && serving.size() == n && totals.size() == n &&
-           comps.size() == n && out_snr.size() == n);
-#ifndef SAG_SIMD_DISABLED
-    if (detail::use_avx2(kernel)) {
-        detail::batch_snr_avx2(kernel, rs_x.data(), rs_y.data(),
-                               rs_power.data(), serving.data(), sub_x.data(),
-                               sub_y.data(), totals.data(), comps.data(),
-                               ambient, out_snr.data(), n);
-        return;
-    }
-#endif
-    detail::batch_snr_scalar(kernel, rs_x.data(), rs_y.data(), rs_power.data(),
-                             serving.data(), sub_x.data(), sub_y.data(),
-                             totals.data(), comps.data(), ambient,
-                             out_snr.data(), n);
 }
 
 }  // namespace sag::wireless

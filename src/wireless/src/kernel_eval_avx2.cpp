@@ -11,16 +11,14 @@
 // algorithm, evaluated per lane with compare+blend. Each kernel covers
 // all n elements: the n mod 4 remainder runs as one padded block
 // (Tail4), so a link's gain is its gain4 lane value wherever it is
-// computed, and an element of accumulate_rx, batch_gain or batch_snr
-// comes out the same alone as inside any column.
+// computed, and an element of accumulate_rx comes out the same alone as
+// inside any column.
 
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <span>
 
 #include "sag/wireless/kernel_eval.h"
@@ -94,13 +92,11 @@ inline void neumaier4(__m256d term, double* totals, double* comps) {
 /// 4-lane block, so they run through the same vector instructions as
 /// every full block: a link's value is then its gain4 lane value
 /// wherever in a column it sits. Dead lanes repeat element 0, so they
-/// evaluate a real link (no 0/0, no out-of-range gather index) and
-/// nothing past the column's end is read; callers write back only the
-/// r live lanes.
-template <class T>
+/// evaluate a real link (no 0/0) and nothing past the column's end is
+/// read; callers write back only the r live lanes.
 struct Tail4 {
-    alignas(32) T lane[4];
-    Tail4(const T* src, std::size_t r) {
+    alignas(32) double lane[4];
+    Tail4(const double* src, std::size_t r) {
         for (std::size_t l = 0; l < 4; ++l) lane[l] = src[l < r ? l : 0];
     }
 };
@@ -134,34 +130,11 @@ void accumulate_rx_avx2(const GainKernel& kernel, const geom::Vec2& pos,
     std::size_t k = 0;
     for (; k + 4 <= n; k += 4) block(xs + k, ys + k, totals + k, comps + k);
     if (const std::size_t r = n - k; r != 0) {
-        Tail4<double> x(xs + k, r), y(ys + k, r);
-        Tail4<double> t(totals + k, r), c(comps + k, r);
+        Tail4 x(xs + k, r), y(ys + k, r);
+        Tail4 t(totals + k, r), c(comps + k, r);
         block(x.lane, y.lane, t.lane, c.lane);
         std::copy_n(t.lane, r, totals + k);
         std::copy_n(c.lane, r, comps + k);
-    }
-}
-
-void batch_gain_avx2(const GainKernel& kernel, const geom::Vec2& pos,
-                     const double* xs, const double* ys, double* gains,
-                     std::size_t n) {
-    const PowPlan plan = plan_pow(kernel);
-    const __m256d px = _mm256_set1_pd(pos.x);
-    const __m256d py = _mm256_set1_pd(pos.y);
-    const __m256d clamp2 = _mm256_set1_pd(kernel.clamp_m * kernel.clamp_m);
-    const __m256d scale = _mm256_set1_pd(kernel.scale);
-    const auto block = [&](const double* x, const double* y, double* out) {
-        const __m256d dx = _mm256_sub_pd(px, _mm256_loadu_pd(x));
-        const __m256d dy = _mm256_sub_pd(py, _mm256_loadu_pd(y));
-        _mm256_storeu_pd(out, gain4(dx, dy, clamp2, scale, plan));
-    };
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) block(xs + k, ys + k, gains + k);
-    if (const std::size_t r = n - k; r != 0) {
-        const Tail4<double> x(xs + k, r), y(ys + k, r);
-        alignas(32) double out[4] = {};
-        block(x.lane, y.lane, out);
-        std::copy_n(out, r, gains + k);
     }
 }
 
@@ -204,9 +177,9 @@ void rx_total_lanes(const GainKernel& kernel, const geom::Vec2& rx,
         block(rs_x + i, rs_y + i, p, all_live);
     }
     if (const std::size_t r = n - i; r != 0) {
-        const Tail4<double> x(rs_x + i, r), y(rs_y + i, r);
+        const Tail4 x(rs_x + i, r), y(rs_y + i, r);
         // One column pads column 0 twice and reads the first copy only.
-        const Tail4<double> p0(rs_power[0] + i, r), p1(rs_power[C - 1] + i, r);
+        const Tail4 p0(rs_power[0] + i, r), p1(rs_power[C - 1] + i, r);
         const double* const tail[] = {p0.lane, p1.lane};
         block(x.lane, y.lane, tail, live_lanes(r));
     }
@@ -238,58 +211,6 @@ void rx_total_avx2(const GainKernel& kernel, const geom::Vec2& rx,
     } else {
         rx_total_lanes<2>(kernel, rx, rs_x, rs_y, rs_power.data(), n,
                             totals, comps);
-    }
-}
-
-void batch_snr_avx2(const GainKernel& kernel, const double* rs_x,
-                    const double* rs_y, const double* rs_power,
-                    const std::uint32_t* serving, const double* sub_x,
-                    const double* sub_y, const double* totals,
-                    const double* comps, units::Watt ambient_noise,
-                    double* out_snr, std::size_t n) {
-    const PowPlan plan = plan_pow(kernel);
-    const __m256d clamp2 = _mm256_set1_pd(kernel.clamp_m * kernel.clamp_m);
-    const __m256d scale = _mm256_set1_pd(kernel.scale);
-    const __m256d ambient = _mm256_set1_pd(ambient_noise.watts());
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-    const auto block = [&](const std::uint32_t* s, const double* x,
-                           const double* y, const double* t, const double* c,
-                           double* out) {
-        const __m128i idx =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(s));
-        const __m256d sx = _mm256_i32gather_pd(rs_x, idx, 8);
-        const __m256d sy = _mm256_i32gather_pd(rs_y, idx, 8);
-        const __m256d sp = _mm256_i32gather_pd(rs_power, idx, 8);
-        const __m256d dx = _mm256_sub_pd(sx, _mm256_loadu_pd(x));
-        const __m256d dy = _mm256_sub_pd(sy, _mm256_loadu_pd(y));
-        const __m256d signal =
-            _mm256_mul_pd(sp, gain4(dx, dy, clamp2, scale, plan));
-        const __m256d rx_sum =
-            _mm256_add_pd(_mm256_loadu_pd(t), _mm256_loadu_pd(c));
-        const __m256d interference =
-            _mm256_add_pd(_mm256_sub_pd(rx_sum, signal), ambient);
-        __m256d snr = _mm256_div_pd(signal, interference);
-        // Edge semantics of SnrField::snr_of, in the same priority order:
-        // non-positive interference -> +inf, then non-positive signal -> 0.
-        snr = _mm256_blendv_pd(inf, snr,
-                               _mm256_cmp_pd(interference, zero, _CMP_GT_OQ));
-        snr = _mm256_blendv_pd(zero, snr,
-                               _mm256_cmp_pd(signal, zero, _CMP_GT_OQ));
-        _mm256_storeu_pd(out, snr);
-    };
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        block(serving + k, sub_x + k, sub_y + k, totals + k, comps + k,
-              out_snr + k);
-    }
-    if (const std::size_t r = n - k; r != 0) {
-        const Tail4<std::uint32_t> s(serving + k, r);
-        const Tail4<double> x(sub_x + k, r), y(sub_y + k, r);
-        const Tail4<double> t(totals + k, r), c(comps + k, r);
-        alignas(32) double out[4] = {};
-        block(s.lane, x.lane, y.lane, t.lane, c.lane, out);
-        std::copy_n(out, r, out_snr + k);
     }
 }
 

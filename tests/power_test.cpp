@@ -15,7 +15,6 @@
 
 #include "sag/core/feasibility.h"
 #include "sag/core/power.h"
-#include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
 #include "sag/core/samc.h"
@@ -210,6 +209,38 @@ TEST(PowerFeasibilityTest, AllocatorsReportTheVerifierVerdict) {
     }
 }
 
+// A plan whose assignment leaves a subscriber without one of its RSs —
+// RsId::invalid() (an infeasible solver plan), an id past rs_count(), or
+// an assignment of the wrong length — is rejected with
+// std::invalid_argument by every allocator that indexes by it, before
+// any index is used. The baseline reports it infeasible instead.
+TEST(PowerTest, AllocatorsRejectUnassignedSubscriber) {
+    Scenario s = base_scenario();
+    s.subscribers = {{{-60.0, 0.0}, 35.0}, {{-40.0, 0.0}, 35.0},
+                     {{40.0, 0.0}, 35.0}, {{60.0, 0.0}, 35.0}};
+    const std::vector<geom::Vec2> rs = {{-50.0, 0.0}, {50.0, 0.0}};
+    const auto good = plan_of(rs, {RsId{0}, RsId{0}, RsId{1}, RsId{1}});
+    ASSERT_TRUE(allocate_power_pro(s, good).feasible);
+    const struct {
+        const char* what;
+        CoveragePlan plan;
+    } cases[] = {
+        {"invalid id", plan_of(rs, {RsId{0}, RsId::invalid(), RsId{1}, RsId{1}})},
+        {"id past rs_count", plan_of(rs, {RsId{0}, RsId{0}, RsId{2}, RsId{1}})},
+        {"short assignment", plan_of(rs, {RsId{0}, RsId{0}, RsId{1}})},
+        {"long assignment", plan_of(rs, {RsId{0}, RsId{0}, RsId{1}, RsId{1}, RsId{1}})},
+    };
+    const std::vector<double> caps(rs.size(), s.rs_max_power().watts());
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.what);
+        EXPECT_THROW((void)coverage_power_floors(s, c.plan), std::invalid_argument);
+        EXPECT_THROW((void)allocate_power_pro(s, c.plan), std::invalid_argument);
+        EXPECT_THROW((void)allocate_power_capped(s, c.plan, caps), std::invalid_argument);
+        EXPECT_THROW((void)allocate_power_optimal(s, c.plan), std::invalid_argument);
+        EXPECT_FALSE(allocate_power_baseline(s, c.plan).feasible);
+    }
+}
+
 /// Property: the (1+phi) bound of Theorem 1 — PRO never exceeds the
 /// optimum by more than the sum of (Psnr - Pc) gaps, and in practice sits
 /// within a modest factor. We assert PRO <= 1.5 * OPT across seeds (far
@@ -237,14 +268,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProApproximationProperty,
 /// allocate_power_pro's private feasibility audit, verbatim.
 bool reference_feasible(const Scenario& s, const CoveragePlan& plan,
                         std::span<const double> powers) {
-    const auto snrs = coverage_snrs(s, plan.rs_positions, powers, plan.assignment);
+    const SnrField field(s, plan.rs_positions, powers);
     const double beta = s.snr_threshold_linear();
     for (const SsId j : s.ss_ids()) {
         const RsId i = plan.assignment[j];
         const units::Watt rx = s.received_power(
             units::Watt{powers[i.index()]}, plan.rs_position(i), s.subscriber(j).pos);
         if (rx < s.min_rx_power(j) * (1.0 - 1e-9)) return false;
-        if (snrs[j.index()] < beta * (1.0 - 1e-9)) return false;
+        if (field.snr_of(j, i) < beta * (1.0 - 1e-9)) return false;
     }
     return true;
 }
@@ -434,7 +465,9 @@ TEST(ProTest, MatchesTransactionalReference) {
 }
 
 /// Test-local path gains g[k][j] of every plan RS k to every subscriber
-/// j (one batch_gain row per RS) and the P_snr read off them.
+/// j and the P_snr read off them. Each row is the dispatched gain column
+/// (SIMD where the kernel allows): accumulate_rx at unit power into
+/// zeroed totals leaves each gain bit for bit (0 + 1·g, comp 0).
 struct GainMatrix {
     std::vector<std::vector<double>> g;
 
@@ -445,10 +478,13 @@ struct GainMatrix {
             ss_x.push_back(s.subscriber(j).pos.x);
             ss_y.push_back(s.subscriber(j).pos.y);
         }
-        g.assign(plan.rs_count(), std::vector<double>(s.subscriber_count()));
+        g.assign(plan.rs_count(), std::vector<double>(s.subscriber_count(), 0.0));
+        std::vector<double> comps;
         for (const RsId i : plan.rs_ids()) {
-            wireless::batch_gain(kernel, plan.rs_position(i), units::MetersSpan{ss_x},
-                                 units::MetersSpan{ss_y}, g[i.index()]);
+            comps.assign(s.subscriber_count(), 0.0);
+            wireless::accumulate_rx(kernel, plan.rs_position(i), units::Watt{1.0},
+                                    units::MetersSpan{ss_x}, units::MetersSpan{ss_y},
+                                    g[i.index()], comps);
         }
     }
 

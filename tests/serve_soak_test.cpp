@@ -196,7 +196,8 @@ SoakStats soak(Session& session, const std::vector<Event>& events,
         }
         stats.degraded_events += out.degraded ? 1 : 0;
         stats.resolves_adopted += out.resolve_adopted ? 1 : 0;
-        EXPECT_EQ(out.unserved, session.unserved_keys().size());
+        EXPECT_EQ(out.unserved, session.live_subscriber_count() -
+                                    session.snapshot().covered_keys.size());
         stats.fingerprint += io::event_outcome_to_json(out).dump();
         stats.fingerprint.push_back('\n');
     }

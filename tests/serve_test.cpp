@@ -295,7 +295,8 @@ TEST(ServeSessionTest, RsFailureRepairsOrFlags) {
                     down.end());
         // Every SS is either re-homed/patched back in or explicitly
         // flagged unserved — never silently kept on a dead server.
-        EXPECT_EQ(out.unserved, session.unserved_keys().size());
+        EXPECT_EQ(out.unserved, session.live_subscriber_count() -
+                                    session.snapshot().covered_keys.size());
         session.apply(rs_event(EventKind::RsRecover, slot));
     }
 }
@@ -330,7 +331,11 @@ TEST(ServeSessionTest, UnreachableJoinIsFlaggedWhenPatchDisabled) {
     expect_contract(out);
     EXPECT_TRUE(out.degraded);
     EXPECT_EQ(out.unserved, 1u);
-    EXPECT_EQ(session.unserved_keys(), std::vector<std::uint64_t>{500});
+    EXPECT_EQ(session.unserved_count(), 1u);
+    // The one unserved SS is the joiner: every other key is covered.
+    const std::vector<std::uint64_t> covered = session.snapshot().covered_keys;
+    EXPECT_EQ(covered.size(), session.live_subscriber_count() - 1);
+    EXPECT_EQ(std::find(covered.begin(), covered.end(), 500u), covered.end());
     EXPECT_TRUE(out.resolve_triggered);  // flagged SS fires the budget
 }
 
@@ -405,10 +410,12 @@ TEST(ServeSessionTest, DriftTriggersResolveAndAdoptsAtHorizon) {
     expect_contract(trigger);
     EXPECT_EQ(trigger.patched, 1u);
     EXPECT_TRUE(trigger.resolve_triggered);
-    EXPECT_TRUE(session.resolve_pending());
 
+    // The patched relay is still drift, but the pending solve holds off a
+    // second trigger, and it lands only at its horizon.
     const EventOutcome pad = session.apply(ss_move(0, scenario.subscribers[0].pos));
     expect_contract(pad);
+    EXPECT_FALSE(pad.resolve_triggered);
     EXPECT_FALSE(pad.resolve_adopted);
 
     // Horizon reached: the snapshot solve swaps in atomically.
@@ -416,8 +423,11 @@ TEST(ServeSessionTest, DriftTriggersResolveAndAdoptsAtHorizon) {
         session.apply(ss_move(1, scenario.subscribers[1].pos));
     expect_contract(adopt);
     EXPECT_TRUE(adopt.resolve_adopted);
-    EXPECT_FALSE(session.resolve_pending());
     EXPECT_EQ(session.unserved_count(), 0u);
+    // Nothing is left pending: the next event adopts nothing.
+    const EventOutcome after = session.apply(ss_move(0, scenario.subscribers[0].pos));
+    expect_contract(after);
+    EXPECT_FALSE(after.resolve_adopted);
     // Adoption is a re-deployment: outstanding failures clear.
     EXPECT_TRUE(session.outstanding_failures().coverage_down.empty());
 }
@@ -492,7 +502,8 @@ TEST(ServeSessionTest, ThreadedReplayIsByteIdenticalToSerial) {
 
     EXPECT_EQ(a, b);
     EXPECT_EQ(serial.event_count(), threaded.event_count());
-    EXPECT_EQ(serial.unserved_keys(), threaded.unserved_keys());
+    EXPECT_EQ(serial.unserved_count(), threaded.unserved_count());
+    EXPECT_EQ(serial.snapshot().covered_keys, threaded.snapshot().covered_keys);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Golden equivalence of the batch kernel evaluators against the
-// historical scalar loops (docs/PERFORMANCE.md contract):
+// Golden equivalence of the two batch kernels, accumulate_rx and
+// rx_total, against the historical scalar loops (docs/PERFORMANCE.md
+// contract):
 //
 //   * ineligible kernels (shadowing, general alpha) must be
 //     *byte-identical* to the reference loop through the public API —
@@ -18,7 +19,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <span>
 #include <vector>
@@ -83,6 +83,17 @@ double rel_err(double a, double b) {
     return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1e-300});
 }
 
+/// The dispatched gain column of a transmitter at `pos`: accumulate_rx at
+/// unit power into zeroed totals leaves each link's gain bit for bit
+/// (0 + 1·g, comp 0).
+std::vector<double> dispatched_gains(const wireless::GainKernel& k,
+                                     const Vec2& pos, MetersSpan xs,
+                                     MetersSpan ys) {
+    std::vector<double> gains(xs.size(), 0.0), comps(xs.size(), 0.0);
+    wireless::accumulate_rx(k, pos, units::Watt{1.0}, xs, ys, gains, comps);
+    return gains;
+}
+
 TEST(SimdEquivalence, EligibilityTable) {
     wireless::GainKernel k;
     for (int q = 1; q <= 16; ++q) {
@@ -119,8 +130,8 @@ TEST(SimdEquivalence, BatchGainMatchesReferenceWithin1e12) {
         const Soa subs = random_points(rng, n, 200.0);
         const Vec2 pos{static_cast<double>(rng() % 100),
                        static_cast<double>(rng() % 100)};
-        std::vector<double> gains(n);
-        wireless::batch_gain(k, pos, subs.xs(), subs.ys(), gains);
+        const std::vector<double> gains =
+            dispatched_gains(k, pos, subs.xs(), subs.ys());
         for (std::size_t i = 0; i < n; ++i) {
             const double ref = reference_gain(k, pos, {subs.x[i], subs.y[i]});
             EXPECT_LE(rel_err(gains[i], ref), 1e-12)
@@ -138,8 +149,8 @@ TEST(SimdEquivalence, BatchGainHostileGeometry) {
     // on it, and far away — the clamp max() must agree with the scalar
     // branch everywhere.
     const Soa subs{{10.0, 10.3, 11.0, 9000.0}, {10.0, 10.0, 10.0, -400.0}};
-    std::vector<double> gains(4);
-    wireless::batch_gain(k, {10.0, 10.0}, subs.xs(), subs.ys(), gains);
+    const std::vector<double> gains =
+        dispatched_gains(k, {10.0, 10.0}, subs.xs(), subs.ys());
     for (std::size_t i = 0; i < 4; ++i) {
         const double ref = reference_gain(k, {10.0, 10.0},
                                           {subs.x[i], subs.y[i]});
@@ -159,8 +170,7 @@ TEST(SimdEquivalence, IneligibleKernelIsByteIdentical) {
     const std::size_t n = 23;
     const Soa subs = random_points(rng, n, 50.0);
     const Vec2 pos{1.0, -2.0};
-    std::vector<double> gains(n);
-    wireless::batch_gain(k, pos, subs.xs(), subs.ys(), gains);
+    const std::vector<double> gains = dispatched_gains(k, pos, subs.xs(), subs.ys());
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(gains[i], reference_gain(k, pos, {subs.x[i], subs.y[i]}));
     }
@@ -234,54 +244,6 @@ TEST(SimdEquivalence, RxTotalMatchesReferenceWithin1e12) {
     }
 }
 
-TEST(SimdEquivalence, BatchSnrMatchesReferenceWithin1e12) {
-    std::mt19937_64 rng(555);
-    for (int round = 0; round < 25; ++round) {
-        const wireless::GainKernel k = random_eligible_kernel(rng);
-        const std::size_t rs_count = 1 + static_cast<std::size_t>(rng() % 9);
-        const std::size_t n = 1 + static_cast<std::size_t>(rng() % 33);
-        const Soa rs = random_points(rng, rs_count, 120.0);
-        const Soa subs = random_points(rng, n, 120.0);
-        std::uniform_real_distribution<double> watt(0.5, 50.0);
-        std::vector<double> power(rs_count);
-        for (double& p : power) p = watt(rng);
-        std::vector<std::uint32_t> serving(n);
-        for (std::uint32_t& s : serving) {
-            s = static_cast<std::uint32_t>(rng() % rs_count);
-        }
-        // Build the totals through the same accumulate path the field uses.
-        std::vector<double> total(n, 0.0), comp(n, 0.0);
-        for (std::size_t i = 0; i < rs_count; ++i) {
-            wireless::accumulate_rx(k, {rs.x[i], rs.y[i]},
-                                    units::Watt{power[i]}, subs.xs(),
-                                    subs.ys(), total, comp);
-        }
-        const double ambient = 1e-6;
-        std::vector<double> snr(n);
-        wireless::batch_snr(k, rs.xs(), rs.ys(), WattSpan{power}, serving,
-                            subs.xs(), subs.ys(), total, comp,
-                            units::Watt{ambient}, snr);
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::uint32_t s = serving[j];
-            const double signal =
-                power[s] * reference_gain(k, {rs.x[s], rs.y[s]},
-                                          {subs.x[j], subs.y[j]});
-            const double interference = (total[j] + comp[j]) - signal + ambient;
-            const double ref =
-                signal <= 0.0
-                    ? 0.0
-                    : (interference > 0.0
-                           ? signal / interference
-                           : std::numeric_limits<double>::infinity());
-            // The interference subtraction (total - signal) amplifies the
-            // per-term ulp difference by roughly the SNR magnitude, so
-            // the SNR read carries its own documented bound: 1e-9
-            // relative (PERFORMANCE.md), vs 1e-12 for raw terms.
-            EXPECT_LE(rel_err(snr[j], ref), 1e-9) << "j=" << j;
-        }
-    }
-}
-
 /// Bit equality, exact for infinities and signed zeros alike.
 bool same_bits(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -293,8 +255,8 @@ MetersSpan one(const std::vector<double>& column, std::size_t k) {
 }
 
 // Position independence: under every mode, element k of a column comes
-// out of accumulate_rx, batch_gain and batch_snr bit for bit as when it
-// is computed alone. Under AVX2 this needs the n mod 4 tail to run
+// out of accumulate_rx (and so its gain) bit for bit as when it is
+// computed alone. Under AVX2 this needs the n mod 4 tail to run
 // through the same vector gain as the full blocks (n = 1..13 covers
 // every tail length at several block offsets).
 TEST(SimdEquivalence, ElementsMatchTheirOneElementSpans) {
@@ -307,8 +269,8 @@ TEST(SimdEquivalence, ElementsMatchTheirOneElementSpans) {
             const Vec2 pos{watt(rng), -watt(rng)};
             const double p = watt(rng);
 
-            std::vector<double> gains(n);
-            wireless::batch_gain(k, pos, subs.xs(), subs.ys(), gains);
+            const std::vector<double> gains =
+                dispatched_gains(k, pos, subs.xs(), subs.ys());
 
             std::vector<double> total0(n), comp0(n);
             for (std::size_t i = 0; i < n; ++i) {
@@ -319,21 +281,9 @@ TEST(SimdEquivalence, ElementsMatchTheirOneElementSpans) {
             wireless::accumulate_rx(k, pos, units::Watt{-p}, subs.xs(),
                                     subs.ys(), total, comp);
 
-            const Soa rs = random_points(rng, 3, 200.0);
-            const std::vector<double> power{watt(rng), watt(rng), watt(rng)};
-            std::vector<std::uint32_t> serving(n);
-            for (std::uint32_t& s : serving) {
-                s = static_cast<std::uint32_t>(rng() % 3);
-            }
-            std::vector<double> snr(n);
-            wireless::batch_snr(k, rs.xs(), rs.ys(), WattSpan{power}, serving,
-                                subs.xs(), subs.ys(), total0, comp0,
-                                units::Watt{1e-3}, snr);
-
             for (std::size_t i = 0; i < n; ++i) {
-                double g = 0.0;
-                wireless::batch_gain(k, pos, one(subs.x, i), one(subs.y, i),
-                                     {&g, 1});
+                const double g =
+                    dispatched_gains(k, pos, one(subs.x, i), one(subs.y, i))[0];
                 EXPECT_TRUE(same_bits(g, gains[i])) << "n=" << n << " i=" << i;
 
                 double t = total0[i], c = comp0[i];
@@ -341,13 +291,6 @@ TEST(SimdEquivalence, ElementsMatchTheirOneElementSpans) {
                                         one(subs.y, i), {&t, 1}, {&c, 1});
                 EXPECT_TRUE(same_bits(t, total[i])) << "n=" << n << " i=" << i;
                 EXPECT_TRUE(same_bits(c, comp[i])) << "n=" << n << " i=" << i;
-
-                double r = 0.0;
-                wireless::batch_snr(
-                    k, rs.xs(), rs.ys(), WattSpan{power}, {&serving[i], 1},
-                    one(subs.x, i), one(subs.y, i), {&total0[i], 1},
-                    {&comp0[i], 1}, units::Watt{1e-3}, {&r, 1});
-                EXPECT_TRUE(same_bits(r, snr[i])) << "n=" << n << " i=" << i;
             }
         }
     }
@@ -435,29 +378,6 @@ TEST(SimdEquivalence, TwoColumnRxTotalMatchesTwoOneColumnCalls) {
             EXPECT_TRUE(same_bits(comps[1], c0));
         }
     }
-}
-
-TEST(SimdEquivalence, BatchSnrEdgeSemantics) {
-    wireless::GainKernel k;
-    k.scale = 1.0;
-    k.alpha = 2.0;
-    k.clamp_m = 1.0;
-    const Soa rs{{0.0, 50.0}, {0.0, 0.0}};
-    const std::vector<double> power{0.0, 30.0};  // RS 0 is silent
-    const Soa subs{{5.0, 6.0, 7.0, 8.0, 9.0}, {0.0, 0.0, 0.0, 0.0, 0.0}};
-    const std::vector<std::uint32_t> serving{0, 1, 0, 1, 1};
-    // Hugely negative cached totals force interference < 0 in every
-    // arithmetic path for the positive-signal subscribers.
-    std::vector<double> total(5, -1e300), comp(5, 0.0);
-    std::vector<double> snr(5);
-    wireless::batch_snr(k, rs.xs(), rs.ys(), WattSpan{power}, serving,
-                        subs.xs(), subs.ys(), total, comp, units::Watt{0.0},
-                        snr);
-    EXPECT_EQ(snr[0], 0.0);  // zero signal wins over zero denominator
-    EXPECT_TRUE(std::isinf(snr[1]));
-    EXPECT_EQ(snr[2], 0.0);
-    EXPECT_TRUE(std::isinf(snr[3]));
-    EXPECT_TRUE(std::isinf(snr[4]));
 }
 
 }  // namespace

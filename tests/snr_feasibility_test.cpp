@@ -1,10 +1,12 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sag/core/feasibility.h"
 #include "sag/ids/ids.h"
 #include "sag/core/snr.h"
+#include "sag/core/snr_field.h"
 #include "sag/sim/scenario_gen.h"
 #include "sag/units/units.h"
 #include "sag/wireless/two_ray.h"
@@ -14,6 +16,15 @@ namespace {
 
 using ids::RsId;
 using ids::SsId;
+
+/// snr_of for every tracked subscriber of a fresh field, served per
+/// `assignment` (tracked-local).
+std::vector<double> fresh_snrs(const SnrField& field,
+                               const ids::IdVec<SsId, RsId>& assignment) {
+    std::vector<double> snrs;
+    for (const SsId k : field.tracked_ids()) snrs.push_back(field.snr_of(k, assignment[k]));
+    return snrs;
+}
 
 Scenario two_sub_scenario() {
     Scenario s;
@@ -33,7 +44,7 @@ TEST(SnrTest, SingleRsInfiniteSnr) {
     const double powers[] = {50.0};
     const SsId subs[] = {SsId{0}};
     const ids::IdVec<SsId, RsId> assignment{RsId{0}};
-    const auto snrs = coverage_snrs(s, rs, powers, subs, assignment);
+    const auto snrs = fresh_snrs(SnrField(s, rs, powers, subs), assignment);
     EXPECT_TRUE(std::isinf(snrs[0]));
 }
 
@@ -42,7 +53,7 @@ TEST(SnrTest, TwoRsMatchHandComputedRatio) {
     const geom::Vec2 rs[] = {{-50.0, 0.0}, {50.0, 0.0}};
     const double powers[] = {50.0, 50.0};
     const ids::IdVec<SsId, RsId> assignment{RsId{0}, RsId{1}};
-    const auto snrs = coverage_snrs(s, rs, powers, assignment);
+    const auto snrs = fresh_snrs(SnrField(s, rs, powers), assignment);
     // Subscriber 0: signal from RS0 at clamped distance 1, interference
     // from RS1 at distance 100.
     const units::Watt signal =
@@ -63,7 +74,7 @@ TEST(SnrTest, ZeroPowerServerReportsZeroSnrNotInfinity) {
     const double powers[] = {0.0};
     const SsId subs[] = {SsId{0}};
     const ids::IdVec<SsId, RsId> assignment{RsId{0}};
-    const auto snrs = coverage_snrs(s, rs, powers, subs, assignment);
+    const auto snrs = fresh_snrs(SnrField(s, rs, powers, subs), assignment);
     EXPECT_FALSE(std::isinf(snrs[0]));
     EXPECT_EQ(snrs[0], 0.0);
 }
@@ -73,7 +84,7 @@ TEST(SnrTest, ZeroPowerServerAmongActiveInterferersScoresZero) {
     const geom::Vec2 rs[] = {{-50.0, 0.0}, {50.0, 0.0}};
     const double powers[] = {0.0, 50.0};
     const ids::IdVec<SsId, RsId> assignment{RsId{0}, RsId{1}};
-    const auto snrs = coverage_snrs(s, rs, powers, assignment);
+    const auto snrs = fresh_snrs(SnrField(s, rs, powers), assignment);
     EXPECT_EQ(snrs[0], 0.0);       // silent server, live interferer
     EXPECT_TRUE(std::isinf(snrs[1]));  // live server, silent interferer
 }
@@ -226,9 +237,9 @@ TEST(AmbientNoiseTest, LowersEverySnr) {
     const geom::Vec2 rs[] = {{-50.0, 0.0}, {50.0, 0.0}};
     const double powers[] = {50.0, 50.0};
     const ids::IdVec<SsId, RsId> assignment{RsId{0}, RsId{1}};
-    const auto clean = coverage_snrs(s, rs, powers, assignment);
+    const auto clean = fresh_snrs(SnrField(s, rs, powers), assignment);
     s.radio.snr_ambient_noise = units::Watt{0.065};
-    const auto noisy = coverage_snrs(s, rs, powers, assignment);
+    const auto noisy = fresh_snrs(SnrField(s, rs, powers), assignment);
     for (std::size_t j = 0; j < 2; ++j) EXPECT_LT(noisy[j], clean[j]);
 }
 
@@ -239,7 +250,7 @@ TEST(AmbientNoiseTest, MakesSingleRsSnrFinite) {
     const double powers[] = {50.0};
     const SsId subs[] = {SsId{0}};
     const ids::IdVec<SsId, RsId> assignment{RsId{0}};
-    const auto snrs = coverage_snrs(s, rs, powers, subs, assignment);
+    const auto snrs = fresh_snrs(SnrField(s, rs, powers, subs), assignment);
     const units::Watt signal =
         wireless::received_power(s.radio, units::Watt{50.0}, units::Meters{1.0});
     EXPECT_NEAR(snrs[0], signal.watts() / 0.065, 1e-9 * snrs[0]);

@@ -49,27 +49,9 @@ ids::IdVec<SsId, RsId> round_robin_serving(std::size_t subs, std::size_t rs) {
     return serving;
 }
 
-TEST(SnrFieldTest, OneShotMatchesCoverageSnrs) {
-    const Scenario s = random_scenario(40, 500.0, 11);
-    std::vector<geom::Vec2> rs;
-    std::vector<double> powers;
-    for (std::size_t i = 0; i < 8; ++i) {
-        rs.push_back(s.subscribers[i * 5].pos);
-        powers.push_back(
-            (s.radio.max_power * (0.25 + 0.1 * static_cast<double>(i))).watts());
-    }
-    const auto serving = round_robin_serving(s.subscriber_count(), rs.size());
-    const SnrField field(s, rs, powers);
-    const auto snrs = coverage_snrs(s, rs, powers, serving);
-    for (const SsId k : serving.ids()) {
-        EXPECT_LE(rel_diff(field.snr_of(k, serving[k]), snrs[k.index()]), 1e-12)
-            << k;
-    }
-}
-
 // The headline property: 1000 mixed move / power / add / remove deltas,
 // and after every delta the incrementally maintained field matches a
-// fresh from-scratch coverage_snrs evaluation to 1e-12 relative.
+// field built from scratch at its RSs and powers to 1e-12 relative.
 TEST(SnrFieldTest, ThousandMixedDeltasMatchScratchTo1e12) {
     const Scenario s = random_scenario(60, 500.0, 23);
     std::mt19937 rng(1234);
@@ -111,10 +93,9 @@ TEST(SnrFieldTest, ThousandMixedDeltasMatchScratchTo1e12) {
         const auto cur_powers = field.rs_powers();
         const auto serving =
             round_robin_serving(s.subscriber_count(), field.rs_count());
-        const auto scratch = coverage_snrs(
-            s, cur_rs, cur_powers, serving);
+        const SnrField scratch(s, cur_rs, cur_powers);
         for (const SsId k : serving.ids()) {
-            ASSERT_LE(rel_diff(field.snr_of(k, serving[k]), scratch[k.index()]),
+            ASSERT_LE(rel_diff(field.snr_of(k, serving[k]), scratch.snr_of(k, serving[k])),
                       1e-12)
                 << "step " << step << " subscriber " << k;
         }
@@ -261,14 +242,14 @@ TEST(SnrFieldTest, ViolatedMatchesManualAudit) {
 
     const auto bad = field.violated(serving);
     const std::vector<double> powers(rs.size(), s.radio.max_power.watts());
-    const auto snrs = coverage_snrs(s, rs, powers, serving);
+    const SnrField scratch(s, rs, powers);
     const double beta = s.snr_threshold_linear();
     std::vector<SsId> expected;
     for (const SsId k : serving.ids()) {
         const Subscriber& sub = s.subscriber(k);
         const double d = geom::distance(rs[serving[k].index()], sub.pos);
         if (d > sub.distance_request + 1e-6 ||
-            snrs[k.index()] < beta * (1.0 - 1e-12)) {
+            scratch.snr_of(k, serving[k]) < beta * (1.0 - 1e-12)) {
             expected.push_back(k);
         }
     }
@@ -283,10 +264,12 @@ TEST(SnrFieldTest, TrackedSubsetOnlySeesItsSubscribers) {
     ASSERT_EQ(field.tracked_count(), subset.size());
     const std::vector<double> powers(rs.size(), s.radio.max_power.watts());
     const ids::IdVec<SsId, RsId> serving = {RsId{0}, RsId{1}, RsId{0}, RsId{1}};
-    const auto scratch = coverage_snrs(s, rs, powers, subset, serving);
+    // A field over every subscriber: the subset's slots read the same SNRs.
+    const SnrField full(s, rs, powers);
     for (const SsId k : serving.ids()) {
         EXPECT_EQ(field.tracked_subscriber(k), subset[k.index()]);
-        EXPECT_LE(rel_diff(field.snr_of(k, serving[k]), scratch[k.index()]),
+        EXPECT_LE(rel_diff(field.snr_of(k, serving[k]),
+                           full.snr_of(subset[k.index()], serving[k])),
                   1e-12);
     }
 }

@@ -12,8 +12,8 @@ caller but never linted.
              check is by name: a live function sharing the name of a
              dead one keeps it alive, and a dead function's call of
              another keeps that one alive until the caller goes.  Test
-             oracles and test windows are allowlisted, each entry
-             naming the test that needs it.
+             oracles are allowlisted, each entry naming the test that
+             needs it.
   doc-names  every backticked module-qualified name in README.md,
              DESIGN.md, EXPERIMENTS.md and docs/*.md (`core::solve_sag`,
              `sag::exec::Deadline::expired`) names identifiers that
