@@ -176,20 +176,17 @@ public:
 
     /// RAII guard for speculative probes: mutations made while a
     /// Transaction is open are rolled back (in reverse order) when it is
-    /// destroyed, unless `commit()` was called. Transactions nest; an
-    /// inner commit leaves its deltas to the outer transaction's fate.
+    /// destroyed. Transactions nest; each rolls back to where it opened.
     class Transaction {
     public:
         explicit Transaction(SnrField& field);
         ~Transaction();
         Transaction(const Transaction&) = delete;
         Transaction& operator=(const Transaction&) = delete;
-        void commit() { committed_ = true; }
 
     private:
         SnrField& field_;
         std::size_t mark_;
-        bool committed_ = false;
     };
 
 private:

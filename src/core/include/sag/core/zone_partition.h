@@ -18,6 +18,10 @@ double zone_partition_dmax(const Scenario& scenario);
 ///   d_eff = min(dist(s_i, s_j) - d_i, dist(s_i, s_j) - d_j) <= d_max,
 /// and zones are the connected components of that graph. Returns the
 /// ZoneId-indexed subscriber groups (each non-empty; singletons allowed).
+/// Order: zones ascend by their least member, which each lists first;
+/// the other members follow breadth-first from it, each SS's unvisited
+/// neighbours in ascending index order. The hitting set's disk order,
+/// and so its ties, follow this order.
 ids::IdVec<ids::ZoneId, std::vector<ids::SsId>> zone_partition(
     const Scenario& scenario);
 

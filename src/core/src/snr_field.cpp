@@ -362,7 +362,7 @@ SnrField::Transaction::Transaction(SnrField& field)
 }
 
 SnrField::Transaction::~Transaction() {
-    if (!committed_) field_.rollback_to(mark_);
+    field_.rollback_to(mark_);
     --field_.tx_depth_;
     if (field_.tx_depth_ == 0) field_.journal_.clear();
 }

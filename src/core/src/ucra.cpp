@@ -12,7 +12,6 @@
 #include "sag/geometry/sweep.h"
 #include "sag/graph/mst.h"
 #include "sag/graph/steiner.h"
-#include "sag/graph/tree.h"
 #include "sag/obs/obs.h"
 #include "sag/wireless/link.h"
 
@@ -102,6 +101,39 @@ std::vector<std::size_t> coverage_tree_parents(const MbmcGraph& graph,
     return parent;
 }
 
+/// The vertices of the forest `parent` (parent[v] == v marks a root, and
+/// every parent[v] < parent.size()), parents first: the roots ascending,
+/// then breadth-first with each vertex's children ascending. Folding a
+/// subtree quantity into the parents along the reverse visits children
+/// before parents and siblings in one fixed order. Throws
+/// std::invalid_argument when the parent array has a cycle.
+std::vector<std::size_t> parents_first(const std::vector<std::size_t>& parent) {
+    const std::size_t n = parent.size();
+    // Children by parent, each run ascending (a counting sort).
+    std::vector<std::size_t> first(n + 1, 0);
+    for (std::size_t v = 0; v < n; ++v) {
+        if (parent[v] != v) ++first[parent[v] + 1];
+    }
+    std::partial_sum(first.begin(), first.end(), first.begin());
+    std::vector<std::size_t> children(first[n]);
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (std::size_t v = 0; v < n; ++v) {
+        if (parent[v] != v) children[next[parent[v]]++] = v;
+    }
+    std::vector<std::size_t> order;
+    order.reserve(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        if (parent[v] == v) order.push_back(v);
+    }
+    for (std::size_t head = 0; head < order.size(); ++head) {
+        const std::size_t v = order[head];
+        for (std::size_t c = first[v]; c < first[v + 1]; ++c) order.push_back(children[c]);
+    }
+    // A vertex on a cycle is never reached from a root.
+    if (order.size() != n) throw std::invalid_argument("parent array contains a cycle");
+    return order;
+}
+
 /// Shared MBMC/MUST construction: Prim over `graph` restricted to
 /// `sites` (coverage RS i is site sites[i]), then steinerization.
 ConnectivityPlan build_connectivity(const Scenario& scenario,
@@ -163,15 +195,11 @@ ConnectivityPlan build_connectivity(const Scenario& scenario,
         const std::size_t p = cov_tree_parent[i];
         tree_parent_local[i] = p >= bs_count ? p - bs_count : i;  // root if BS parent
     }
-    graph::RootedTree cov_tree(tree_parent_local);
     std::vector<double> subtree_req = own_req;
-    const auto& topo = cov_tree.topological_order();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        const std::size_t v = *it;
-        if (!cov_tree.is_root(v)) {
-            subtree_req[cov_tree.parent(v)] =
-                std::min(subtree_req[cov_tree.parent(v)], subtree_req[v]);
-        }
+    const std::vector<std::size_t> order = parents_first(tree_parent_local);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const std::size_t p = tree_parent_local[*it];
+        if (p != *it) subtree_req[p] = std::min(subtree_req[p], subtree_req[*it]);
     }
 
     // Steinerize every edge: chain of connectivity RSs from the coverage
@@ -414,18 +442,18 @@ void allocate_power_ucpo_aggregated(const Scenario& scenario,
 
     // Recover the coverage-RS tree from the plan (a BS above the chain
     // makes coverage RS i a root), then add each subtree's rate into its
-    // parent in reverse topological order: children before parents, and
-    // siblings always summed in the same order.
+    // parent along the reverse of parents_first: children before parents,
+    // and siblings always summed in the same order.
     std::vector<std::size_t> cov_parent(cov_count);  // local index
     std::vector<std::size_t> chain;
     for (std::size_t i = 0; i < cov_count; ++i) {
         const std::size_t top = walk_chain(plan, bs_count + i, chain);
         cov_parent[i] = top >= bs_count && top < bs_count + cov_count ? top - bs_count : i;
     }
-    const graph::RootedTree cov_tree(std::move(cov_parent));
-    const auto& topo = cov_tree.topological_order();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        if (!cov_tree.is_root(*it)) subtree_rate[cov_tree.parent(*it)] += subtree_rate[*it];
+    const std::vector<std::size_t> order = parents_first(cov_parent);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const std::size_t p = cov_parent[*it];
+        if (p != *it) subtree_rate[p] += subtree_rate[*it];
     }
 
     const units::Watt p_max = scenario.rs_max_power();

@@ -1,9 +1,10 @@
 #include "sag/core/zone_partition.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "sag/geometry/sweep.h"
-#include "sag/graph/graph.h"
 
 namespace sag::core {
 
@@ -26,10 +27,13 @@ ids::IdVec<ids::ZoneId, std::vector<ids::SsId>> zone_partition(
         reach.emplace_back(s.pos, s.distance_request + dmax / 2.0);
     }
 
-    // The graph layer is entity-agnostic: subscribers cross into it
-    // as raw vertex indices and the components come back out retyped.
-    graph::Graph g(n);
-    for (const auto& [i, j] : geom::near_pairs(reach, geom::sweep_index(reach))) {
+    // The graph's edges, ascending, compacted in place; start[v + 1]
+    // counts v's edges.
+    std::vector<std::pair<std::size_t, std::size_t>> edges =
+        geom::near_pairs(reach, geom::sweep_index(reach));
+    std::vector<std::size_t> start(n + 1, 0);
+    std::size_t kept = 0;
+    for (const auto& [i, j] : edges) {
         const Subscriber& si = scenario.subscribers[i];
         const Subscriber& sj = scenario.subscribers[j];
         const double dist = geom::distance(si.pos, sj.pos);
@@ -37,14 +41,42 @@ ids::IdVec<ids::ZoneId, std::vector<ids::SsId>> zone_partition(
         // other SS (an RS may stand d_i inside s_i's circle).
         const double d_eff =
             std::min(dist - si.distance_request, dist - sj.distance_request);
-        if (d_eff <= dmax) g.add_edge(i, j);
+        if (d_eff <= dmax) {
+            edges[kept++] = {i, j};
+            ++start[i + 1];
+            ++start[j + 1];
+        }
+    }
+    edges.resize(kept);
+
+    // CSR adjacency filled in edge order: v's neighbours below v come from
+    // the edges (i, v), i ascending, before those above it from (v, j), so
+    // every list ascends.
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::vector<std::size_t> adj(start[n]);
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    for (const auto& [i, j] : edges) {
+        adj[next[i]++] = j;
+        adj[next[j]++] = i;
     }
 
+    // Components by BFS from each unvisited SS in ascending order; the
+    // member list is the queue.
     ids::IdVec<ids::ZoneId, std::vector<ids::SsId>> zones;
-    for (std::vector<std::size_t>& comp : g.connected_components()) {
-        std::vector<ids::SsId> members;
-        members.reserve(comp.size());
-        for (const std::size_t v : comp) members.push_back(ids::SsId{v});
+    std::vector<bool> seen(n, false);
+    for (std::size_t first = 0; first < n; ++first) {
+        if (seen[first]) continue;
+        seen[first] = true;
+        std::vector<ids::SsId> members{ids::SsId{first}};
+        for (std::size_t head = 0; head < members.size(); ++head) {
+            const std::size_t v = members[head].index();
+            for (std::size_t e = start[v]; e < start[v + 1]; ++e) {
+                if (!seen[adj[e]]) {
+                    seen[adj[e]] = true;
+                    members.push_back(ids::SsId{adj[e]});
+                }
+            }
+        }
         zones.push_back(std::move(members));
     }
     return zones;

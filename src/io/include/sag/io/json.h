@@ -10,17 +10,12 @@
 
 namespace sag::io {
 
-/// Error thrown by Json::parse on malformed input; carries the byte
-/// offset of the failure.
+/// Error thrown by Json::parse on malformed input; what() ends with the
+/// byte offset of the failure ("... at offset N").
 class JsonParseError : public std::runtime_error {
 public:
     JsonParseError(const std::string& what, std::size_t offset)
-        : std::runtime_error(what + " at offset " + std::to_string(offset)),
-          offset_(offset) {}
-    std::size_t offset() const { return offset_; }
-
-private:
-    std::size_t offset_;
+        : std::runtime_error(what + " at offset " + std::to_string(offset)) {}
 };
 
 /// A small dependency-free JSON value: null, bool, number (double),

@@ -146,7 +146,6 @@ public:
     ScopedRecorder(const ScopedRecorder&) = delete;
     ScopedRecorder& operator=(const ScopedRecorder&) = delete;
 
-    Recorder& recorder() { return recorder_; }
     RunReport snapshot() { return recorder_.snapshot(); }
 
 private:

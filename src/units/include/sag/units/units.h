@@ -130,7 +130,6 @@ public:
     constexpr Milliwatt() = default;
     explicit constexpr Milliwatt(double milliwatts) : v_(milliwatts) {}
 
-    constexpr double milliwatts() const { return v_; }
     constexpr double value() const { return v_; }
 
     constexpr Watt to_watts() const { return Watt{v_ * 1e-3}; }
@@ -199,7 +198,6 @@ public:
     constexpr DecibelMilliwatt() = default;
     explicit constexpr DecibelMilliwatt(double dbm) : v_(dbm) {}
 
-    constexpr double dbm() const { return v_; }
     constexpr double value() const { return v_; }
 
     Milliwatt to_milliwatts() const { return Milliwatt{std::pow(10.0, v_ / 10.0)}; }

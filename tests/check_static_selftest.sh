@@ -31,10 +31,12 @@
 #     that matches nothing fails, and so does one without a `rule-id:`
 #     prefix;
 #   * dead-api — a public-header function called only from tests/,
-#     named only in a comment or string, or referenced only by its own
-#     out-of-line definition fails; one called from bench/, only from
-#     perfbench/, or by another inline function of its header passes;
-#     an allowlisted one passes, and its entry is dead once it goes;
+#     named only in a comment or string, referenced only by its own
+#     out-of-line definition, or sharing its name only with a caller's
+#     variable fails; one called from bench/, only from perfbench/, or
+#     by another inline function of its header, or passed by qualified
+#     name without a call, passes; an allowlisted one passes, and its
+#     entry is dead once it goes;
 #   * doc-names — a backticked `module::name` with no code behind it
 #     fails, a real one passes;
 #   * degradation policy — a missing compilation database passes locally
@@ -452,6 +454,38 @@ EOF
 expect_accept "dead-api-inline-same-header-caller" "bench/probe_bench.cpp" <<'EOF'
 #include "sag/core/probe.h"
 int main() { return sag::core::probe_count(3); }
+EOF
+
+# Only a call-shaped occurrence is a reference: a same-named variable
+# keeps a member function no more alive than a comment does...
+seed_header <<'EOF'
+#pragma once
+namespace sag::core {
+struct Probe {
+    int depth() const;
+};
+}  // namespace sag::core
+EOF
+expect_reject "dead-api-same-named-variable-only" "bench/probe_bench.cpp" \
+    '`depth` has no caller' <<'EOF'
+#include "sag/core/probe.h"
+int main() {
+    const int depth = 3;
+    return depth;
+}
+EOF
+
+# ...while a function passed by qualified name, never called, is used.
+seed_header <<'EOF'
+#pragma once
+namespace sag::core {
+int probe_scale(int n);
+}  // namespace sag::core
+EOF
+expect_accept "dead-api-passed-by-qualified-name" "bench/probe_bench.cpp" <<'EOF'
+#include "sag/core/probe.h"
+int apply(int (*f)(int), int n) { return f(n); }
+int main() { return apply(sag::core::probe_scale, 3); }
 EOF
 
 # An allowlisted test oracle passes; once it is deleted (expect_accept

@@ -1,5 +1,9 @@
 // Tests for the optional extensions: PRO selection ablation mode and
 // aggregation-aware UCPO.
+#include <cstddef>
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sag/core/power.h"
@@ -101,6 +105,107 @@ TEST(AggregatedUcpoTest, SharedTrunkCarriesBothSubtreeRates) {
     std::size_t cur = paper.parent[trunk_child];
     ASSERT_EQ(paper.kinds[cur], core::NodeKind::ConnectivityRs);
     EXPECT_GT(aggregated.powers[cur], paper.powers[cur] * (1.0 + 1e-9));
+}
+
+/// A hand-built upper tier: base stations, then one coverage RS per entry
+/// of `cov_parent` (a coverage RS index, or the RS count plus b for BS b),
+/// each hung from its parent by a one-relay chain through the edge's
+/// midpoint.
+core::ConnectivityPlan relay_forest(const core::Scenario& s, const core::CoveragePlan& cov,
+                                    const std::vector<std::size_t>& cov_parent) {
+    const std::size_t bs_count = s.base_stations.size();
+    core::ConnectivityPlan plan;
+    for (const core::BaseStation& b : s.base_stations) {
+        plan.positions.push_back(b.pos);
+        plan.kinds.push_back(core::NodeKind::BaseStation);
+    }
+    for (const geom::Vec2& p : cov.rs_positions) {
+        plan.positions.push_back(p);
+        plan.kinds.push_back(core::NodeKind::CoverageRs);
+    }
+    plan.parent.resize(plan.positions.size());
+    for (std::size_t b = 0; b < bs_count; ++b) plan.parent[b] = b;
+    plan.powers.assign(plan.positions.size(), 0.0);
+    for (std::size_t i = 0; i < cov_parent.size(); ++i) {
+        const std::size_t c = cov_parent.size();
+        const std::size_t top = cov_parent[i] < c ? bs_count + cov_parent[i] : cov_parent[i] - c;
+        const std::size_t node = bs_count + i;
+        plan.positions.push_back((plan.positions[node] + plan.positions[top]) / 2.0);
+        plan.kinds.push_back(core::NodeKind::ConnectivityRs);
+        plan.parent.push_back(top);
+        plan.powers.push_back(0.0);
+        plan.parent[node] = plan.positions.size() - 1;
+    }
+    plan.feasible = true;
+    return plan;
+}
+
+TEST(AggregatedUcpoTest, CoverageRsCycleThrows) {
+    // Coverage RS 0's chain tops out at RS 1 and RS 1's at RS 0: the
+    // coverage-RS tree has no root, so there is no order to fold in.
+    core::Scenario s;
+    s.field = geom::Rect::centered_square(500.0);
+    s.subscribers = {{{0.0, 100.0}, 40.0}, {{0.0, 200.0}, 40.0}};
+    s.base_stations = {{{0.0, 0.0}}};
+    core::CoveragePlan cov;
+    cov.rs_positions = {{0.0, 100.0}, {0.0, 200.0}};
+    cov.assignment = {ids::RsId{0}, ids::RsId{1}};
+    cov.feasible = true;
+    core::ConnectivityPlan plan = relay_forest(s, cov, {1, 0});
+    EXPECT_THROW(core::allocate_power_ucpo_aggregated(s, cov, plan), std::invalid_argument);
+}
+
+TEST(AggregatedUcpoTest, ForestFoldsChildrenBeforeParentsInOneOrder) {
+    // Two coverage-RS trees, three levels each, with siblings; indices do
+    // not follow depth. Roots 1 and 6 hang from BSs 1 and 0:
+    //   6 -> {0, 4, 7}, 0 -> {2, 5};   1 -> {8}, 8 -> {3}.
+    // Every chain power must equal, bit for bit, the documented fold: own
+    // rates summed in SS order, then each RS's subtree rate added into its
+    // parent's along the reverse of (roots ascending, then breadth-first
+    // with children ascending).
+    constexpr std::size_t kCov = 9;
+    const std::vector<std::size_t> cov_parent = {6, kCov + 1, 0, 8, 6, 0, kCov + 0, 6, 1};
+    core::Scenario s;
+    s.field = geom::Rect::centered_square(1000.0);
+    s.base_stations = {{{-300.0, 0.0}}, {{300.0, 0.0}}};
+    core::CoveragePlan cov;
+    for (std::size_t i = 0; i < kCov; ++i) {
+        const double x = -250.0 + 60.0 * static_cast<double>(i);
+        cov.rs_positions.push_back({x, 40.0 * static_cast<double>(i % 3)});
+    }
+    // Two or three SSs per RS with distinct requests, so every rate and
+    // every partial sum differs in its low bits. Requests of 3-10 km keep
+    // each rate low enough that no chain clamps at P_max.
+    for (std::size_t k = 0; k < 2 * kCov + 4; ++k) {
+        const std::size_t i = (5 * k) % kCov;
+        const double request = 3000.0 + 337.0 * static_cast<double>(k);
+        s.subscribers.push_back({cov.rs_positions[i] + geom::Vec2{0.0, 1.0}, request});
+        cov.assignment.push_back(ids::RsId{i});
+    }
+    cov.feasible = true;
+    core::ConnectivityPlan plan = relay_forest(s, cov, cov_parent);
+    core::allocate_power_ucpo_aggregated(s, cov, plan);
+
+    std::vector<double> rate(kCov, 0.0);
+    for (const ids::SsId j : s.ss_ids()) {
+        rate[cov.assignment[j].index()] +=
+            wireless::shannon_capacity(s.radio, s.min_rx_power(j));
+    }
+    const std::vector<std::size_t> parents_first = {1, 6, 8, 0, 4, 7, 3, 2, 5};
+    for (auto it = parents_first.rbegin(); it != parents_first.rend(); ++it) {
+        if (cov_parent[*it] < kCov) rate[cov_parent[*it]] += rate[*it];
+    }
+    const std::size_t bs_count = s.base_stations.size();
+    for (std::size_t i = 0; i < kCov; ++i) {
+        const std::size_t relay = plan.parent[bs_count + i];
+        const std::size_t top = plan.parent[relay];
+        const double section =
+            geom::distance(plan.positions[bs_count + i], plan.positions[top]) / 2.0;
+        const units::Watt expected = s.tx_power_for(
+            wireless::min_rx_power_for_rate(s.radio, rate[i]), units::Meters{section});
+        ASSERT_LT(expected, s.rs_max_power()) << "RS " << i << " clamps";
+        EXPECT_EQ(plan.powers[relay], expected.watts()) << "RS " << i;
+    }
 }
 
 }  // namespace

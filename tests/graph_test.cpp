@@ -7,41 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include "sag/graph/graph.h"
 #include "sag/graph/mst.h"
 #include "sag/graph/steiner.h"
-#include "sag/graph/tree.h"
 
 namespace sag::graph {
 namespace {
-
-TEST(GraphTest, AddEdgeAndAdjacency) {
-    Graph g(4);
-    g.add_edge(0, 1, 2.5);
-    g.add_edge(1, 2, 1.0);
-    EXPECT_EQ(g.connected_components(),
-              (std::vector<std::vector<std::size_t>>{{0, 1, 2}, {3}}));
-    EXPECT_EQ(g.other_end(0, 0), 1u);
-    EXPECT_EQ(g.other_end(0, 1), 0u);
-}
-
-TEST(GraphTest, RejectsInvalidEdges) {
-    Graph g(3);
-    EXPECT_THROW(g.add_edge(1, 1), std::invalid_argument);
-    EXPECT_THROW(g.add_edge(0, 3), std::out_of_range);
-}
-
-TEST(GraphTest, ConnectedComponents) {
-    Graph g(6);
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-    g.add_edge(4, 5);
-    auto comps = g.connected_components();
-    ASSERT_EQ(comps.size(), 3u);  // {0,1,2}, {3}, {4,5}
-    std::size_t total = 0;
-    for (const auto& c : comps) total += c.size();
-    EXPECT_EQ(total, 6u);
-}
 
 /// Reference: the textbook O(n^2) Prim over a full weight matrix
 /// (weights[i][j], symmetric, +infinity for "no edge"). graph::prim_mst
@@ -147,51 +117,6 @@ TEST(PrimTest, RejectsBadInput) {
     EXPECT_THROW((void)prim_mst(2, 5, none), std::out_of_range);
     const auto past_end = [](std::size_t, auto&& relax) { relax(2, 1.0); };
     EXPECT_THROW((void)prim_mst(2, 0, past_end), std::out_of_range);
-}
-
-TEST(RootedTreeTest, StructureAccessors) {
-    //      0
-    //     / \.
-    //    1   2
-    //    |
-    //    3
-    RootedTree t({0, 0, 0, 1});
-    EXPECT_TRUE(t.is_root(0));
-    EXPECT_FALSE(t.is_root(3));
-    EXPECT_EQ(t.children(0).size(), 2u);
-    EXPECT_EQ(t.children(1), (std::vector<std::size_t>{3}));
-    EXPECT_EQ(t.parent(3), 1u);
-    EXPECT_EQ(t.depth(3), 2u);
-}
-
-TEST(RootedTreeTest, TopologicalOrderParentsFirst) {
-    RootedTree t({0, 0, 1, 2, 0});
-    const auto& topo = t.topological_order();
-    ASSERT_EQ(topo.size(), 5u);
-    std::vector<std::size_t> position(5);
-    for (std::size_t i = 0; i < topo.size(); ++i) position[topo[i]] = i;
-    for (std::size_t v = 0; v < 5; ++v) {
-        if (!t.is_root(v)) {
-            EXPECT_LT(position[t.parent(v)], position[v]);
-        }
-    }
-}
-
-TEST(RootedTreeTest, ForestWithMultipleRoots) {
-    RootedTree t({0, 1, 0, 1});  // roots 0 and 1
-    EXPECT_TRUE(t.is_root(0));
-    EXPECT_TRUE(t.is_root(1));
-    EXPECT_EQ(t.topological_order().size(), 4u);
-}
-
-TEST(RootedTreeTest, DetectsCycle) {
-    EXPECT_THROW(RootedTree({1, 0}), std::invalid_argument);        // 2-cycle
-    EXPECT_THROW(RootedTree({1, 2, 0}), std::invalid_argument);     // 3-cycle
-    EXPECT_THROW(RootedTree({0, 2, 1}), std::invalid_argument);     // partial
-}
-
-TEST(RootedTreeTest, RejectsOutOfRangeParent) {
-    EXPECT_THROW(RootedTree({0, 5}), std::out_of_range);
 }
 
 TEST(SteinerTest, ShortSegmentNeedsNoRelays) {

@@ -1,3 +1,5 @@
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "sag/io/json.h"
@@ -53,7 +55,7 @@ TEST(JsonParseTest, ErrorCarriesOffset) {
         (void)Json::parse("[1, x]");
         FAIL() << "expected JsonParseError";
     } catch (const JsonParseError& e) {
-        EXPECT_EQ(e.offset(), 4u);
+        EXPECT_TRUE(std::string_view(e.what()).ends_with(" at offset 4")) << e.what();
     }
 }
 

@@ -32,7 +32,10 @@ TEST(ObsTest, NoRecorderInstalledIsInertAndSafe) {
 TEST(ObsTest, ScopedRecorderInstallsAndUninstalls) {
     {
         ScopedRecorder rec;
-        EXPECT_EQ(Recorder::current(), &rec.recorder());
+        Recorder* const installed = Recorder::current();
+        ASSERT_NE(installed, nullptr);
+        installed->add_count("obs_test.scoped", 2);
+        EXPECT_EQ(rec.snapshot().counters.at("obs_test.scoped"), 2u);
     }
     EXPECT_EQ(Recorder::current(), nullptr);
 }

@@ -237,15 +237,15 @@ TEST(PropagationTest, LoRaSensitivityIsThermalNoisePlusNfPlusSnrLimit) {
     LoRaLinkBudgetModel m;  // SF9, 125 kHz, NF 6 dB
     // -174 + 10 log10(125e3) + 6 + (-12.6) = -129.6310... dBm
     const double expected = -174.0 + 10.0 * std::log10(125e3) + 6.0 - 12.6;
-    EXPECT_NEAR(m.sensitivity_dbm(units::Decibel{0.0}).dbm(), expected, 1e-12);
+    const units::DecibelMilliwatt at_expected{expected};
+    EXPECT_NEAR((m.sensitivity_dbm(units::Decibel{0.0}) - at_expected).db(), 0.0, 1e-12);
     // Extra receiver NF stacks linearly in dB.
-    EXPECT_NEAR(m.sensitivity_dbm(units::Decibel{4.0}).dbm(), expected + 4.0,
-                1e-12);
+    EXPECT_NEAR((m.sensitivity_dbm(units::Decibel{4.0}) - at_expected).db(), 4.0, 1e-12);
     // And rx_sensitivity reports the same value through the Watt scale.
     RadioProfile prof;
     const auto floor = m.rx_sensitivity(paper_radio(), prof);
     ASSERT_TRUE(floor.has_value());
-    EXPECT_NEAR(units::to_dbm(*floor).dbm(), expected, 1e-9);
+    EXPECT_NEAR((units::to_dbm(*floor) - at_expected).db(), 0.0, 1e-9);
 }
 
 TEST(PropagationTest, LoRaReferencePathLossIsFreeSpace) {

@@ -2,8 +2,10 @@
 // (Algorithm 3), RS Sliding Movement / Update RS Topology (Algorithms
 // 4-5) including the reassignment-repair extension, and MBMC's
 // subtree-minimum feasible distances (Algorithm 7 Steps 6-7).
-#include <functional>
-#include <set>
+#include <cmath>
+#include <cstdint>
+#include <queue>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@ namespace {
 
 using ids::RsId;
 using ids::SsId;
+using ids::ZoneId;
 
 using samc_detail::coverage_link_escape;
 using samc_detail::sliding_movement;
@@ -201,40 +204,90 @@ TEST(MbmcSubtreeDetail, IndependentBranchesKeepOwnDistances) {
     EXPECT_GT(count_chain(1), count_chain(0));
 }
 
-TEST(ZonePartitionDetail, SpatialIndexMatchesBruteForce) {
-    // The near pairs of the neighbour sweep must produce the same zones
-    // as the definitional all-pairs construction.
-    sim::GeneratorConfig cfg;
-    cfg.field_side = 2500.0;
-    cfg.subscriber_count = 80;
-    const auto s = sim::generate_scenario(cfg, 77);
+/// Zone Partition by definition: the d_eff graph over all pairs, then
+/// the components by BFS from each unvisited SS in ascending order, each
+/// SS's neighbours taken in ascending order.
+ids::IdVec<ZoneId, std::vector<SsId>> all_pairs_zones(const Scenario& s) {
     const double dmax = zone_partition_dmax(s);
+    const std::size_t n = s.subscriber_count();
+    std::vector<std::vector<bool>> joined(n, std::vector<bool>(n, false));
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            const Subscriber& si = s.subscribers[i];
+            const Subscriber& sj = s.subscribers[j];
+            const double dist = geom::distance(si.pos, sj.pos);
+            const double d_eff =
+                std::min(dist - si.distance_request, dist - sj.distance_request);
+            joined[i][j] = joined[j][i] = d_eff <= dmax;
+        }
+    }
+    ids::IdVec<ZoneId, std::vector<SsId>> zones;
+    std::vector<bool> seen(n, false);
+    for (std::size_t first = 0; first < n; ++first) {
+        if (seen[first]) continue;
+        seen[first] = true;
+        std::vector<SsId> members;
+        std::queue<std::size_t> queue;
+        queue.push(first);
+        while (!queue.empty()) {
+            const std::size_t v = queue.front();
+            queue.pop();
+            members.push_back(SsId{v});
+            for (std::size_t w = 0; w < n; ++w) {
+                if (joined[v][w] && !seen[w]) {
+                    seen[w] = true;
+                    queue.push(w);
+                }
+            }
+        }
+        zones.push_back(std::move(members));
+    }
+    return zones;
+}
 
-    // Brute-force union-find over the d_eff predicate.
-    std::vector<std::size_t> parent(s.subscriber_count());
-    for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-    const std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-        while (parent[x] != x) x = parent[x] = parent[parent[x]];
-        return x;
-    };
-    for (std::size_t i = 0; i < s.subscriber_count(); ++i) {
-        for (std::size_t j = i + 1; j < s.subscriber_count(); ++j) {
-            const double dist =
-                geom::distance(s.subscribers[i].pos, s.subscribers[j].pos);
-            const double d_eff = std::min(dist - s.subscribers[i].distance_request,
-                                          dist - s.subscribers[j].distance_request);
-            if (d_eff <= dmax) parent[find(i)] = find(j);
-        }
+/// n SSs uniform on a square of side `side`, with requests uniform in
+/// [30, 40] m; on a lattice, every SS snaps to a 10 m grid with a 30 m
+/// request (equal distances, some SSs co-located); `stacked` puts every
+/// third SS on an earlier one.
+Scenario zone_family(std::size_t n, double side, bool lattice, bool stacked,
+                     std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> coord(-side / 2.0, side / 2.0);
+    std::uniform_real_distribution<double> request(30.0, 40.0);
+    Scenario s = base(side);
+    for (std::size_t k = 0; k < n; ++k) {
+        geom::Vec2 p{coord(rng), coord(rng)};
+        if (lattice) p = {10.0 * std::round(p.x / 10.0), 10.0 * std::round(p.y / 10.0)};
+        if (stacked && k % 3 == 2) p = s.subscribers[rng() % k].pos;
+        s.subscribers.push_back({p, lattice ? 30.0 : request(rng)});
     }
-    const auto zones = zone_partition(s);
-    for (const auto& zone : zones) {
-        for (const SsId j : zone) {
-            EXPECT_EQ(find(j.index()), find(zone.front().index()));
+    return s;
+}
+
+TEST(ZonePartitionDetail, SpatialIndexMatchesBruteForce) {
+    // The near pairs of the neighbour sweep must produce the definitional
+    // all-pairs construction's zones, in its zone order and member order.
+    const double dmax = zone_partition_dmax(base());
+    ASSERT_TRUE(std::isfinite(dmax));
+    constexpr double kSides[] = {0.5, 2.0, 5.0, 12.0};  // in d_max
+    std::size_t multi_member = 0;
+    for (std::uint64_t seed = 0; seed < 120; ++seed) {
+        const std::size_t n = seed < 4 ? seed % 2 : 2 + seed % 90;
+        const bool lattice = seed % 3 == 1;
+        const bool stacked = seed % 5 == 2;
+        Scenario s = zone_family(n, kSides[seed % 4] * dmax, lattice, stacked, seed);
+        const bool unbounded = seed % 10 == 9;
+        if (unbounded) s.radio.ignorable_noise = units::Watt{0.0};  // d_max = inf
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << ", n " << n);
+        const auto zones = zone_partition(s);
+        EXPECT_EQ(zones, all_pairs_zones(s));
+        if (unbounded) {
+            EXPECT_EQ(zones.size(), n == 0 ? 0u : 1u);
         }
+        for (const auto& zone : zones) multi_member += zone.size() > 2 ? 1 : 0;
     }
-    std::set<std::size_t> roots;
-    for (std::size_t i = 0; i < parent.size(); ++i) roots.insert(find(i));
-    EXPECT_EQ(zones.size(), roots.size());
+    // Member order can differ only in zones of three or more SSs.
+    EXPECT_GT(multi_member, 100u);
 }
 
 }  // namespace

@@ -216,19 +216,19 @@ TEST(SnrFieldTest, NestedTransactionsCommitAndRollbackIndependently) {
         {
             SnrField::Transaction inner(field);
             field.set_power(RsId{1}, units::Watt{20.0});
-            inner.commit();  // survives the inner scope...
+            field.move_rs(RsId{0}, {0.0, 10.0});
         }
-        EXPECT_EQ(field.rs_power(RsId{1}), units::Watt{20.0});
-        // ...but dies with the outer rollback.
+        // The inner rollback undoes the inner deltas only...
+        EXPECT_EQ(field.rs_power(RsId{0}), units::Watt{10.0});
+        EXPECT_EQ(field.rs_power(RsId{1}), s.radio.max_power);
+        EXPECT_EQ(field.rs_position(RsId{0}), rs[0]);
+        // ...and the outer one the rest.
     }
     EXPECT_EQ(field.rs_power(RsId{0}), s.radio.max_power);
     EXPECT_EQ(field.rs_power(RsId{1}), s.radio.max_power);
 
-    {
-        SnrField::Transaction outer(field);
-        field.move_rs(RsId{0}, {0.0, 10.0});
-        outer.commit();
-    }
+    // Outside every transaction a mutation stays.
+    field.move_rs(RsId{0}, {0.0, 10.0});
     EXPECT_EQ(field.rs_position(RsId{0}), geom::Vec2(0.0, 10.0));
     EXPECT_LE(field.verify_against_scratch(), 1e-12);
 }

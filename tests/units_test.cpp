@@ -58,8 +58,8 @@ TEST(UnitsConversionTest, RatioRoundTripWithinRelativeTolerance) {
 
 TEST(UnitsConversionTest, DbmRoundTrip) {
     for (double dbm = -60.0; dbm <= 60.0; dbm += 1.3) {
-        const double back = to_dbm(from_dbm(DecibelMilliwatt{dbm})).dbm();
-        EXPECT_NEAR(back, dbm, 1e-12) << "at " << dbm << " dBm";
+        const DecibelMilliwatt p{dbm};
+        EXPECT_NEAR((to_dbm(from_dbm(p)) - p).db(), 0.0, 1e-12) << "at " << dbm << " dBm";
     }
 }
 
@@ -68,13 +68,13 @@ TEST(UnitsConversionTest, KnownAnchorPoints) {
     EXPECT_DOUBLE_EQ(from_db(Decibel{10.0}).ratio(), 10.0);
     EXPECT_DOUBLE_EQ(from_db(Decibel{-10.0}).ratio(), 0.1);
     EXPECT_DOUBLE_EQ(to_db(SnrRatio{100.0}).db(), 20.0);
-    EXPECT_DOUBLE_EQ(to_dbm(Watt{1.0}).dbm(), 30.0);   // 1 W == 30 dBm
-    EXPECT_DOUBLE_EQ(to_dbm(Watt{1e-3}).dbm(), 0.0);   // 1 mW == 0 dBm
+    EXPECT_EQ(to_dbm(Watt{1.0}), DecibelMilliwatt{30.0});  // 1 W == 30 dBm
+    EXPECT_EQ(to_dbm(Watt{1e-3}), DecibelMilliwatt{0.0});  // 1 mW == 0 dBm
     EXPECT_DOUBLE_EQ(from_dbm(DecibelMilliwatt{30.0}).watts(), 1.0);
 }
 
 TEST(UnitsConversionTest, WattMilliwattScale) {
-    EXPECT_DOUBLE_EQ(Watt{2.5}.to_milliwatts().milliwatts(), 2500.0);
+    EXPECT_EQ(Watt{2.5}.to_milliwatts(), Milliwatt{2500.0});
     EXPECT_DOUBLE_EQ(Milliwatt{2500.0}.to_watts().watts(), 2.5);
 }
 

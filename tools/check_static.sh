@@ -24,9 +24,10 @@
 #                    exactly (no undeclared and no dead edges), and so
 #                    does DESIGN.md's layering block;
 #       dead-api     every function declared in a public header under
-#                    src/*/include/ has a caller in src/, tools/,
-#                    bench/, examples/ or perfbench/ (tests/ do not
-#                    count; test oracles are allowlisted);
+#                    src/*/include/ has a call-shaped reference in
+#                    src/, tools/, bench/, examples/ or perfbench/
+#                    (tests/ do not count; test oracles are
+#                    allowlisted);
 #       doc-names    every backticked module-qualified name in the docs
 #                    (`core::solve_sag`) names identifiers that exist in
 #                    that code;

@@ -7,8 +7,8 @@ test calls is dead code with a test attached; perfbench/ is read as a
 caller but never linted.
 
   dead-api   a function declared in a public header (src/*/include/)
-             needs a reference in a caller file other than a
-             declaration or out-of-line definition of that name.  The
+             needs a call-shaped reference in a caller file other than
+             a declaration or out-of-line definition of that name.  The
              check is by name: a live function sharing the name of a
              dead one keeps it alive, and a dead function's call of
              another keeps that one alive until the caller goes.  Test
@@ -24,9 +24,14 @@ A declaration is an identifier followed by `(` at namespace or class
 scope, outside parentheses, after a type (an identifier, `>`, `*` or
 `&`) and an optional `A::B::` qualifier.  That shape covers in-class
 declarations, inline definitions and out-of-line `T C::f(...)`
-definitions.  Every other occurrence of an identifier is a reference:
-calls inside function bodies (inline ones in the same header too),
-initializers, default arguments and preprocessor lines.
+definitions.  Any other occurrence is a reference when it has a shape
+that can reach a function: followed by `(`, `<` or `{` (a call, a
+template call, a brace-init), or after `&` or `::` (an address, or a
+qualified name passed as a value, e.g. `sim::presets::field300`).  That
+covers calls inside function bodies (inline ones in the same header
+too), initializers, default arguments and preprocessor lines.  A bare
+variable, parameter or `.field` is no reference, so it cannot keep a
+same-named function alive; doc-names still reads every identifier.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ PUBLIC_HEADER_RE = re.compile(r"^src/[^/]+/include/")
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 
 TOKEN_RE = re.compile(r"\d[\w.']*|[A-Za-z_]\w*|::|[^\s\w]")
-IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 DIRECTIVE_RE = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.M)
 MACRO_RE = re.compile(r"[A-Z][A-Z0-9_]*$")
 NAMESPACE_RE = re.compile(r"\bnamespace\s+sag::(\w+)")
@@ -51,6 +55,9 @@ SPAN_RE = re.compile(r"`([^`\n]+)`")
 FENCE_RE = re.compile(r"^ {0,3}(`{3,}|~{3,})([^`]*)$")
 QUALIFIED_RE = re.compile(r"(?<![\w:])(?:sag::)?(\w+)((?:::~?[A-Za-z_]\w*)+)")
 IDENT_START = frozenset(string.ascii_letters + "_")
+# Around a reference: the tokens after and before a call-shaped use.
+CALL_NEXT = frozenset(("(", "<", "{"))
+CALL_PREV = frozenset(("&", "::"))
 
 # Before a declared name: anything but these identifiers is a type.
 NOT_TYPE = frozenset({"return", "throw", "new", "delete", "case", "else",
@@ -95,6 +102,13 @@ def _statement_head(toks, start: int, stop: int):
     return stop
 
 
+def _call_shaped(toks, i: int) -> bool:
+    """Whether toks[i] is used in a shape a function can take: called,
+    given template arguments, brace-initialized, addressed or qualified."""
+    return (i + 1 < len(toks) and toks[i + 1] in CALL_NEXT) or \
+        (i > 0 and toks[i - 1] in CALL_PREV)
+
+
 def _qualifier_start(toks, i: int) -> int:
     """For the name at toks[i], skip back over an `A::B<T>::` qualifier;
     returns the index of the token before the qualified name."""
@@ -116,16 +130,22 @@ def _qualifier_start(toks, i: int) -> int:
 
 
 class SourceIndex:
-    """What one caller file declares and references, by name."""
+    """What one caller file declares, references and names, by name."""
 
-    __slots__ = ("decls", "declared", "refs")
+    __slots__ = ("decls", "declared", "names", "refs")
 
     def __init__(self, src, public: bool):
-        refs = set()
+        refs = set()  # call-shaped references
+        names = set()  # every identifier
         declared = set()
 
         def directive(m):
-            refs.update(IDENT_RE.findall(m.group(0)))
+            toks = [t.group() for t in TOKEN_RE.finditer(m.group(0))]
+            for i, t in enumerate(toks):
+                if _is_ident(t):
+                    names.add(t)
+                    if _call_shaped(toks, i):
+                        refs.add(t)
             return re.sub(r"[^\n]", " ", m.group(0))
 
         text = DIRECTIVE_RE.sub(directive, src.stripped)
@@ -137,9 +157,11 @@ class SourceIndex:
         n = len(toks)
         for i, t in enumerate(toks):
             if t[0] in IDENT_START:
+                names.add(t)
                 if (not decl or parens or i + 1 >= n or toks[i + 1] != "("
                         or t in NOT_NAME or MACRO_RE.match(t)):
-                    refs.add(t)
+                    if _call_shaped(toks, i):
+                        refs.add(t)
                     continue
                 j = _qualifier_start(toks, i)
                 prev = toks[j] if j >= 0 else ";"
@@ -169,6 +191,7 @@ class SourceIndex:
             elif t == ";" and not parens:
                 stmt = i + 1
         self.refs = refs
+        self.names = names
         self.declared = declared
         # (name, line) per declared name, public headers only.
         self.decls = [(toks[i], text.count("\n", 0, matches[i].start()) + 1)
@@ -176,7 +199,7 @@ class SourceIndex:
 
 
 class CallerIndex:
-    """The caller files' declarations and references, merged."""
+    """The caller files' declarations, references and names, merged."""
 
     def __init__(self, callers):
         self.files = {}
@@ -186,7 +209,7 @@ class CallerIndex:
             idx = SourceIndex(src, bool(PUBLIC_HEADER_RE.match(src.path)))
             self.files[src.path] = (src, idx)
             self.refs |= idx.refs
-            self.idents |= idx.refs | idx.declared
+            self.idents |= idx.names
         self.modules = set()
         for path, (src, _) in self.files.items():
             if path.startswith("src/"):
