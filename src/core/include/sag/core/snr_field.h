@@ -18,10 +18,16 @@ namespace sag::core {
 /// from the current RS set. Definition 2's interference for a subscriber
 /// served by RS i is then `total - signal_i + N_amb`, so one cached sum
 /// answers SNR queries for any serving choice in O(1). Mutations
-/// (`move_rs`, `set_power`, `add_rs`, `remove_rs`) update the cache in
+/// (`move_rs`, `set_power`, `add_rs`, `pop_rs`) update the cache in
 /// O(tracked subscribers) — one path-loss evaluation per subscriber —
 /// instead of an O(subscribers x RSs) rebuild. `snr_of` and its what-if
 /// twin `snr_with_power` are the one Definition 2 read.
+///
+/// The field keeps no undo history. A speculative probe applies its
+/// deltas, reads, and puts each one back with the inverse mutator in
+/// reverse order (move back, `set_power` back, `pop_rs` after
+/// `add_rs`); each inverse subtracts the very doubles its forward delta
+/// added, so the totals return to within a few ulps of where they were.
 ///
 /// Exactness: each per-subscriber total is kept as a Neumaier-compensated
 /// (sum, comp) pair. Every delta adds/subtracts the *same doubles* a
@@ -46,10 +52,9 @@ namespace sag::core {
 /// width is exported once per field as the `snr_field.simd_lanes` gauge.
 ///
 /// ID spaces: RSs are addressed by RsId (position within this field's RS
-/// array — `remove_rs` shifts later IDs down by one, exactly like the
-/// vector it wraps). Zone-local solvers construct the field over a
-/// subscriber subset; SsId values passed to/returned from per-subscriber
-/// queries are then *tracked-local* (slot within that subset), and
+/// array). Zone-local solvers construct the field over a subscriber
+/// subset; SsId values passed to/returned from per-subscriber queries are
+/// then *tracked-local* (slot within that subset), and
 /// `tracked_subscriber` maps a local SsId to the scenario-global one. The
 /// strong types guard the entity kind — handing an RsId to a subscriber
 /// query is a compile error; local-vs-global SsId remains a documented
@@ -106,7 +111,7 @@ public:
     /// Scenario-global subscriber ID of tracked-local slot k.
     ids::SsId tracked_subscriber(ids::SsId k) const { return sub_ids_[k]; }
 
-    // --- Deltas: each O(tracked_count), journaled when a Transaction is open.
+    // --- Deltas: each O(tracked_count).
 
     /// Relocate RS i.
     void move_rs(ids::RsId i, const geom::Vec2& to);
@@ -114,14 +119,12 @@ public:
     void set_power(ids::RsId i, units::Watt power);
     /// Append an RS; returns its ID (== old rs_count()).
     ids::RsId add_rs(const geom::Vec2& pos, units::Watt power);
-    /// Erase RS i; RSs after i shift down by one ID.
-    void remove_rs(ids::RsId i);
+    /// Remove the last RS: the inverse of add_rs.
+    void pop_rs();
 
     // --- Subscriber-set deltas: O(rs_count) each (one rx_total rebuild of
-    // the touched slot). NOT journaled — the Transaction journal records
-    // RS deltas only, so these assert that no transaction is open. The
-    // serve::Session churn path (SS join/leave/move/rate change) is the
-    // intended caller.
+    // the touched slot). The serve::Session churn path (SS join/leave/
+    // move/rate change) is the intended caller.
 
     /// Track scenario-global subscriber `global` in a new slot; returns
     /// its tracked-local ID (== old tracked_count()).
@@ -160,10 +163,9 @@ public:
     std::vector<ids::SsId> violated(
         ids::IdSpan<ids::SsId, const ids::RsId> serving) const;
 
-    /// True when every tracked subscriber clears beta under `serving`
-    /// (distance not checked).
-    bool all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> serving,
-                            double rel_slack = 1e-12) const;
+    /// True when every tracked subscriber's snr_of under `serving` is at
+    /// least beta (distance not checked).
+    bool all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> serving) const;
 
     // --- Maintenance.
 
@@ -174,21 +176,6 @@ public:
     /// Immediate scratch comparison; returns the worst relative error seen.
     double verify_against_scratch() const;
 
-    /// RAII guard for speculative probes: mutations made while a
-    /// Transaction is open are rolled back (in reverse order) when it is
-    /// destroyed. Transactions nest; each rolls back to where it opened.
-    class Transaction {
-    public:
-        explicit Transaction(SnrField& field);
-        ~Transaction();
-        Transaction(const Transaction&) = delete;
-        Transaction& operator=(const Transaction&) = delete;
-
-    private:
-        SnrField& field_;
-        std::size_t mark_;
-    };
-
 private:
     /// The constructors' state with every total still zero; the public
     /// constructor refreshes it, `paired` fills two at once.
@@ -196,13 +183,6 @@ private:
     SnrField(Unbuilt, const Scenario& scenario,
              std::span<const geom::Vec2> rs_positions,
              std::span<const double> powers, std::span<const ids::SsId> subs);
-
-    struct UndoRecord {
-        enum class Kind { Move, Power, Add, Remove } kind;
-        ids::RsId index;
-        geom::Vec2 pos;          // Move: old position; Remove: erased position
-        units::Watt power{0.0};  // Power: old power;   Remove: erased power
-    };
 
     /// Subtract/add RS (pos, power)'s contribution at every tracked sub
     /// (one batch accumulate_rx sweep over the subscriber columns).
@@ -216,15 +196,10 @@ private:
     /// total received power of `total_rx` watts (snr_of's edge rules).
     double snr_at(ids::SsId k, ids::RsId serving, units::Watt power,
                   double total_rx) const;
-    /// True when snr_of(k, serving) clears beta with relative slack.
-    bool meets_threshold(ids::SsId k, ids::RsId serving, double rel_slack) const;
     /// Exact from-scratch rebuild of tracked slot k's total.
     void recompute_subscriber(ids::SsId k);
     /// From-scratch rebuild of every tracked total.
     void refresh();
-    void insert_rs(ids::RsId i, const geom::Vec2& pos, units::Watt power);
-    void journal(UndoRecord rec);
-    void rollback_to(std::size_t mark);
     void after_mutation();
 
     geom::Vec2 sub_pos(std::size_t k) const { return {sub_x_[k], sub_y_[k]}; }
@@ -250,9 +225,6 @@ private:
     std::vector<double> sub_reach_;      // cached distance requests
     std::vector<double> total_;          // compensated sums...
     std::vector<double> comp_;           // ...and their residuals
-    std::vector<UndoRecord> journal_;
-    std::size_t tx_depth_ = 0;
-    bool journaling_paused_ = false;
     std::size_t mutations_ = 0;
 #ifdef NDEBUG
     std::size_t check_interval_ = 0;

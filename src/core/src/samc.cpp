@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
@@ -68,9 +69,10 @@ namespace {
 
 /// Zone-local evaluation state: a delta-updatable max-power interference
 /// field over the zone's subscribers plus the explicit serving map.
-/// Candidate relocations are probed through SnrField transactions, so a
-/// probe costs one delta per moved RS instead of a full O(subs x RS)
-/// interference rebuild (and no per-probe powers/positions allocations).
+/// Candidate relocations are probed as move_rs deltas that are moved back
+/// after the read, so a probe costs two deltas per moved RS instead of a
+/// full O(subs x RS) interference rebuild (and no per-probe powers/
+/// positions allocations).
 struct ZoneState {
     const Scenario& scenario;
     std::span<const ids::SsId> subs;
@@ -258,26 +260,33 @@ SlideResult sliding_movement(const Scenario& scenario,
 
         // Algorithm 5 Step 3: try relocation combinations, largest first
         // (moving every updatable RS at once is the natural first try).
-        // Each probe is a transaction: move the combination's RSs, read the
-        // violated set off the incrementally updated field, roll back.
+        // Each probe moves the combination's RSs, reads the violated set
+        // off the incrementally updated field, and moves them back in
+        // reverse order.
         std::size_t budget = kMaxUpdateCombinations;
         std::size_t best_violations = violated.size();
         std::optional<std::vector<geom::Vec2>> best_points;
+        std::vector<std::pair<ids::RsId, geom::Vec2>> moved_from;
         bool solved = false;
         for (std::size_t t = proposals.size(); t >= 1 && !solved && budget > 0; --t) {
             solved = for_each_combination(
                 proposals.size(), t, budget,
                 [&](std::span<const std::size_t> combo) {
                     SAG_OBS_COUNT("samc.sliding.probes");
-                    SnrField::Transaction tx(st.field);
+                    moved_from.clear();
                     for (const std::size_t c : combo) {
-                        st.field.move_rs(proposals[c].point, proposals[c].target);
+                        const ids::RsId p = proposals[c].point;
+                        moved_from.emplace_back(p, st.field.rs_position(p));
+                        st.field.move_rs(p, proposals[c].target);
                     }
                     const auto bad = st.violated();
                     if (bad.size() < best_violations) {
                         best_violations = bad.size();
                         const auto probed = st.field.rs_positions();
                         best_points.emplace(probed.begin(), probed.end());
+                    }
+                    for (auto it = moved_from.rbegin(); it != moved_from.rend(); ++it) {
+                        st.field.move_rs(it->first, it->second);
                     }
                     return bad.empty();
                 });

@@ -95,8 +95,8 @@ void SnrField::apply_rs_contribution(const geom::Vec2& pos, units::Watt power,
     // Neumaier accumulation of sign * power * gain at every tracked
     // subscriber, one batch sweep over the SoA columns. The sign rides on
     // the power (exact negation), so a retraction subtracts exactly the
-    // doubles the insertion added — the cancellation invariant the
-    // Transaction rollback and remove_rs depend on.
+    // doubles the insertion added — the cancellation invariant pop_rs and
+    // every probe's inverse deltas depend on.
     wireless::accumulate_rx(kernel_, pos, power * sign, sub_xs(), sub_ys(),
                             total_, comp_);
     SAG_OBS_COUNT_ADD("snr_field.gain_evals", sub_x_.size());
@@ -105,7 +105,6 @@ void SnrField::apply_rs_contribution(const geom::Vec2& pos, units::Watt power,
 void SnrField::move_rs(ids::RsId i, const geom::Vec2& to) {
     assert(i.index() < rs_pos_.size());
     if (rs_pos_[i.index()] == to) return;
-    journal({UndoRecord::Kind::Move, i, rs_pos_[i.index()], units::Watt{0.0}});
     apply_rs_contribution(rs_pos_[i.index()], rs_power(i), -1.0);
     rs_pos_[i.index()] = to;
     rs_x_[i.index()] = to.x;
@@ -130,7 +129,6 @@ void SnrField::power_delta(const geom::Vec2& pos, units::Watt from,
 void SnrField::set_power(ids::RsId i, units::Watt power) {
     assert(i.index() < rs_power_.size());
     if (rs_power_[i.index()] == power.watts()) return;
-    journal({UndoRecord::Kind::Power, i, {}, rs_power(i)});
     power_delta(rs_pos_[i.index()], rs_power(i), power, sub_xs(), sub_ys(),
                 total_, comp_);
     SAG_OBS_COUNT_ADD("snr_field.gain_evals", 2 * sub_x_.size());
@@ -140,7 +138,6 @@ void SnrField::set_power(ids::RsId i, units::Watt power) {
 
 ids::RsId SnrField::add_rs(const geom::Vec2& pos, units::Watt power) {
     const ids::RsId i{rs_pos_.size()};
-    journal({UndoRecord::Kind::Add, i, {}, units::Watt{0.0}});
     rs_pos_.push_back(pos);
     rs_x_.push_back(pos.x);
     rs_y_.push_back(pos.y);
@@ -150,31 +147,17 @@ ids::RsId SnrField::add_rs(const geom::Vec2& pos, units::Watt power) {
     return i;
 }
 
-void SnrField::remove_rs(ids::RsId i) {
-    assert(i.index() < rs_pos_.size());
-    journal({UndoRecord::Kind::Remove, i, rs_pos_[i.index()], rs_power(i)});
-    apply_rs_contribution(rs_pos_[i.index()], rs_power(i), -1.0);
-    const auto at = static_cast<std::ptrdiff_t>(i.index());
-    rs_pos_.erase(rs_pos_.begin() + at);
-    rs_x_.erase(rs_x_.begin() + at);
-    rs_y_.erase(rs_y_.begin() + at);
-    rs_power_.erase(rs_power_.begin() + at);
-    after_mutation();
-}
-
-void SnrField::insert_rs(ids::RsId i, const geom::Vec2& pos, units::Watt power) {
-    assert(i.index() <= rs_pos_.size());
-    const auto at = static_cast<std::ptrdiff_t>(i.index());
-    rs_pos_.insert(rs_pos_.begin() + at, pos);
-    rs_x_.insert(rs_x_.begin() + at, pos.x);
-    rs_y_.insert(rs_y_.begin() + at, pos.y);
-    rs_power_.insert(rs_power_.begin() + at, power.watts());
-    apply_rs_contribution(pos, power, +1.0);
+void SnrField::pop_rs() {
+    assert(!rs_pos_.empty());
+    apply_rs_contribution(rs_pos_.back(), units::Watt{rs_power_.back()}, -1.0);
+    rs_pos_.pop_back();
+    rs_x_.pop_back();
+    rs_y_.pop_back();
+    rs_power_.pop_back();
     after_mutation();
 }
 
 ids::SsId SnrField::add_subscriber(ids::SsId global) {
-    assert(tx_depth_ == 0 && "subscriber deltas are not journaled");
     assert(global.index() < scenario_->subscriber_count());
     const ids::SsId k = sub_ids_.push_back(global);
     sub_x_.push_back(scenario_->subscriber(global).pos.x);
@@ -188,7 +171,6 @@ ids::SsId SnrField::add_subscriber(ids::SsId global) {
 }
 
 void SnrField::remove_subscriber(ids::SsId k) {
-    assert(tx_depth_ == 0 && "subscriber deltas are not journaled");
     assert(k.index() < sub_ids_.size());
     const auto at = static_cast<std::ptrdiff_t>(k.index());
     // SAG_RAW_OK: erasing the tracked-local slot from the id column.
@@ -202,7 +184,6 @@ void SnrField::remove_subscriber(ids::SsId k) {
 }
 
 void SnrField::update_subscriber(ids::SsId k) {
-    assert(tx_depth_ == 0 && "subscriber deltas are not journaled");
     assert(k.index() < sub_ids_.size());
     const ids::SsId global = sub_ids_[k];
     sub_x_[k.index()] = scenario_->subscriber(global).pos.x;
@@ -249,12 +230,6 @@ double SnrField::snr_with_power(ids::SsId k, ids::RsId serving,
     return snr_at(k, serving, p, total + comp);
 }
 
-bool SnrField::meets_threshold(ids::SsId k, ids::RsId serving,
-                               double rel_slack) const {
-    return snr_of(k, serving) >=
-           scenario_->snr_threshold_linear() * (1.0 - rel_slack);
-}
-
 std::vector<ids::SsId> SnrField::violated(
     ids::IdSpan<ids::SsId, const ids::RsId> serving) const {
     assert(serving.size() == sub_x_.size());
@@ -272,11 +247,12 @@ std::vector<ids::SsId> SnrField::violated(
     return bad;
 }
 
-bool SnrField::all_meet_threshold(ids::IdSpan<ids::SsId, const ids::RsId> serving,
-                                  double rel_slack) const {
+bool SnrField::all_meet_threshold(
+    ids::IdSpan<ids::SsId, const ids::RsId> serving) const {
     assert(serving.size() == sub_x_.size());
+    const double beta = scenario_->snr_threshold_linear();
     for (const ids::SsId k : tracked_ids()) {
-        if (!meets_threshold(k, serving[k], rel_slack)) return false;
+        if (snr_of(k, serving[k]) < beta) return false;
     }
     return true;
 }
@@ -313,58 +289,14 @@ double SnrField::verify_against_scratch() const {
     return worst;
 }
 
-void SnrField::journal(UndoRecord rec) {
-    if (tx_depth_ > 0 && !journaling_paused_) journal_.push_back(rec);
-}
-
-void SnrField::rollback_to(std::size_t mark) {
-    journaling_paused_ = true;
-    while (journal_.size() > mark) {
-        const UndoRecord rec = journal_.back();
-        journal_.pop_back();
-        switch (rec.kind) {
-            case UndoRecord::Kind::Move:
-                move_rs(rec.index, rec.pos);
-                break;
-            case UndoRecord::Kind::Power:
-                set_power(rec.index, rec.power);
-                break;
-            case UndoRecord::Kind::Add:
-                remove_rs(rec.index);
-                break;
-            case UndoRecord::Kind::Remove:
-                insert_rs(rec.index, rec.pos, rec.power);
-                break;
-        }
-    }
-    journaling_paused_ = false;
-}
-
 void SnrField::after_mutation() {
-    // journaling_paused_ is only true while rollback_to replays undo
-    // records, so it cleanly splits applied from reverted deltas.
-    if (journaling_paused_) {
-        SAG_OBS_COUNT("snr_field.deltas.reverted");
-    } else {
-        SAG_OBS_COUNT("snr_field.deltas.applied");
-    }
+    SAG_OBS_COUNT("snr_field.deltas.applied");
     ++mutations_;
     if (check_interval_ != 0 && mutations_ % check_interval_ == 0) {
         SAG_OBS_COUNT("snr_field.scratch_checks");
         assert(verify_against_scratch() <= 1e-9 &&
                "SnrField incremental state diverged from scratch recompute");
     }
-}
-
-SnrField::Transaction::Transaction(SnrField& field)
-    : field_(field), mark_(field.journal_.size()) {
-    ++field_.tx_depth_;
-}
-
-SnrField::Transaction::~Transaction() {
-    field_.rollback_to(mark_);
-    --field_.tx_depth_;
-    if (field_.tx_depth_ == 0) field_.journal_.clear();
 }
 
 SnrFeasibilityOracle::SnrFeasibilityOracle(const Scenario& scenario,
@@ -385,7 +317,7 @@ bool SnrFeasibilityOracle::feasible(std::span<const ids::CandId> chosen) {
     SAG_OBS_COUNT_ADD("ilpqc.oracle.rs_removed", current_.size() - prefix);
     SAG_OBS_COUNT_ADD("ilpqc.oracle.rs_added", chosen.size() - prefix);
     while (current_.size() > prefix) {
-        field_.remove_rs(ids::RsId{current_.size() - 1});
+        field_.pop_rs();
         current_.pop_back();
     }
     for (std::size_t c = prefix; c < chosen.size(); ++c) {
@@ -395,7 +327,7 @@ bool SnrFeasibilityOracle::feasible(std::span<const ids::CandId> chosen) {
 
     const auto assignment = nearest_assignment(*scenario_, field_.rs_positions());
     if (!assignment) return false;
-    return field_.all_meet_threshold(*assignment, 0.0);
+    return field_.all_meet_threshold(*assignment);
 }
 
 }  // namespace sag::core

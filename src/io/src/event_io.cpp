@@ -50,16 +50,24 @@ double require_number(const Json& obj, const std::string& field,
     return v.as_number();
 }
 
-/// Ids (subscriber keys, RS slots) must be exact non-negative integers
-/// within double's exact-integer range; anything else is out of range.
+/// Ids must be exact non-negative integers no larger than `max`;
+/// anything else is out of range. Subscriber keys run up to 2^53,
+/// double's exact-integer range.
 std::uint64_t require_id(const Json& obj, const std::string& field,
-                         std::size_t line) {
+                         std::size_t line, double max = 9007199254740992.0) {
     const double d = require_number(obj, field, line);
-    if (!(std::isfinite(d) && d >= 0.0 && d == std::floor(d) &&
-          d <= 9007199254740992.0 /* 2^53 */)) {
+    if (!(std::isfinite(d) && d >= 0.0 && d == std::floor(d) && d <= max)) {
         throw EventFormatError(line, "out-of-range id in '" + field + "'");
     }
     return static_cast<std::uint64_t>(d);
+}
+
+/// An RS slot: below RsId::invalid(), the 32-bit sentinel, so the id
+/// never truncates or aliases "no RS".
+ids::RsId require_rs(const Json& obj, std::size_t line) {
+    // SAG_RAW_OK: the sentinel's raw value bounds the parsed number.
+    const double max = ids::RsId::invalid().value() - 1.0;
+    return ids::RsId{require_id(obj, "rs", line, max)};
 }
 
 double require_coord(const Json& obj, const std::string& field,
@@ -133,10 +141,10 @@ Event event_from_json(const Json& json, std::size_t line) {
             break;
         case EventKind::RsFail:
         case EventKind::RsRecover:
-            e.rs = ids::RsId{require_id(json, "rs", line)};
+            e.rs = require_rs(json, line);
             break;
         case EventKind::RsDegrade:
-            e.rs = ids::RsId{require_id(json, "rs", line)};
+            e.rs = require_rs(json, line);
             e.factor = require_number(json, "factor", line);
             break;
     }

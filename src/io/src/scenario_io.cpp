@@ -1,6 +1,7 @@
 #include "sag/io/scenario_io.h"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -39,6 +40,30 @@ double require_non_negative(double v, const std::string& path) {
     require_finite(v, path);
     if (v < 0.0) throw ScenarioFormatError(path, "must be non-negative");
     return v;
+}
+
+/// A field the reader casts to an integer type: it must be a whole number
+/// in [lo, hi), or the cast would truncate it (1.5 -> 1) or be undefined
+/// (1e300).
+double require_integer(double v, double lo, double hi, const std::string& path) {
+    require_finite(v, path);
+    if (v != std::floor(v) || v < lo || v >= hi) {
+        throw ScenarioFormatError(path, "must be a whole number in range");
+    }
+    return v;
+}
+
+int require_int(double v, const std::string& path) {
+    return static_cast<int>(require_integer(v, -2147483648.0, 2147483648.0, path));
+}
+
+/// A profile index: below ProfileId::invalid(), the 32-bit sentinel that
+/// means "the default profile".
+ids::ProfileId require_profile_id(double v, const std::string& path) {
+    // SAG_RAW_OK: the sentinel's raw value bounds the parsed number.
+    const double sentinel = ids::ProfileId::invalid().value();
+    return ids::ProfileId{
+        static_cast<std::uint32_t>(require_integer(v, 0.0, sentinel, path))};
 }
 
 void reject_duplicate_positions(const std::vector<geom::Vec2>& positions,
@@ -121,10 +146,10 @@ std::shared_ptr<const wireless::PropagationModel> propagation_from_json(
         m->shadowing_sigma = units::Decibel{require_non_negative(
             j.get_number("shadowing_sigma_db", m->shadowing_sigma.db()),
             "propagation.shadowing_sigma_db")};
-        m->shadowing_seed = static_cast<std::uint64_t>(require_non_negative(
+        m->shadowing_seed = static_cast<std::uint64_t>(require_integer(
             j.get_number("shadowing_seed",
                          static_cast<double>(m->shadowing_seed)),
-            "propagation.shadowing_seed"));
+            0.0, 18446744073709551616.0 /* 2^64 */, "propagation.shadowing_seed"));
         return m;
     }
     if (kind == "lora") {
@@ -133,9 +158,9 @@ std::shared_ptr<const wireless::PropagationModel> propagation_from_json(
                              "noise_figure_db", "path_exponent", "ref_distance",
                              "frequency_hz"});
         auto m = std::make_shared<wireless::LoRaLinkBudgetModel>();
-        m->spreading_factor = static_cast<int>(require_finite(
-            j.get_number("spreading_factor", m->spreading_factor),
-            "propagation.spreading_factor"));
+        m->spreading_factor =
+            require_int(j.get_number("spreading_factor", m->spreading_factor),
+                        "propagation.spreading_factor");
         m->bandwidth_hz = require_finite(
             j.get_number("bandwidth_hz", m->bandwidth_hz),
             "propagation.bandwidth_hz");
@@ -256,9 +281,9 @@ Json scenario_to_json(const core::Scenario& s) {
 }
 
 core::Scenario scenario_from_json(const Json& j) {
-    const int format = static_cast<int>(j.get_number("format", 0));
+    const int format = require_int(j.get_number("format", 0), "format");
     if (format != 1 && format != 2) {
-        throw std::runtime_error("unsupported scenario format version");
+        throw ScenarioFormatError("format", "unsupported scenario format version");
     }
     if (format == 1) {
         // The legacy schema: format-2 blocks in a format-1 file are typos,
@@ -331,9 +356,8 @@ core::Scenario scenario_from_json(const Json& j) {
         }
     }
     if (j.contains("relay_profile")) {
-        s.relay_profile = ids::ProfileId{static_cast<std::size_t>(
-            require_non_negative(j.at("relay_profile").as_number(),
-                                 "relay_profile"))};
+        s.relay_profile =
+            require_profile_id(j.at("relay_profile").as_number(), "relay_profile");
     }
 
     std::size_t index = 0;
@@ -345,9 +369,8 @@ core::Scenario scenario_from_json(const Json& j) {
         parsed.distance_request = require_non_negative(
             sub.at("distance_request").as_number(), path + ".distance_request");
         if (sub.contains("profile")) {
-            parsed.profile = ids::ProfileId{static_cast<std::size_t>(
-                require_non_negative(sub.at("profile").as_number(),
-                                     path + ".profile"))};
+            parsed.profile =
+                require_profile_id(sub.at("profile").as_number(), path + ".profile");
         }
         s.subscribers.push_back(parsed);
     }

@@ -26,7 +26,7 @@ std::size_t RepairState::unserved_count() const {
 
 bool RepairState::can_serve(std::size_t rs, std::size_t slot) const {
     // Everything about the RS is read off the field, so a probe relay
-    // appended under a Transaction is checked exactly like a pool slot.
+    // appended with add_rs is checked exactly like a pool slot.
     return core::check_link(field, ids::SsId{slot}, ids::RsId{rs}).ok();
 }
 
@@ -87,17 +87,18 @@ std::size_t RepairState::patch(std::size_t max_new) {
     std::size_t added = 0;
     while (!unreached.empty() && added < max_new && !cands.empty()) {
         // Greedy max coverage: the candidate whose P_max relay would
-        // serve the most still-unserved SSs, probed via a rolled-back
-        // add_rs delta so the field never keeps uncommitted interference.
+        // serve the most still-unserved SSs, probed via an add_rs delta
+        // that pop_rs takes back, so the field never keeps uncommitted
+        // interference.
         std::size_t best_cand = cands.size();
         std::size_t best_count = 0;
         for (std::size_t c = 0; c < cands.size(); ++c) {
-            core::SnrField::Transaction probe(field);
             const ids::RsId trial = field.add_rs(cands[c], p_max);
             std::size_t count = 0;
             for (const std::size_t k : unreached) {
                 if (can_serve(trial.index(), k)) ++count;
             }
+            field.pop_rs();
             if (count > best_count) {
                 best_count = count;
                 best_cand = c;

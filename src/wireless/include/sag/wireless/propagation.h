@@ -100,9 +100,11 @@ public:
     virtual void validate(const RadioParams& params) const { (void)params; }
 };
 
-/// Paper Eq. 2.1: Pr = Pt * G * d^-alpha with G = Gt*Gr*ht^2*hr^2, the
-/// default model and the one every pre-existing scenario means. Produces
-/// bit-for-bit the doubles of wireless::path_gain/received_power.
+/// Paper Eq. 2.1: Pr = Pt * G * d^-alpha with G = Gt*Gr*ht^2*hr^2 and d
+/// clamped at reference_distance, the default model and the one every
+/// pre-existing scenario means. Its kernel is the library's only Eq. 2.1
+/// evaluation; propagation_test pins it bit for bit against the equation
+/// written out.
 class TwoRayModel final : public PropagationModel {
 public:
     std::string_view kind() const override { return "two_ray"; }

@@ -5,6 +5,7 @@
 // byte-identity is what makes serve replays comparable.
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,6 +150,24 @@ TEST(EventIoTest, OutOfRangeIdsRejected) {
                  "out-of-range id in 'rs'");
     expect_error("{\"key\":\"seven\",\"kind\":\"ss_leave\"}\n", 1,
                  "'key' must be a number");
+}
+
+// An RS slot is a 32-bit id below the invalid() sentinel: 2^32 would
+// wrap to slot 0, 2^32 + 1 to slot 1, and 2^32 - 1 means "no RS".
+TEST(EventIoTest, RsSlotsOutsideThe32BitIdRangeRejected) {
+    for (const char* rs :
+         {"4294967295", "4294967296", "4294967297", "9007199254740992"}) {
+        expect_error(std::string("{\"kind\":\"rs_fail\",\"rs\":") + rs + "}\n", 1,
+                     "out-of-range id in 'rs'");
+    }
+    expect_error("{\"kind\":\"rs_recover\",\"rs\":4294967296}\n", 1,
+                 "out-of-range id in 'rs'");
+    expect_error("{\"factor\":0.5,\"kind\":\"rs_degrade\",\"rs\":4294967297}\n", 1,
+                 "out-of-range id in 'rs'");
+    // The largest valid slot still parses.
+    const auto events = events_from_jsonl("{\"kind\":\"rs_fail\",\"rs\":4294967294}\n");
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].rs, ids::RsId{4294967294u});
 }
 
 TEST(EventIoTest, NonFiniteCoordinatesRejected) {

@@ -9,7 +9,6 @@
 
 #include "sag/core/power.h"
 #include "sag/core/sag.h"
-#include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
 #include "sag/obs/obs.h"
 #include "sag/opt/hitting_set.h"
@@ -211,7 +210,6 @@ TEST(ObsIntegrationTest, OneRoundProProbesEachRsOnceWithoutDeltas) {
     EXPECT_EQ(report.counters.at("pro.drop_probes"), plan.rs_count());
     EXPECT_EQ(report.counters.at("pro.drops_committed"), plan.rs_count());
     EXPECT_EQ(report.counters.count("snr_field.deltas.applied"), 0u);
-    EXPECT_EQ(report.counters.count("snr_field.deltas.reverted"), 0u);
 }
 
 TEST(ObsIntegrationTest, HittingSetCountsMembershipEntries) {
@@ -223,22 +221,6 @@ TEST(ObsIntegrationTest, HittingSetCountsMembershipEntries) {
     const RunReport report = rec.snapshot();
     EXPECT_EQ(report.counters.at("opt.hitting_set.candidates"), 4u);
     EXPECT_EQ(report.counters.at("opt.hitting_set.membership_entries"), 6u);
-}
-
-TEST(ObsIntegrationTest, TransactionRollbackCountsRevertedDeltas) {
-    const auto scenario = small_scenario();
-    const std::vector<geom::Vec2> rs = {{0.0, 0.0}, {50.0, 50.0}};
-    ScopedRecorder rec;
-    core::SnrField field = core::SnrField::at_max_power(scenario, rs);
-    {
-        core::SnrField::Transaction tx(field);
-        field.move_rs(ids::RsId{0}, {10.0, 10.0});
-        field.set_power(ids::RsId{1}, units::Watt{1.0});
-        // tx rolls back: two reverting deltas replay.
-    }
-    const RunReport report = rec.snapshot();
-    EXPECT_EQ(report.counters.at("snr_field.deltas.applied"), 2u);
-    EXPECT_EQ(report.counters.at("snr_field.deltas.reverted"), 2u);
 }
 
 }  // namespace

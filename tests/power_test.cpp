@@ -22,7 +22,6 @@
 #include "sag/sim/scenario_gen.h"
 #include "sag/wireless/kernel_eval.h"
 #include "sag/wireless/propagation.h"
-#include "sag/wireless/two_ray.h"
 
 namespace sag::core {
 namespace {
@@ -286,8 +285,8 @@ struct ReferencePro {
 };
 
 /// Algorithm 6 as it ran before the what-if read: each drop probe is a
-/// set_power inside a rolled-back Transaction read back with snr_of, and
-/// Step 9 re-syncs the field every round.
+/// set_power read back with snr_of and then set back to the round-start
+/// power, and Step 9 re-syncs the field every round.
 ReferencePro transactional_pro(const Scenario& s, const CoveragePlan& plan) {
     ReferencePro ref;
     PowerAllocation& out = ref.allocation;
@@ -328,13 +327,14 @@ ReferencePro transactional_pro(const Scenario& s, const CoveragePlan& plan) {
         const std::size_t before = remaining;
         for (const RsId i : field.rs_ids()) {
             if (committed[i.index()]) continue;
-            SnrField::Transaction probe(field);
+            const units::Watt round_start = field.rs_power(i);
             field.set_power(i, p_min[i]);
             if (served_snr_ok(i)) {
                 committed[i.index()] = true;
                 --remaining;
                 p_tmp[i] = p_min[i];
             }
+            field.set_power(i, round_start);
         }
         for (const RsId i : field.rs_ids()) field.set_power(i, p_tmp[i]);
         if (remaining == before && remaining > 0) {
@@ -371,10 +371,11 @@ std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
 }
 
 // PRO's drop probes are what-if reads of a field that stays at the
-// round-start powers; the reference probes with rolled-back set_power
-// deltas. Byte-identical outputs on a seeded grid: 300/500/800 m fields
-// with 10-120 SSs, -10 to -25 dB, alpha 2-4 (half-integer and not), a
-// shadowed log-distance family (scalar-only kernel) and the 4 km city.
+// round-start powers; the reference probes with set_power deltas that it
+// sets back. Byte-identical outputs on a seeded grid: 300/500/800 m
+// fields with 10-120 SSs, -10 to -25 dB, alpha 2-4 (half-integer and
+// not), a shadowed log-distance family (scalar-only kernel) and the 4 km
+// city.
 TEST(ProTest, MatchesTransactionalReference) {
     std::vector<std::pair<sim::GeneratorConfig, std::uint64_t>> grid;
     const auto add = [&](double side, std::size_t users, double alpha,

@@ -1,8 +1,9 @@
-// PropagationModel contracts: two-ray byte-identity against the legacy
-// free functions, round-trip power inverses under every model, seeded
+// PropagationModel contracts: two-ray byte-identity against paper Eq. 2.1
+// written out, round-trip power inverses under every model, seeded
 // shadowing determinism/symmetry, the LoRa link-budget arithmetic, the
 // kind factory, and the non-two-ray end-to-end pipeline (LoRa preset
 // through solve_sag + both verifiers; shadowed SnrField vs scratch).
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <random>
@@ -17,7 +18,6 @@
 #include "sag/sim/paper_presets.h"
 #include "sag/sim/scenario_gen.h"
 #include "sag/wireless/propagation.h"
-#include "sag/wireless/two_ray.h"
 
 namespace sag::wireless {
 namespace {
@@ -46,6 +46,20 @@ std::shared_ptr<const LogDistanceModel> shadowed_model(double sigma_db,
 
 // --- Two-ray byte-identity -----------------------------------------------
 
+// Paper Eq. 2.1, Pr = Pt * G * d^-alpha with d clamped at the reference
+// distance, in the operation order the repository's goldens were recorded
+// with: G * pow(d, -alpha), then Pt * gain or Pr / gain, and the range as
+// pow(Pt * G / Pr, 1 / alpha).
+double eq21_gain(const RadioParams& p, Meters dist) {
+    const double d = std::max(dist.meters(), p.reference_distance.meters());
+    return p.combined_gain() * std::pow(d, -p.alpha);
+}
+
+double eq21_range(const RadioParams& p, Watt tx, Watt target) {
+    const units::SnrRatio headroom = tx * p.combined_gain() / target;
+    return std::pow(headroom.ratio(), 1.0 / p.alpha);
+}
+
 TEST(PropagationTest, TwoRayKernelIsByteIdenticalToLegacyFreeFunctions) {
     const RadioParams params = paper_radio();
     const core::Scenario s = scenario_with(nullptr);
@@ -58,16 +72,15 @@ TEST(PropagationTest, TwoRayKernelIsByteIdenticalToLegacyFreeFunctions) {
         const Watt tx{pw(rng)};
         // Bit-for-bit: the kernel must reproduce the exact doubles of the
         // legacy two-ray path, or every golden file in the repo shifts.
-        EXPECT_EQ(k.median_gain(d.meters()), path_gain(params, d));
-        EXPECT_EQ(s.received_power(tx, d).watts(),
-                  received_power(params, tx, d).watts());
-        EXPECT_EQ(s.tx_power_for(tx, d).watts(), tx_power_for(params, tx, d).watts());
+        const double g = eq21_gain(params, d);
+        EXPECT_EQ(k.median_gain(d.meters()), g);
+        EXPECT_EQ(s.received_power(tx, d).watts(), (tx * g).watts());
+        EXPECT_EQ(s.tx_power_for(tx, d).watts(), (tx / g).watts());
         const Watt target{pw(rng) * 1e-9};
-        EXPECT_EQ(s.range_for(tx, target).meters(),
-                  range_for(params, tx, target).meters());
+        EXPECT_EQ(s.range_for(tx, target).meters(), eq21_range(params, tx, target));
     }
     EXPECT_EQ(core::zone_partition_dmax(s),
-              range_for(params, params.max_power, params.ignorable_noise).meters());
+              eq21_range(params, params.max_power, params.ignorable_noise));
 }
 
 TEST(PropagationTest, TwoRayModelSingletonIsTwoRay) {

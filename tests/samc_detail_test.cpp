@@ -1,7 +1,9 @@
 // Deeper tests of the paper-pseudocode internals: Coverage Link Escape
 // (Algorithm 3), RS Sliding Movement / Update RS Topology (Algorithms
-// 4-5) including the reassignment-repair extension, and MBMC's
-// subtree-minimum feasible distances (Algorithm 7 Steps 6-7).
+// 4-5) including the reassignment-repair extension and a golden digest
+// of the plans its relocation probes produce, and MBMC's subtree-minimum
+// feasible distances (Algorithm 7 Steps 6-7).
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <queue>
@@ -14,7 +16,9 @@
 #include "sag/ids/ids.h"
 #include "sag/core/ucra.h"
 #include "sag/core/zone_partition.h"
+#include "sag/obs/obs.h"
 #include "sag/sim/scenario_gen.h"
+#include "sag/wireless/kernel_eval.h"
 
 namespace sag::core {
 namespace {
@@ -149,6 +153,81 @@ TEST(SlidingMovementDetail, DeterministicAcrossRuns) {
         EXPECT_EQ(a.plan.rs_positions[i], b.plan.rs_positions[i]);
     }
     EXPECT_EQ(a.plan.assignment, b.plan.assignment);
+}
+
+// ---- Golden plans where Algorithm 5's probes run -------------------------
+
+/// FNV-1a over 64-bit words: RS position bits, the assignment and the
+/// feasible flag of a solve_samc plan.
+std::uint64_t samc_digest(const CoveragePlan& plan) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto add = [&](std::uint64_t v) {
+        for (int b = 0; b < 64; b += 8) {
+            h ^= (v >> b) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    add(plan.rs_count());
+    for (const geom::Vec2& p : plan.rs_positions) {
+        add(std::bit_cast<std::uint64_t>(p.x));
+        add(std::bit_cast<std::uint64_t>(p.y));
+    }
+    for (const RsId i : plan.assignment) add(i.index());
+    add(plan.feasible ? 1 : 0);
+    return h;
+}
+
+struct SamcGoldenRow {
+    double side;
+    std::size_t subscribers;
+    double snr_db;
+    std::uint64_t seed;
+    std::uint64_t avx2;    ///< digest under the AVX2 kernels
+    std::uint64_t scalar;  ///< digest under SAG_SIMD=scalar
+};
+
+// Generator families at SAMC's feasibility onset (-10 to -12 dB), where
+// the violated set survives Coverage Link Escape: in each, Update RS
+// Topology probes relocation combinations (4 to 259 per solve) and at
+// least one round commits one. One family ends feasible, the rest give
+// up infeasible. Two rows end differently under the two kernels: their
+// gains differ in the last ulps, and at the onset that can flip an SNR
+// test.
+constexpr SamcGoldenRow kSamcGolden[] = {
+    {300.0, 20, -12.0, 4, 0x6c4a0a348d6b0fdbULL, 0x6c4a0a348d6b0fdbULL},
+    {300.0, 30, -10.0, 6, 0xff20e7609eec52e8ULL, 0x8c6b9c2ed9c8539aULL},
+    {300.0, 40, -11.0, 5, 0x2c12cea19d9070e0ULL, 0x2c12cea19d9070e0ULL},
+    {500.0, 30, -10.0, 4, 0x15ef931a62236d8bULL, 0x15ef931a62236d8bULL},
+    {500.0, 40, -10.0, 6, 0x91ceacd4c1aeb18eULL, 0x98ea1752f1ec29baULL},
+    {800.0, 30, -10.0, 3, 0x80c4aeff153e6f0aULL, 0x80c4aeff153e6f0aULL},
+    {800.0, 40, -10.0, 3, 0x6b761f6ea0d48bb4ULL, 0x6b761f6ea0d48bb4ULL},
+};
+
+TEST(SamcGolden, ByteIdenticalOnSeededFamilies) {
+    const bool avx2 = wireless::active_simd_mode() == wireless::SimdMode::Avx2;
+    for (const SamcGoldenRow& g : kSamcGolden) {
+        sim::GeneratorConfig cfg;
+        cfg.field_side = g.side;
+        cfg.subscriber_count = g.subscribers;
+        cfg.snr_threshold_db = units::Decibel{g.snr_db};
+        const Scenario s = sim::generate_scenario(cfg, g.seed);
+        obs::ScopedRecorder recorder;
+        const SamcResult result = solve_samc(s);
+        const auto counters = recorder.snapshot().counters;
+        const auto counter = [&](const char* name) {
+            const auto it = counters.find(name);
+            return it == counters.end() ? std::uint64_t{0} : it->second;
+        };
+        const std::uint64_t digest = samc_digest(result.plan);
+        SCOPED_TRACE(::testing::Message()
+                     << g.side << " m, " << g.subscribers << " SSs, " << g.snr_db
+                     << " dB, seed " << g.seed << ": digest under "
+                     << wireless::simd_mode_name(wireless::active_simd_mode()) << " 0x"
+                     << std::hex << digest);
+        EXPECT_GT(counter("samc.sliding.probes"), 0u);
+        EXPECT_GT(counter("samc.sliding.rounds"), 0u);
+        EXPECT_EQ(digest, avx2 ? g.avx2 : g.scalar);
+    }
 }
 
 TEST(MbmcSubtreeDetail, ParentEdgeUsesChildsStricterDistance) {

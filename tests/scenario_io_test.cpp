@@ -309,6 +309,60 @@ TEST(ScenarioIoTest, RejectsDanglingRelayProfile) {
     EXPECT_THROW((void)scenario_from_json(j), std::invalid_argument);
 }
 
+// --- Integer fields: a whole number within the cast type's range, or a
+// ScenarioFormatError naming the field. A bare cast would truncate (1.5
+// -> 1), wrap (2^32 -> profile 0), alias the default profile (2^32 - 1,
+// the invalid() sentinel) or be undefined behaviour (1e300).
+
+void expect_format_error(const Json& j, const std::string& path) {
+    try {
+        (void)scenario_from_json(j);
+        FAIL() << "expected ScenarioFormatError at " << path;
+    } catch (const ScenarioFormatError& e) {
+        EXPECT_EQ(e.path(), path) << e.what();
+    }
+}
+
+TEST(ScenarioIoTest, RejectsFractionalFormat) {
+    Json j = scenario_to_json(sample_scenario());
+    j["format"] = Json(1.5);
+    expect_format_error(j, "format");
+}
+
+TEST(ScenarioIoTest, RejectsFractionalSpreadingFactor) {
+    Json j = scenario_to_json(lora_scenario());
+    j["propagation"].as_object()["spreading_factor"] = Json(9.7);
+    expect_format_error(j, "propagation.spreading_factor");
+}
+
+TEST(ScenarioIoTest, RejectsRelayProfileOutsideTheIdRange) {
+    for (const double v : {0.7, 1e300, 4294967296.0, 4294967295.0, -1.0}) {
+        SCOPED_TRACE(::testing::Message() << "relay_profile " << v);
+        Json j = scenario_to_json(lora_scenario());
+        j["relay_profile"] = Json(v);
+        expect_format_error(j, "relay_profile");
+    }
+}
+
+TEST(ScenarioIoTest, RejectsSubscriberProfileOutsideTheIdRange) {
+    for (const double v : {0.7, 4294967296.0, 4294967295.0, 1e300}) {
+        SCOPED_TRACE(::testing::Message() << "profile " << v);
+        Json j = scenario_to_json(lora_scenario());
+        j["subscribers"].as_array()[2].as_object()["profile"] = Json(v);
+        expect_format_error(j, "subscribers[2].profile");
+    }
+}
+
+TEST(ScenarioIoTest, RejectsShadowingSeedOutsideUint64) {
+    for (const double v : {0.5, 18446744073709551616.0 /* 2^64 */, 1e300}) {
+        SCOPED_TRACE(::testing::Message() << "shadowing_seed " << v);
+        Json j = scenario_to_json(sim::generate_scenario(
+            sim::presets::log_distance_shadowed(6, units::Decibel{4.0}, 1), 2));
+        j["propagation"].as_object()["shadowing_seed"] = Json(v);
+        expect_format_error(j, "propagation.shadowing_seed");
+    }
+}
+
 TEST(ScenarioIoTest, FileSaveLoad) {
     const std::string path =
         (std::filesystem::temp_directory_path() / "sag_io_test_scenario.json").string();

@@ -15,7 +15,6 @@
 #include "sag/core/zone_partition.h"
 #include "sag/sim/scenario_gen.h"
 #include "sag/units/units.h"
-#include "sag/wireless/two_ray.h"
 
 namespace sag::core {
 namespace {
@@ -45,8 +44,7 @@ TEST(ScenarioTest, FeasibleCircleMatchesSubscriber) {
 
 TEST(ScenarioTest, MinRxPowerIsPowerAtDistanceRequest) {
     Scenario s = tiny_scenario();
-    const units::Watt expect =
-        wireless::received_power(s.radio, s.radio.max_power, units::Meters{30.0});
+    const units::Watt expect = s.received_power(s.radio.max_power, units::Meters{30.0});
     EXPECT_NEAR(s.min_rx_power(ids::SsId{0}).watts(), expect.watts(), 1e-15);
     // Larger distance request -> weaker demanded power.
     EXPECT_LT(s.min_rx_power(ids::SsId{1}), s.min_rx_power(ids::SsId{0}));
@@ -122,9 +120,7 @@ TEST(ScenarioTest, ValidateRejectsNonFiniteDistanceRequest) {
 TEST(ZonePartitionTest, DmaxMatchesNmaxDefinition) {
     Scenario s = tiny_scenario();
     const double dmax = zone_partition_dmax(s);
-    EXPECT_NEAR(wireless::received_power(s.radio, s.radio.max_power,
-                                         units::Meters{dmax})
-                    .watts(),
+    EXPECT_NEAR(s.received_power(s.radio.max_power, units::Meters{dmax}).watts(),
                 s.radio.ignorable_noise.watts(), 1e-12);
 }
 

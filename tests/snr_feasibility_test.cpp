@@ -9,7 +9,6 @@
 #include "sag/core/snr_field.h"
 #include "sag/sim/scenario_gen.h"
 #include "sag/units/units.h"
-#include "sag/wireless/two_ray.h"
 
 namespace sag::core {
 namespace {
@@ -56,10 +55,9 @@ TEST(SnrTest, TwoRsMatchHandComputedRatio) {
     const auto snrs = fresh_snrs(SnrField(s, rs, powers), assignment);
     // Subscriber 0: signal from RS0 at clamped distance 1, interference
     // from RS1 at distance 100.
-    const units::Watt signal =
-        wireless::received_power(s.radio, units::Watt{50.0}, units::Meters{1.0});
+    const units::Watt signal = s.received_power(units::Watt{50.0}, units::Meters{1.0});
     const units::Watt interference =
-        wireless::received_power(s.radio, units::Watt{50.0}, units::Meters{100.0});
+        s.received_power(units::Watt{50.0}, units::Meters{100.0});
     const double expected = (signal / interference).ratio();
     EXPECT_NEAR(snrs[0], expected, 1e-9 * expected);
     EXPECT_NEAR(snrs[0], snrs[1], 1e-9 * expected);  // symmetric layout
@@ -180,10 +178,9 @@ TEST(VerifyCoverageTest, SnrDbReportedInDb) {
     plan.rs_positions = {{-50.0, 0.0}, {50.0, 0.0}};
     plan.assignment = {RsId{0}, RsId{1}};
     const auto report = verify_coverage_max_power(s, plan);
-    const units::Watt signal =
-        wireless::received_power(s.radio, units::Watt{50.0}, units::Meters{1.0});
+    const units::Watt signal = s.received_power(units::Watt{50.0}, units::Meters{1.0});
     const units::Watt interference =
-        wireless::received_power(s.radio, units::Watt{50.0}, units::Meters{100.0});
+        s.received_power(units::Watt{50.0}, units::Meters{100.0});
     EXPECT_NEAR(report.subscribers[SsId{0}].snr_db,
                 units::to_db(signal / interference).db(), 1e-6);
 }
@@ -251,8 +248,7 @@ TEST(AmbientNoiseTest, MakesSingleRsSnrFinite) {
     const SsId subs[] = {SsId{0}};
     const ids::IdVec<SsId, RsId> assignment{RsId{0}};
     const auto snrs = fresh_snrs(SnrField(s, rs, powers, subs), assignment);
-    const units::Watt signal =
-        wireless::received_power(s.radio, units::Watt{50.0}, units::Meters{1.0});
+    const units::Watt signal = s.received_power(units::Watt{50.0}, units::Meters{1.0});
     EXPECT_NEAR(snrs[0], signal.watts() / 0.065, 1e-9 * snrs[0]);
 }
 

@@ -1,5 +1,6 @@
-// SnrField: incremental-vs-scratch equivalence, transaction rollback,
-// the incremental ILPQC oracle, and the grid-backed nearest assignment.
+// SnrField: incremental-vs-scratch equivalence, inverse deltas undoing a
+// probe, the incremental ILPQC oracle, and the grid-backed nearest
+// assignment.
 // The randomized property tests use fixed seeds.
 #include <bit>
 #include <cmath>
@@ -49,7 +50,7 @@ ids::IdVec<SsId, RsId> round_robin_serving(std::size_t subs, std::size_t rs) {
     return serving;
 }
 
-// The headline property: 1000 mixed move / power / add / remove deltas,
+// The headline property: 1000 mixed move / power / add / pop deltas,
 // and after every delta the incrementally maintained field matches a
 // field built from scratch at its RSs and powers to 1e-12 relative.
 TEST(SnrFieldTest, ThousandMixedDeltasMatchScratchTo1e12) {
@@ -82,7 +83,7 @@ TEST(SnrFieldTest, ThousandMixedDeltasMatchScratchTo1e12) {
                 break;
             default:
                 if (field.rs_count() > 2) {
-                    field.remove_rs(RsId{pick(rng)});
+                    field.pop_rs();
                 } else {
                     field.add_rs({coord(rng), coord(rng)}, units::Watt{power(rng)});
                 }
@@ -176,6 +177,9 @@ TEST(SnrFieldTest, PairedBuildEvaluatesEachGainOnce) {
               2 * rs_by_ss);
 }
 
+// A probe's deltas rolled back by hand: each delta kind is undone by its
+// inverse (move back, set_power back, pop_rs after add_rs), in reverse
+// order, and every total returns to within 1e-13 of where it started.
 TEST(SnrFieldTest, TransactionRollsBackEveryDeltaKind) {
     const Scenario s = random_scenario(30, 500.0, 7);
     std::vector<geom::Vec2> rs = {{-100.0, 0.0}, {0.0, 50.0}, {120.0, -80.0}};
@@ -186,15 +190,17 @@ TEST(SnrFieldTest, TransactionRollsBackEveryDeltaKind) {
         before[k] = field.total_rx(SsId{k});
     }
 
-    {
-        SnrField::Transaction tx(field);
-        field.move_rs(RsId{0}, {33.0, 44.0});
-        field.set_power(RsId{1}, units::Watt{1.5});
-        field.add_rs({-40.0, -40.0}, units::Watt{20.0});
-        field.remove_rs(RsId{2});
-        field.move_rs(RsId{0}, {-5.0, -5.0});  // second touch of the same RS
-        // no commit -> rollback
-    }
+    field.move_rs(RsId{0}, {33.0, 44.0});
+    field.set_power(RsId{1}, units::Watt{1.5});
+    field.add_rs({-40.0, -40.0}, units::Watt{20.0});
+    field.move_rs(RsId{0}, {-5.0, -5.0});  // second touch of the same RS
+    ASSERT_EQ(field.rs_count(), 4u);
+
+    field.move_rs(RsId{0}, {33.0, 44.0});
+    field.pop_rs();
+    field.set_power(RsId{1}, s.radio.max_power);
+    field.move_rs(RsId{0}, rs[0]);
+
     ASSERT_EQ(field.rs_count(), 3u);
     EXPECT_EQ(field.rs_position(RsId{0}), rs[0]);
     EXPECT_EQ(field.rs_position(RsId{2}), rs[2]);
@@ -202,34 +208,6 @@ TEST(SnrFieldTest, TransactionRollsBackEveryDeltaKind) {
     for (std::size_t k = 0; k < before.size(); ++k) {
         EXPECT_LE(rel_diff(field.total_rx(SsId{k}), before[k]), 1e-13) << k;
     }
-    EXPECT_LE(field.verify_against_scratch(), 1e-12);
-}
-
-TEST(SnrFieldTest, NestedTransactionsCommitAndRollbackIndependently) {
-    const Scenario s = random_scenario(20, 500.0, 9);
-    std::vector<geom::Vec2> rs = {{-50.0, 0.0}, {50.0, 0.0}};
-    SnrField field = SnrField::at_max_power(s, rs);
-
-    {
-        SnrField::Transaction outer(field);
-        field.set_power(RsId{0}, units::Watt{10.0});
-        {
-            SnrField::Transaction inner(field);
-            field.set_power(RsId{1}, units::Watt{20.0});
-            field.move_rs(RsId{0}, {0.0, 10.0});
-        }
-        // The inner rollback undoes the inner deltas only...
-        EXPECT_EQ(field.rs_power(RsId{0}), units::Watt{10.0});
-        EXPECT_EQ(field.rs_power(RsId{1}), s.radio.max_power);
-        EXPECT_EQ(field.rs_position(RsId{0}), rs[0]);
-        // ...and the outer one the rest.
-    }
-    EXPECT_EQ(field.rs_power(RsId{0}), s.radio.max_power);
-    EXPECT_EQ(field.rs_power(RsId{1}), s.radio.max_power);
-
-    // Outside every transaction a mutation stays.
-    field.move_rs(RsId{0}, {0.0, 10.0});
-    EXPECT_EQ(field.rs_position(RsId{0}), geom::Vec2(0.0, 10.0));
     EXPECT_LE(field.verify_against_scratch(), 1e-12);
 }
 
@@ -316,7 +294,8 @@ TEST(SnrFieldTest, ExtraNoiseLowersSnr) {
 
 // The what-if read against the delta it predicts: for every RS i and
 // power p, snr_with_power(k, i, p) on the untouched field equals, bit for
-// bit, snr_of(k, i) after set_power(i, p), for every tracked subscriber.
+// bit, snr_of(k, i) after set_power(i, p), for every tracked subscriber;
+// set_power back to the old power then undoes the delta.
 // R = 7 and S = 39 are not multiples of the AVX2 width, so subscribers
 // sit in full blocks and in a three-lane padded tail. Each RS then keeps
 // a random power, so later reads start from a field with a delta history.
@@ -346,12 +325,13 @@ TEST(SnrFieldTest, WhatIfReadMatchesSetPower) {
                     EXPECT_EQ(predicted.back(), 0.0);  // no signal
                 }
             }
-            SnrField::Transaction probe(field);
+            const units::Watt old = field.rs_power(i);
             field.set_power(i, units::Watt{p});
             for (const SsId k : field.tracked_ids()) {
                 EXPECT_TRUE(same_bits(predicted[k.index()], field.snr_of(k, i)))
                     << "rs " << i << " p " << p << " sub " << k;
             }
+            field.set_power(i, old);
         }
         field.set_power(i, units::Watt{watt(rng)});
     }
@@ -369,9 +349,9 @@ TEST(SnrFieldTest, WhatIfReadKeepsSnrOfEdges) {
     for (const double p : {25.0, 50.0, 1e-3}) {
         const double what_if = field.snr_with_power(SsId{0}, RsId{0}, units::Watt{p});
         EXPECT_TRUE(std::isinf(what_if) && what_if > 0.0) << p;
-        SnrField::Transaction probe(field);
         field.set_power(RsId{0}, units::Watt{p});
         EXPECT_TRUE(same_bits(what_if, field.snr_of(SsId{0}, RsId{0}))) << p;
+        field.set_power(RsId{0}, units::Watt{powers[0]});
     }
     EXPECT_EQ(field.snr_with_power(SsId{0}, RsId{0}, units::Watt{0.0}), 0.0);
 }

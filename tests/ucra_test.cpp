@@ -14,7 +14,6 @@
 #include "sag/core/ucra.h"
 #include "sag/ids/ids.h"
 #include "sag/sim/scenario_gen.h"
-#include "sag/wireless/two_ray.h"
 
 namespace sag::core {
 namespace {
@@ -179,7 +178,7 @@ TEST(UcpoTest, SingleChainPowerMatchesHandComputation) {
     // exactly P_max * (40/40)^alpha = P_max... but over a 40 m segment
     // delivering P^0_ss = Pmax*G*40^-a needs Pmax again.
     const units::Watt pss = s.min_rx_power(SsId{0});
-    const double expect = wireless::tx_power_for(s.radio, pss, units::Meters{40.0}).watts();
+    const double expect = s.tx_power_for(pss, units::Meters{40.0}).watts();
     for (std::size_t v = 0; v < plan.node_count(); ++v) {
         if (plan.kinds[v] == NodeKind::ConnectivityRs) {
             EXPECT_NEAR(plan.powers[v], expect, 1e-9);

@@ -5,8 +5,8 @@
 
 #include "sag/units/units.h"
 #include "sag/wireless/link.h"
+#include "sag/wireless/propagation.h"
 #include "sag/wireless/radio_params.h"
-#include "sag/wireless/two_ray.h"
 
 namespace sag::wireless {
 namespace {
@@ -75,6 +75,13 @@ TEST(RadioParamsTest, RejectsAmbientNoiseBelowFloorOrAboveMax) {
     EXPECT_NO_THROW(p.validate());
 }
 
+/// The two-ray channel the solvers run: the model's GainKernel.
+GainKernel two_ray(const RadioParams& p) { return two_ray_model().kernel(p); }
+
+Watt received_power(const RadioParams& p, Watt tx, Meters d) {
+    return tx * two_ray(p).median_gain(d.meters());
+}
+
 TEST(TwoRayTest, ReceivedPowerMatchesEquation21) {
     RadioParams p;  // G = 5.0625, alpha = 3
     const Watt pr = received_power(p, Watt{50.0}, Meters{40.0});
@@ -104,7 +111,7 @@ TEST(TwoRayTest, TxPowerForInvertsReceivedPower) {
     RadioParams p;
     for (double d : {5.0, 33.3, 140.0}) {
         const Watt target{1e-4};
-        const Watt pt = tx_power_for(p, target, Meters{d});
+        const Watt pt = target / two_ray(p).median_gain(d);
         EXPECT_NEAR(received_power(p, pt, Meters{d}).watts(), target.watts(), 1e-12);
     }
 }
@@ -112,13 +119,13 @@ TEST(TwoRayTest, TxPowerForInvertsReceivedPower) {
 TEST(TwoRayTest, RangeForInvertsReceivedPower) {
     RadioParams p;
     const Watt pr{1e-4};
-    const Meters d = range_for(p, p.max_power, pr);
+    const Meters d = two_ray(p).range_for(p.max_power, pr);
     EXPECT_NEAR(received_power(p, p.max_power, d).watts(), pr.watts(), 1e-12);
 }
 
 TEST(TwoRayTest, IgnorableNoiseDistanceDefinition) {
     RadioParams p;
-    const Meters dmax = range_for(p, p.max_power, p.ignorable_noise);
+    const Meters dmax = two_ray(p).range_for(p.max_power, p.ignorable_noise);
     // At dmax a max-power transmitter delivers exactly N_max.
     EXPECT_NEAR(received_power(p, p.max_power, dmax).watts(),
                 p.ignorable_noise.watts(), 1e-12);
