@@ -16,8 +16,7 @@ struct PowerAllocation {
     std::vector<double> powers;  ///< one per coverage RS, linear watts
     /// verify_coverage's verdict on `powers`, except from
     /// allocate_power_capped (the fixed point's own verdict; its
-    /// CappedPower carries verify_coverage's report beside it) and
-    /// allocate_power_optimal_lp (the LP's).
+    /// CappedPower carries verify_coverage's report beside it).
     bool feasible = false;
     double total = 0.0;          ///< P_L, sum of the powers (watts)
     int iterations = 0;          ///< solver-specific effort counter
@@ -34,13 +33,6 @@ struct PowerAllocation {
 /// infeasible through verify_coverage.
 ids::IdVec<ids::RsId, units::Watt> coverage_power_floors(const Scenario& scenario,
                                                          const CoveragePlan& plan);
-
-/// SNR power P_snr for RS `rs` given everyone else's current powers (in
-/// watts, one per RS): the minimum transmit power that lifts each served
-/// subscriber's SNR to beta. A cross-check oracle: each interference is a
-/// plain sum of scalar per-link gains, not the allocators' field.
-units::Watt snr_power_floor(const Scenario& scenario, const CoveragePlan& plan,
-                            ids::RsId rs, std::span<const double> powers);
 
 /// Tuning for PRO; the paper's Algorithm 6 Step 11 picks the stuck RS
 /// with the smallest P_snr - P_c premium. FirstIndex replaces that rule
@@ -89,12 +81,6 @@ struct CappedPower {
 /// unless there is one cap per RS.
 CappedPower allocate_power_capped(const Scenario& scenario, const CoveragePlan& plan,
                                   std::span<const double> caps);
-
-/// Same optimum computed by the dense-simplex LP solver instead of the
-/// fixed point, over scalar per-link gains — used to cross-check
-/// allocate_power_optimal in tests.
-PowerAllocation allocate_power_optimal_lp(const Scenario& scenario,
-                                          const CoveragePlan& plan);
 
 /// Baseline: every coverage RS at P_max (the paper's "baseline" curve).
 PowerAllocation allocate_power_baseline(const Scenario& scenario,

@@ -21,12 +21,4 @@ std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(
 std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(
     const Scenario& scenario, std::span<const geom::Vec2> rs_positions);
 
-/// True when every subscriber in `subs` clears the scenario's SNR
-/// threshold with all RSs at max power under the nearest assignment: a
-/// one-shot SnrField, the reference the incremental SnrFeasibilityOracle
-/// is tested against.
-bool snr_feasible_at_max_power(const Scenario& scenario,
-                               std::span<const geom::Vec2> rs_positions,
-                               std::span<const ids::SsId> subs);
-
 }  // namespace sag::core

@@ -74,8 +74,6 @@ public:
 
     /// Every RS at `scenario.radio.max_power` (the placement-phase query).
     static SnrField at_max_power(const Scenario& scenario,
-                                 std::span<const geom::Vec2> rs_positions);
-    static SnrField at_max_power(const Scenario& scenario,
                                  std::span<const geom::Vec2> rs_positions,
                                  std::span<const ids::SsId> subs);
 
@@ -129,8 +127,8 @@ public:
     /// Track scenario-global subscriber `global` in a new slot; returns
     /// its tracked-local ID (== old tracked_count()).
     ids::SsId add_subscriber(ids::SsId global);
-    /// Stop tracking slot k; slots after k shift down by one ID.
-    void remove_subscriber(ids::SsId k);
+    /// Stop tracking the last slot: the inverse of add_subscriber.
+    void pop_subscriber();
     /// Re-read slot k's position and distance request from the scenario
     /// (the subscriber moved or changed its request) and rebuild its
     /// total from scratch.
@@ -245,8 +243,8 @@ public:
 
     /// True when the candidate subset `chosen` (IDs into the candidate
     /// array, in search order) admits a nearest assignment that clears the
-    /// SNR threshold at max power. Equivalent to
-    /// `snr_feasible_at_max_power` over the materialized positions.
+    /// SNR threshold at max power: a one-shot max-power field over the
+    /// materialized positions, read under their nearest_assignment.
     bool feasible(std::span<const ids::CandId> chosen);
 
 private:

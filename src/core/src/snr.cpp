@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "sag/core/snr_field.h"
 #include "sag/geometry/sweep.h"
 
 namespace sag::core {
@@ -39,15 +38,6 @@ std::optional<ids::IdVec<ids::SsId, ids::RsId>> nearest_assignment(
     const Scenario& scenario, std::span<const geom::Vec2> rs_positions) {
     const auto subs = ids::all_ids<ids::SsId>(scenario.subscriber_count());
     return nearest_assignment(scenario, rs_positions, subs);
-}
-
-bool snr_feasible_at_max_power(const Scenario& scenario,
-                               std::span<const geom::Vec2> rs_positions,
-                               std::span<const ids::SsId> subs) {
-    const auto assignment = nearest_assignment(scenario, rs_positions, subs);
-    if (!assignment) return false;
-    const SnrField field = SnrField::at_max_power(scenario, rs_positions, subs);
-    return field.all_meet_threshold(*assignment);
 }
 
 }  // namespace sag::core

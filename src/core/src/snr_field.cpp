@@ -52,13 +52,6 @@ SnrField::SnrField(const Scenario& scenario, std::span<const geom::Vec2> rs_posi
                ids::all_ids<ids::SsId>(scenario.subscriber_count())) {}
 
 SnrField SnrField::at_max_power(const Scenario& scenario,
-                                std::span<const geom::Vec2> rs_positions) {
-    const std::vector<double> powers(rs_positions.size(),
-                                     scenario.rs_max_power().watts());
-    return SnrField(scenario, rs_positions, powers);
-}
-
-SnrField SnrField::at_max_power(const Scenario& scenario,
                                 std::span<const geom::Vec2> rs_positions,
                                 std::span<const ids::SsId> subs) {
     const std::vector<double> powers(rs_positions.size(),
@@ -170,16 +163,15 @@ ids::SsId SnrField::add_subscriber(ids::SsId global) {
     return k;
 }
 
-void SnrField::remove_subscriber(ids::SsId k) {
-    assert(k.index() < sub_ids_.size());
-    const auto at = static_cast<std::ptrdiff_t>(k.index());
-    // SAG_RAW_OK: erasing the tracked-local slot from the id column.
-    sub_ids_.raw().erase(sub_ids_.raw().begin() + at);
-    sub_x_.erase(sub_x_.begin() + at);
-    sub_y_.erase(sub_y_.begin() + at);
-    sub_reach_.erase(sub_reach_.begin() + at);
-    total_.erase(total_.begin() + at);
-    comp_.erase(comp_.begin() + at);
+void SnrField::pop_subscriber() {
+    assert(!sub_ids_.empty());
+    // SAG_RAW_OK: dropping the last tracked-local slot from the id column.
+    sub_ids_.raw().pop_back();
+    sub_x_.pop_back();
+    sub_y_.pop_back();
+    sub_reach_.pop_back();
+    total_.pop_back();
+    comp_.pop_back();
     after_mutation();
 }
 

@@ -2,9 +2,9 @@
 
 // exec::Deadline — the repo's single "out of wall-clock budget" concept.
 //
-// Every time-budgeted search in the tree (opt::solve_milp,
-// opt::solve_set_cover_bnb, the ILPQC wrappers, the serve::Session event
-// stages) used to hand-roll the same three lines of steady_clock
+// Every time-budgeted search in the tree (opt::solve_set_cover_bnb, the
+// ILPQC wrappers, the serve::Session event stages, the MILP cross-check
+// in tests/oracles) used to hand-roll the same three lines of steady_clock
 // arithmetic; auditing "what happens when the budget expires" meant
 // reading each copy. A Deadline is that concept once: armed from a
 // seconds budget (<= 0 keeps the repo-wide "0 disables" convention and

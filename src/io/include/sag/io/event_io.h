@@ -4,10 +4,7 @@
 // event per line, schema-strict: every line must be a JSON object with
 // exactly the fields of its kind — unknown kinds, missing or extra
 // fields, out-of-range ids, and non-finite coordinates are rejected
-// with an EventFormatError naming the 1-based line. Serialization is
-// byte-deterministic (sorted keys, fixed number formatting), so
-// parse(serialize(events)) == events and a replayed stream is
-// byte-identical to its source.
+// with an EventFormatError naming the 1-based line.
 
 #include <cstddef>
 #include <stdexcept>
@@ -36,12 +33,6 @@ private:
 /// Parse a JSONL event stream. Empty lines are skipped; everything else
 /// must be a schema-exact event object.
 std::vector<serve::Event> events_from_jsonl(std::string_view text);
-
-/// Serialize one event / a whole stream (one compact line per event,
-/// each terminated by '\n'). Deterministic: a fixed event value always
-/// produces the same bytes.
-Json event_to_json(const serve::Event& event);
-std::string events_to_jsonl(const std::vector<serve::Event>& events);
 
 /// Per-event outcome record for churn reports (docs/SERVING.md,
 /// "Report format"). Latencies are deliberately excluded: this is the

@@ -74,8 +74,12 @@ public:
     /// pretty-print with that many spaces per level.
     std::string dump(int indent = -1) const;
 
-    /// Strict parser; throws JsonParseError. Rejects trailing content.
+    /// Strict parser; throws JsonParseError. Rejects trailing content,
+    /// and arrays and objects nested deeper than kMaxDepth: the parser
+    /// recurses once per level, so the cap bounds its stack (scenario
+    /// files nest 4 levels deep).
     static Json parse(std::string_view text);
+    static constexpr std::size_t kMaxDepth = 512;
 
 private:
     std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;

@@ -13,9 +13,10 @@ namespace sag::io {
 
 /// Thrown by scenario_from_json on well-formed JSON carrying a
 /// non-physical scenario (non-finite coordinates, negative powers,
-/// duplicate station positions, ...). Carries the JSON path of the
-/// offending field (e.g. "subscribers[3].pos") so CLI users see *where*
-/// the input is broken, not just a bare exception text.
+/// duplicate station positions, ...), and by scenario_to_json on a
+/// shadowing seed a JSON number cannot hold exactly. Carries the JSON
+/// path of the offending field (e.g. "subscribers[3].pos") so CLI users
+/// see *where* the input is broken, not just a bare exception text.
 class ScenarioFormatError : public std::runtime_error {
 public:
     ScenarioFormatError(const std::string& path, const std::string& what)

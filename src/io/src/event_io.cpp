@@ -13,19 +13,6 @@ namespace {
 using serve::Event;
 using serve::EventKind;
 
-const char* kind_name(EventKind kind) {
-    switch (kind) {
-        case EventKind::SsJoin: return "ss_join";
-        case EventKind::SsLeave: return "ss_leave";
-        case EventKind::SsMove: return "ss_move";
-        case EventKind::SsRate: return "ss_rate";
-        case EventKind::RsFail: return "rs_fail";
-        case EventKind::RsDegrade: return "rs_degrade";
-        case EventKind::RsRecover: return "rs_recover";
-    }
-    return "unknown";
-}
-
 /// Fields each kind requires, beyond "kind" itself. Schema-strict: the
 /// line must carry exactly these, no more.
 std::vector<std::string> kind_fields(EventKind kind) {
@@ -183,51 +170,6 @@ std::vector<serve::Event> events_from_jsonl(std::string_view text) {
         events.push_back(event_from_json(parsed, line_no));
     }
     return events;
-}
-
-Json event_to_json(const serve::Event& event) {
-    Json json;
-    json["kind"] = kind_name(event.kind);
-    switch (event.kind) {
-        case EventKind::SsJoin:
-            json["key"] = static_cast<double>(event.key);
-            json["x"] = event.pos.x;
-            json["y"] = event.pos.y;
-            json["d"] = event.distance_request;
-            break;
-        case EventKind::SsLeave:
-            json["key"] = static_cast<double>(event.key);
-            break;
-        case EventKind::SsMove:
-            json["key"] = static_cast<double>(event.key);
-            json["x"] = event.pos.x;
-            json["y"] = event.pos.y;
-            break;
-        case EventKind::SsRate:
-            json["key"] = static_cast<double>(event.key);
-            json["d"] = event.distance_request;
-            break;
-        case EventKind::RsFail:
-        case EventKind::RsRecover:
-            // SAG_RAW_OK: serializing the RS slot as a JSON number.
-            json["rs"] = static_cast<double>(event.rs.value());
-            break;
-        case EventKind::RsDegrade:
-            // SAG_RAW_OK: serializing the RS slot as a JSON number.
-            json["rs"] = static_cast<double>(event.rs.value());
-            json["factor"] = event.factor;
-            break;
-    }
-    return json;
-}
-
-std::string events_to_jsonl(const std::vector<serve::Event>& events) {
-    std::string out;
-    for (const serve::Event& event : events) {
-        out += event_to_json(event).dump();
-        out.push_back('\n');
-    }
-    return out;
 }
 
 Json event_outcome_to_json(const serve::EventOutcome& outcome) {

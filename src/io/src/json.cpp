@@ -25,6 +25,7 @@ public:
 private:
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  // arrays and objects open at pos_
 
     [[noreturn]] void fail(const std::string& what) const {
         throw JsonParseError(what, pos_);
@@ -64,8 +65,16 @@ private:
         skip_ws();
         const char c = peek();
         switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{':
+            case '[': {
+                if (++depth_ > Json::kMaxDepth) {
+                    fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                         " levels");
+                }
+                Json nested = c == '{' ? parse_object() : parse_array();
+                --depth_;
+                return nested;
+            }
             case '"': return Json(parse_string());
             case 't':
                 if (consume_keyword("true")) return Json(true);

@@ -1,5 +1,6 @@
 #include "sag/io/scenario_io.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -108,8 +109,15 @@ Json propagation_to_json(const wireless::PropagationModel& model) {
         p["exponent"] = Json(ld->exponent);
         p["ref_distance"] = Json(ld->ref_distance.meters());
         p["shadowing_sigma_db"] = Json(ld->shadowing_sigma.db());
-        // Seeds round-trip exactly through the JSON double up to 2^53.
-        p["shadowing_seed"] = Json(static_cast<double>(ld->shadowing_seed));
+        // A seed is written only when the JSON double holds it exactly (its
+        // set bits span at most the 53-bit significand): any other seed
+        // would reload as a different shadowing realization.
+        const std::uint64_t seed = ld->shadowing_seed;
+        if (static_cast<int>(std::bit_width(seed)) - std::countr_zero(seed) > 53) {
+            throw ScenarioFormatError("propagation.shadowing_seed",
+                                      "not exactly representable as a JSON number");
+        }
+        p["shadowing_seed"] = Json(static_cast<double>(seed));
     } else if (const auto* lora =
                    dynamic_cast<const wireless::LoRaLinkBudgetModel*>(&model)) {
         p["spreading_factor"] = Json(lora->spreading_factor);

@@ -163,7 +163,7 @@ void Session::apply_mutation(const Event& e) {
             state_.server.pop_back();
             slot_key_.pop_back();
             p_ss_.pop_back();
-            state_.field.remove_subscriber(ids::SsId{last});
+            state_.field.pop_subscriber();
             if (k != last) state_.field.update_subscriber(ids::SsId{k});
             break;
         }

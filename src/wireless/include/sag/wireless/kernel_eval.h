@@ -23,7 +23,7 @@ namespace sag::wireless {
 ///     Always available.
 ///   * avx2 — 4-lane double vectors. Distances come from sqrt(dx²+dy²),
 ///     the power law from a sqrt/multiply chain (see
-///     `kernel_simd_eligible`), the compensation from a blend-select
+///     `detail::plan_pow`), the compensation from a blend-select
 ///     Neumaier that mirrors the scalar branches per lane. Agrees with
 ///     scalar to a few ulps per term (documented contract: 1e-12
 ///     relative, tested in simd_equivalence_test). The last n mod 4
@@ -54,13 +54,6 @@ std::string_view simd_mode_name(SimdMode mode);
 /// Doubles processed per vector operation under the active mode: 4 for
 /// AVX2, 1 for scalar. Exported as the `snr_field.simd_lanes` gauge.
 std::size_t simd_lanes();
-
-/// True when `kernel` qualifies for the vector path: no shadowing
-/// (sigma_db == 0 — faded links are per-link hashes, inherently scalar),
-/// a non-negative clamp, and alpha a half-integer in [0.5, 8] so d^-alpha
-/// reduces to an exact sqrt/multiply chain on d². Everything the paper
-/// and the bundled models use (alpha ∈ [1, 6]) qualifies.
-bool kernel_simd_eligible(const GainKernel& kernel);
 
 /// Neumaier-accumulates `signed_power * gain(pos -> (xs[k], ys[k]))`
 /// into (totals[k], comps[k]) for every k. The SnrField delta kernel:
@@ -101,7 +94,11 @@ namespace detail {
 /// Decomposition of an eligible alpha for the vector power chain:
 /// d^alpha = (d²)^(q/4) with q = 2*alpha an integer, i.e.
 /// (d²)^a * (d²)^(b/4), a = q/4, b = q%4 — at most two square roots and
-/// a short multiply ladder. `valid` is false for ineligible kernels.
+/// a short multiply ladder. `valid` is the dispatch's eligibility test:
+/// true when `kernel` qualifies for the vector path, i.e. no shadowing
+/// (sigma_db == 0 — faded links are per-link hashes, inherently scalar),
+/// a non-negative clamp, and alpha a half-integer in [0.5, 8]. Everything
+/// the paper and the bundled models use (alpha ∈ [1, 6]) qualifies.
 struct PowPlan {
     int a = 0;
     int b = 0;

@@ -156,10 +156,6 @@ std::size_t simd_lanes() {
     return active_simd_mode() == SimdMode::Avx2 ? 4 : 1;
 }
 
-bool kernel_simd_eligible(const GainKernel& kernel) {
-    return detail::plan_pow(kernel).valid;
-}
-
 void accumulate_rx(const GainKernel& kernel, const geom::Vec2& pos,
                    units::Watt signed_power, units::MetersSpan xs,
                    units::MetersSpan ys, std::span<double> totals,

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/event_io.h"
 #include "sag/io/event_io.h"
 #include "sag/serve/event.h"
 #include "sag/serve/fault.h"
@@ -62,7 +63,7 @@ std::vector<Event> sample_events() {
 
 TEST(EventIoTest, RoundTripPreservesEveryKind) {
     const std::vector<Event> events = sample_events();
-    const std::string text = events_to_jsonl(events);
+    const std::string text = oracles::events_to_jsonl(events);
     const std::vector<Event> parsed = events_from_jsonl(text);
     ASSERT_EQ(parsed.size(), events.size());
     for (std::size_t i = 0; i < events.size(); ++i) {
@@ -74,8 +75,8 @@ TEST(EventIoTest, SerializationIsByteDeterministic) {
     // parse(serialize(x)) == x is necessary but not sufficient: replay
     // comparison diffs bytes, so serialize(parse(serialize(x))) must be
     // byte-identical too.
-    const std::string once = events_to_jsonl(sample_events());
-    const std::string twice = events_to_jsonl(events_from_jsonl(once));
+    const std::string once = oracles::events_to_jsonl(sample_events());
+    const std::string twice = oracles::events_to_jsonl(events_from_jsonl(once));
     EXPECT_EQ(once, twice);
 }
 
@@ -113,6 +114,13 @@ TEST(EventIoTest, MalformedJsonNamesTheLine) {
     expect_error("{\"kind\":\"ss_leave\",\"key\":1}\n{oops\n", 2,
                  "malformed JSON");
     expect_error("not json at all\n", 1, "malformed JSON");
+}
+
+TEST(EventIoTest, OverDeepLineNamesTheLine) {
+    const std::string deep =
+        std::string(100'000, '[') + std::string(100'000, ']');
+    expect_error("{\"kind\":\"ss_leave\",\"key\":1}\n" + deep + "\n", 2,
+                 "nesting deeper than");
 }
 
 TEST(EventIoTest, NonObjectLineRejected) {
@@ -264,7 +272,7 @@ TEST(EventIoTest, SerializedNaNCoordinateFailsToReparseWithLineNumber) {
     nan_move.key = 1;
     nan_move.pos = {std::numeric_limits<double>::quiet_NaN(), 0.0};
     events.insert(events.begin() + 2, nan_move);
-    expect_error(events_to_jsonl(events), 3, "malformed JSON");
+    expect_error(oracles::events_to_jsonl(events), 3, "malformed JSON");
 }
 
 }  // namespace

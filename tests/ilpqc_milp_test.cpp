@@ -5,10 +5,10 @@
 // we have for the Gurobi substitution.
 #include <gtest/gtest.h>
 
+#include "oracles/ilpqc_milp.h"
 #include "sag/core/candidates.h"
 #include "sag/core/feasibility.h"
 #include "sag/core/ilpqc.h"
-#include "sag/core/ilpqc_milp.h"
 #include "sag/sim/scenario_gen.h"
 
 namespace sag::core {
@@ -26,7 +26,7 @@ Scenario small_scenario(int seed, std::size_t users = 6) {
 TEST(IlpqcMilpTest, EmptyScenario) {
     Scenario s = small_scenario(1);
     s.subscribers.clear();
-    const auto plan = solve_ilpqc_milp(s, {});
+    const auto plan = oracles::solve_ilpqc_milp(s, {});
     EXPECT_TRUE(plan.feasible);
     EXPECT_EQ(plan.rs_count(), 0u);
 }
@@ -35,7 +35,7 @@ TEST(IlpqcMilpTest, SingleSubscriber) {
     Scenario s = small_scenario(1);
     s.subscribers = {{{10.0, 10.0}, 35.0}};
     const auto cands = iac_candidates(s);
-    const auto plan = solve_ilpqc_milp(s, cands);
+    const auto plan = oracles::solve_ilpqc_milp(s, cands);
     ASSERT_TRUE(plan.feasible);
     EXPECT_EQ(plan.rs_count(), 1u);
     EXPECT_TRUE(verify_coverage_max_power(s, plan).feasible);
@@ -44,7 +44,7 @@ TEST(IlpqcMilpTest, SingleSubscriber) {
 TEST(IlpqcMilpTest, BuildProducesExpectedDimensions) {
     Scenario s = small_scenario(2, 4);
     const auto cands = iac_candidates(s);
-    const auto problem = build_ilpqc_milp(s, cands);
+    const auto problem = oracles::build_ilpqc_milp(s, cands);
     // T_i variables come first; objective weights only them.
     double obj_sum = 0.0;
     for (const double c : problem.lp.objective) obj_sum += c;
@@ -58,7 +58,7 @@ TEST(IlpqcMilpTest, ImpossibleSnrInfeasible) {
     Scenario s = small_scenario(3);
     s.subscribers = {{{-45.0, 0.0}, 35.0}, {{45.0, 0.0}, 35.0}};
     s.snr_threshold_db = units::Decibel{60.0};
-    const auto plan = solve_ilpqc_milp(s, iac_candidates(s));
+    const auto plan = oracles::solve_ilpqc_milp(s, iac_candidates(s));
     EXPECT_FALSE(plan.feasible);
 }
 
@@ -70,9 +70,9 @@ TEST_P(IlpqcCrossValidation, SpecializedAndMilpAgree) {
     const Scenario s = small_scenario(GetParam());
     const auto cands = iac_candidates(s);
     const auto fast = solve_ilpqc_coverage(s, cands);
-    opt::MilpOptions opts;
+    oracles::MilpOptions opts;
     opts.node_limit = 500'000;
-    const auto slow = solve_ilpqc_milp(s, cands, opts);
+    const auto slow = oracles::solve_ilpqc_milp(s, cands, opts);
 
     ASSERT_EQ(fast.feasible, slow.feasible) << "solvers disagree on feasibility";
     if (!fast.feasible) return;
@@ -88,9 +88,9 @@ TEST(IlpqcCrossValidationGac, AgreeOnGridCandidatesToo) {
     const Scenario s = small_scenario(11, 5);
     const auto cands = prune_useless_candidates(s, gac_candidates(s, 40.0));
     const auto fast = solve_ilpqc_coverage(s, cands);
-    opt::MilpOptions opts;
+    oracles::MilpOptions opts;
     opts.node_limit = 500'000;
-    const auto slow = solve_ilpqc_milp(s, cands, opts);
+    const auto slow = oracles::solve_ilpqc_milp(s, cands, opts);
     ASSERT_EQ(fast.feasible, slow.feasible);
     if (fast.feasible) {
         EXPECT_EQ(fast.rs_count(), slow.rs_count());

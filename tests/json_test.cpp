@@ -1,3 +1,5 @@
+#include <cstddef>
+#include <string>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -57,6 +59,44 @@ TEST(JsonParseTest, ErrorCarriesOffset) {
     } catch (const JsonParseError& e) {
         EXPECT_TRUE(std::string_view(e.what()).ends_with(" at offset 4")) << e.what();
     }
+}
+
+/// `depth` nested arrays, or `depth` nested {"a": ...} objects, around 0.
+std::string nested_arrays(std::size_t depth) {
+    return std::string(depth, '[') + "0" + std::string(depth, ']');
+}
+std::string nested_objects(std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"a\":";
+    return text + "0" + std::string(depth, '}');
+}
+
+void expect_error_at(const std::string& text, std::size_t offset) {
+    try {
+        (void)Json::parse(text);
+        FAIL() << "expected JsonParseError";
+    } catch (const JsonParseError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("nesting deeper than"), std::string::npos) << what;
+        EXPECT_TRUE(what.ends_with(" at offset " + std::to_string(offset))) << what;
+    }
+}
+
+// The parser recurses once per level: 100,000 levels used to overflow
+// the stack (a segfault, not an error). Nesting is capped instead.
+TEST(JsonParseTest, DeepNestingThrowsInsteadOfOverflowing) {
+    EXPECT_THROW((void)Json::parse(nested_arrays(100'000)), JsonParseError);
+    EXPECT_THROW((void)Json::parse(nested_objects(100'000)), JsonParseError);
+}
+
+// kMaxDepth levels parse; one more throws at the bracket that crosses
+// the cap (each object level is the 5 bytes `{"a":`).
+TEST(JsonParseTest, NestingCapIsExact) {
+    const std::size_t cap = Json::kMaxDepth;
+    EXPECT_TRUE(Json::parse(nested_arrays(cap)).is_array());
+    EXPECT_TRUE(Json::parse(nested_objects(cap)).is_object());
+    expect_error_at(nested_arrays(cap + 1), cap);
+    expect_error_at(nested_objects(cap + 1), 5 * cap);
 }
 
 TEST(JsonDumpTest, CompactAndPretty) {

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "sag/opt/lp.h"
+#include "oracles/lp.h"
 
-namespace sag::opt {
+namespace sag::oracles {
 namespace {
 
 using Rel = LinearProgram::Relation;
@@ -158,4 +158,4 @@ TEST_P(LpRandomProperty, OptimalIsFeasibleAndNoWorseThanWitness) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LpRandomProperty, ::testing::Values(101, 202, 303, 404));
 
 }  // namespace
-}  // namespace sag::opt
+}  // namespace sag::oracles

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "sag/opt/milp.h"
+#include "oracles/milp.h"
 
-namespace sag::opt {
+namespace sag::oracles {
 namespace {
 
 using Rel = LinearProgram::Relation;
@@ -211,4 +211,4 @@ TEST_P(MilpRandomProperty, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpRandomProperty, ::testing::Values(7, 21, 63));
 
 }  // namespace
-}  // namespace sag::opt
+}  // namespace sag::oracles

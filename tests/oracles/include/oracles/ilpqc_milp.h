@@ -4,9 +4,9 @@
 
 #include "sag/core/deployment.h"
 #include "sag/core/scenario.h"
-#include "sag/opt/milp.h"
+#include "oracles/milp.h"
 
-namespace sag::core {
+namespace sag::oracles {
 
 /// The paper's ILPQC (3.1)-(3.5) transcribed *literally* as a 0-1 MILP:
 /// placement variables T_i, assignment variables T_ij (only for in-range
@@ -18,16 +18,16 @@ namespace sag::core {
 ///
 /// This is deliberately the *slow, general* route — the independent
 /// cross-check for the specialized set-cover branch & bound in
-/// solve_ilpqc_coverage. Use on small instances only (the big-M LP
+/// core::solve_ilpqc_coverage. Use on small instances only (the big-M LP
 /// relaxation is weak); tests assert both solvers agree on RS counts.
-opt::MilpProblem build_ilpqc_milp(const Scenario& scenario,
-                                  std::span<const geom::Vec2> candidates);
+MilpProblem build_ilpqc_milp(const core::Scenario& scenario,
+                             std::span<const geom::Vec2> candidates);
 
 /// Solves the MILP and converts the T variables back into a CoveragePlan
 /// (assignment from the T_ij values). Infeasible or node-limited runs
 /// return plan.feasible == false.
-CoveragePlan solve_ilpqc_milp(const Scenario& scenario,
-                              std::span<const geom::Vec2> candidates,
-                              const opt::MilpOptions& options = {});
+core::CoveragePlan solve_ilpqc_milp(const core::Scenario& scenario,
+                                    std::span<const geom::Vec2> candidates,
+                                    const MilpOptions& options = {});
 
-}  // namespace sag::core
+}  // namespace sag::oracles

@@ -2,19 +2,21 @@
 
 #include <vector>
 
-namespace sag::opt {
+namespace sag::oracles {
 
 /// A small dense linear program:
 ///   minimize    c . x
 ///   subject to  each Constraint (coeffs . x REL rhs)
 ///               0 <= x_i <= upper_bounds[i] (infinity when absent)
 ///
-/// This is the stand-in for Gurobi in the paper's LPQC power-allocation
-/// step: with a fixed coverage topology the quadratic SNR constraints
-/// become linear in the transmit powers, so an exact LP solve recovers the
-/// paper's "optimal" curve. Solved with a two-phase full-tableau primal
-/// simplex (Dantzig rule with a Bland fallback against cycling). Problem
-/// sizes in this library are tens of variables, so dense is appropriate.
+/// The independent check on the Gurobi stand-in for the paper's LPQC
+/// power-allocation step: with a fixed coverage topology the quadratic SNR
+/// constraints become linear in the transmit powers, so an exact LP solve
+/// recovers the paper's "optimal" curve, which the Yates fixed point
+/// (core::allocate_power_optimal) must match. Solved with a two-phase
+/// full-tableau primal simplex (Dantzig rule with a Bland fallback against
+/// cycling). Problem sizes here are tens of variables, so dense is
+/// appropriate.
 struct LinearProgram {
     enum class Relation { LessEq, GreaterEq, Equal };
 
@@ -46,4 +48,4 @@ struct LpResult {
 /// Solves the LP; `max_iterations` bounds total simplex pivots.
 LpResult solve_lp(const LinearProgram& lp, int max_iterations = 20000);
 
-}  // namespace sag::opt
+}  // namespace sag::oracles

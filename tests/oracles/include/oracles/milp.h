@@ -3,9 +3,9 @@
 #include <cstddef>
 #include <vector>
 
-#include "sag/opt/lp.h"
+#include "oracles/lp.h"
 
-namespace sag::opt {
+namespace sag::oracles {
 
 /// A mixed 0-1 integer linear program: the LinearProgram plus a mask of
 /// variables constrained to {0, 1}. Solved by LP-relaxation branch &
@@ -14,7 +14,7 @@ namespace sag::opt {
 /// This is the second leg of the Gurobi substitution: the paper's ILPQC
 /// (3.1)-(3.5) linearizes exactly into this form (big-M on the SNR rows),
 /// giving an independent exact solver to cross-validate the specialized
-/// set-cover search against (see core/ilpqc_milp.h). Intended for small
+/// set-cover search against (see ilpqc_milp.h). Intended for small
 /// instances; the LP relaxation of big-M formulations is weak.
 struct MilpProblem {
     LinearProgram lp;
@@ -31,7 +31,7 @@ struct MilpOptions {
     /// Wall-clock budget in seconds; 0 disables. Checked once per node
     /// (every node pays an LP solve, so per-node polling is cheap
     /// relative to the work it bounds). Mirrors
-    /// SetCoverBnBOptions::time_budget_seconds: on expiry the search
+    /// opt::SetCoverBnBOptions::time_budget_seconds: on expiry the search
     /// stops and reports the incumbent found so far.
     double time_budget_seconds = 0.0;
 };
@@ -54,4 +54,4 @@ struct MilpResult {
 
 MilpResult solve_milp(const MilpProblem& problem, const MilpOptions& options = {});
 
-}  // namespace sag::opt
+}  // namespace sag::oracles

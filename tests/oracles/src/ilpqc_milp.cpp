@@ -1,4 +1,4 @@
-#include "sag/core/ilpqc_milp.h"
+#include "oracles/ilpqc_milp.h"
 
 #include <algorithm>
 #include <cmath>
@@ -7,13 +7,12 @@
 
 #include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
-#include "sag/obs/obs.h"
 
-namespace sag::core {
+namespace sag::oracles {
 
 namespace {
 
-using Rel = opt::LinearProgram::Relation;
+using Rel = LinearProgram::Relation;
 
 /// Variable layout: T_i for i in [0, m), then one T_ij per in-range link
 /// in a flat list. LP variable and link indices are generic solver
@@ -28,14 +27,15 @@ struct Layout {
     std::size_t link_var(std::size_t link) const { return m + link; }
 };
 
-Layout make_layout(const Scenario& scenario, std::span<const geom::Vec2> candidates) {
+Layout make_layout(const core::Scenario& scenario,
+                   std::span<const geom::Vec2> candidates) {
     Layout layout;
     layout.m = candidates.size();
     layout.links_of_sub.resize(scenario.subscriber_count());
     layout.links_of_cand.resize(candidates.size());
     for (const ids::CandId i : ids::first_ids<ids::CandId>(candidates.size())) {
         for (const ids::SsId j : scenario.ss_ids()) {
-            const Subscriber& s = scenario.subscriber(j);
+            const core::Subscriber& s = scenario.subscriber(j);
             // (3.4): assignment variables exist only for in-range pairs.
             if (geom::distance(candidates[i.index()], s.pos) <=
                 s.distance_request + geom::kEps) {
@@ -50,13 +50,13 @@ Layout make_layout(const Scenario& scenario, std::span<const geom::Vec2> candida
 
 }  // namespace
 
-opt::MilpProblem build_ilpqc_milp(const Scenario& scenario,
-                                  std::span<const geom::Vec2> candidates) {
+MilpProblem build_ilpqc_milp(const core::Scenario& scenario,
+                             std::span<const geom::Vec2> candidates) {
     const Layout layout = make_layout(scenario, candidates);
     const std::size_t nv = layout.var_count();
     const double beta = scenario.snr_threshold_linear();
 
-    opt::MilpProblem problem;
+    MilpProblem problem;
     problem.lp.objective.assign(nv, 0.0);
     for (std::size_t i = 0; i < layout.m; ++i) problem.lp.objective[i] = 1.0;  // (3.1)
     problem.binary.assign(nv, true);
@@ -105,7 +105,8 @@ opt::MilpProblem build_ilpqc_milp(const Scenario& scenario,
     // Worst-case interference per link (every candidate transmitting) from
     // a one-shot field: O(m n) totals once, O(1) per link, instead of the
     // former O(links x m) re-summation.
-    const SnrField cand_field = SnrField::at_max_power(scenario, candidates);
+    const core::SnrField cand_field = core::SnrField::at_max_power(
+        scenario, candidates, ids::all_ids<ids::SsId>(scenario.subscriber_count()));
     for (std::size_t l = 0; l < layout.links.size(); ++l) {
         const auto [i, j] = layout.links[l];
         const double worst_interference =
@@ -126,11 +127,10 @@ opt::MilpProblem build_ilpqc_milp(const Scenario& scenario,
     return problem;
 }
 
-CoveragePlan solve_ilpqc_milp(const Scenario& scenario,
-                              std::span<const geom::Vec2> candidates,
-                              const opt::MilpOptions& options) {
-    SAG_OBS_SPAN("ilpqc.milp.solve");
-    CoveragePlan plan;
+core::CoveragePlan solve_ilpqc_milp(const core::Scenario& scenario,
+                                    std::span<const geom::Vec2> candidates,
+                                    const MilpOptions& options) {
+    core::CoveragePlan plan;
     if (scenario.subscriber_count() == 0) {
         plan.feasible = true;
         plan.proven_optimal = true;
@@ -139,11 +139,10 @@ CoveragePlan solve_ilpqc_milp(const Scenario& scenario,
     const Layout layout = make_layout(scenario, candidates);
     const auto problem = build_ilpqc_milp(scenario, candidates);
 
-    opt::MilpOptions opts = options;
+    MilpOptions opts = options;
     opts.bound_gap = 1.0 - 1e-6;  // pure cardinality objective
-    const auto result = opt::solve_milp(problem, opts);
+    const auto result = solve_milp(problem, opts);
     plan.search_nodes = result.nodes;
-    SAG_OBS_COUNT_ADD("ilpqc.milp.nodes", result.nodes);
     if (!result.optimal()) return plan;
     plan.proven_optimal = true;
 
@@ -169,4 +168,4 @@ CoveragePlan solve_ilpqc_milp(const Scenario& scenario,
     return plan;
 }
 
-}  // namespace sag::core
+}  // namespace sag::oracles

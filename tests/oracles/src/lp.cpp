@@ -1,11 +1,11 @@
-#include "sag/opt/lp.h"
+#include "oracles/lp.h"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
-namespace sag::opt {
+namespace sag::oracles {
 
 namespace {
 
@@ -230,4 +230,4 @@ LpResult solve_lp(const LinearProgram& lp, int max_iterations) {
     return result;
 }
 
-}  // namespace sag::opt
+}  // namespace sag::oracles

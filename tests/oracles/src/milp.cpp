@@ -1,4 +1,4 @@
-#include "sag/opt/milp.h"
+#include "oracles/milp.h"
 
 #include <algorithm>
 #include <cmath>
@@ -8,7 +8,7 @@
 
 #include "sag/exec/deadline.h"
 
-namespace sag::opt {
+namespace sag::oracles {
 
 namespace {
 
@@ -117,4 +117,4 @@ MilpResult solve_milp(const MilpProblem& problem, const MilpOptions& options) {
     return result;
 }
 
-}  // namespace sag::opt
+}  // namespace sag::oracles

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/power.h"
 #include "sag/core/feasibility.h"
 #include "sag/core/power.h"
 #include "sag/core/snr_field.h"
@@ -85,7 +86,7 @@ TEST(SnrPowerFloorTest, ZeroWithoutInterferers) {
     s.subscribers = {{{30.0, 0.0}, 35.0}};
     const auto plan = plan_of({{0.0, 0.0}}, {RsId{0}});
     const double powers[] = {50.0};
-    EXPECT_DOUBLE_EQ(snr_power_floor(s, plan, RsId{0}, powers).watts(), 0.0);
+    EXPECT_DOUBLE_EQ(oracles::snr_power_floor(s, plan, RsId{0}, powers).watts(), 0.0);
 }
 
 TEST(SnrPowerFloorTest, ScalesWithInterferencePower) {
@@ -96,8 +97,8 @@ TEST(SnrPowerFloorTest, ScalesWithInterferencePower) {
     const double weak[] = {50.0, 5.0};
     // RS0's requirement is driven by RS1's interference at sub 0;
     // reducing RS1's power by 10x reduces the floor by 10x.
-    EXPECT_NEAR(snr_power_floor(s, plan, RsId{0}, strong).watts(),
-                10.0 * snr_power_floor(s, plan, RsId{0}, weak).watts(), 1e-9);
+    EXPECT_NEAR(oracles::snr_power_floor(s, plan, RsId{0}, strong).watts(),
+                10.0 * oracles::snr_power_floor(s, plan, RsId{0}, weak).watts(), 1e-9);
 }
 
 TEST(ProTest, SettlesAtCoverageFloorsWhenNoConflict) {
@@ -148,7 +149,7 @@ TEST(OptimalPowerTest, FixedPointMatchesLpSolver) {
         const auto plan = solve_samc(s).plan;
         ASSERT_TRUE(plan.feasible);
         const auto fp = allocate_power_optimal(s, plan);
-        const auto lp = allocate_power_optimal_lp(s, plan);
+        const auto lp = oracles::allocate_power_optimal_lp(s, plan);
         ASSERT_TRUE(fp.feasible) << "seed " << seed;
         ASSERT_TRUE(lp.feasible) << "seed " << seed;
         EXPECT_NEAR(fp.total, lp.total, 1e-4 * std::max(1.0, lp.total))
@@ -172,7 +173,7 @@ TEST(OptimalPowerTest, OptimalIsComponentWiseMinimal) {
         shaved[i] *= 0.99;
         const double floor_i =
             coverage_power_floors(s, plan)[RsId{i}].watts();
-        const double snr_i = snr_power_floor(s, plan, RsId{i}, shaved).watts();
+        const double snr_i = oracles::snr_power_floor(s, plan, RsId{i}, shaved).watts();
         EXPECT_LT(shaved[i], std::max(floor_i, snr_i) + 1e-9) << "rs " << i;
     }
 }

@@ -11,6 +11,9 @@
 # an `error:` line naming the field (exit 1). Before these checks an
 # out-of-range double was converted to size_t (undefined behaviour),
 # 1e30 users silently became 0, and `abc` died with `error: stod`.
+# Input nested 200,000 levels deep, as a scenario or as an event line, is
+# an `error:` line too (exit 1); it used to overflow the JSON parser's
+# stack (SIGSEGV, exit 139).
 set -u
 cli=${1:?usage: sag_cli_selftest.sh path/to/sag_cli}
 
@@ -52,8 +55,18 @@ for entry in -1 1.5 1e30 '"x"'; do
         verify --scenario "$tmp/s.json" --result "$tmp/r.json"
 done
 
+# Hostile nesting: 200,000 levels of arrays, of objects, and one event line.
+repeat() { printf '%200000s' '' | sed "s/ /$1/g"; }
+{ repeat '['; repeat ']'; } > "$tmp/deep_array.json"
+{ repeat '{"a":'; printf 0; repeat '}'; } > "$tmp/deep_object.json"
+{ repeat '['; repeat ']'; echo; } > "$tmp/deep.jsonl"
+expect "deep-array-scenario" 1 "error:" -- solve --scenario "$tmp/deep_array.json"
+expect "deep-object-scenario" 1 "error:" -- solve --scenario "$tmp/deep_object.json"
+expect "deep-event-line" 1 "error:" -- \
+    serve --scenario "$tmp/s.json" --events "$tmp/deep.jsonl"
+
 if [ "$fail" -ne 0 ]; then
     echo "sag_cli_selftest: FAILED" >&2
     exit 1
 fi
-echo "sag_cli_selftest: OK (bad counts, reals and assignment entries rejected)"
+echo "sag_cli_selftest: OK (bad counts, reals, assignment entries and deep nesting rejected)"

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -360,6 +361,37 @@ TEST(ScenarioIoTest, RejectsShadowingSeedOutsideUint64) {
             sim::presets::log_distance_shadowed(6, units::Decibel{4.0}, 1), 2));
         j["propagation"].as_object()["shadowing_seed"] = Json(v);
         expect_format_error(j, "propagation.shadowing_seed");
+    }
+}
+
+// The seed rides in a JSON double. A seed the double holds exactly
+// round-trips bit for bit, through the text too; any other is refused on
+// save, where it would reload as a different shadowing realization (and
+// 2^64 - 1 would save as 2^64, which the reader rejects).
+TEST(ScenarioIoTest, ShadowingSeedRoundTripsExactlyOrFailsToSave) {
+    const auto shadowed = [](std::uint64_t seed) {
+        return sim::generate_scenario(
+            sim::presets::log_distance_shadowed(6, units::Decibel{4.0}, seed), 2);
+    };
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1} << 53, std::uint64_t{1} << 60}) {
+        SCOPED_TRACE(::testing::Message() << "shadowing_seed " << seed);
+        const core::Scenario copy = scenario_from_json(
+            Json::parse(scenario_to_json(shadowed(seed)).dump(2)));
+        EXPECT_EQ(dynamic_cast<const wireless::LogDistanceModel&>(*copy.propagation)
+                      .shadowing_seed,
+                  seed);
+    }
+    for (const std::uint64_t seed :
+         {(std::uint64_t{1} << 53) + 1, std::numeric_limits<std::uint64_t>::max()}) {
+        SCOPED_TRACE(::testing::Message() << "shadowing_seed " << seed);
+        const core::Scenario s = shadowed(seed);
+        try {
+            (void)scenario_to_json(s);
+            FAIL() << "expected ScenarioFormatError";
+        } catch (const ScenarioFormatError& e) {
+            EXPECT_EQ(e.path(), "propagation.shadowing_seed") << e.what();
+        }
     }
 }
 

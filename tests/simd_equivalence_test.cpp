@@ -98,18 +98,18 @@ TEST(SimdEquivalence, EligibilityTable) {
     wireless::GainKernel k;
     for (int q = 1; q <= 16; ++q) {
         k.alpha = q / 2.0;
-        EXPECT_TRUE(wireless::kernel_simd_eligible(k)) << "alpha=" << k.alpha;
+        EXPECT_TRUE(wireless::detail::plan_pow(k).valid) << "alpha=" << k.alpha;
     }
     k.alpha = 2.3;
-    EXPECT_FALSE(wireless::kernel_simd_eligible(k));
+    EXPECT_FALSE(wireless::detail::plan_pow(k).valid);
     k.alpha = 8.5;  // q = 17: past the chain's ladder
-    EXPECT_FALSE(wireless::kernel_simd_eligible(k));
+    EXPECT_FALSE(wireless::detail::plan_pow(k).valid);
     k.alpha = 2.0;
     k.sigma_db = 4.0;  // shadowed links hash per endpoint: scalar only
-    EXPECT_FALSE(wireless::kernel_simd_eligible(k));
+    EXPECT_FALSE(wireless::detail::plan_pow(k).valid);
     k.sigma_db = 0.0;
     k.clamp_m = -1.0;
-    EXPECT_FALSE(wireless::kernel_simd_eligible(k));
+    EXPECT_FALSE(wireless::detail::plan_pow(k).valid);
 }
 
 TEST(SimdEquivalence, ModeIsResolvedAndNamed) {

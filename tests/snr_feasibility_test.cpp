@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/snr.h"
 #include "sag/core/feasibility.h"
 #include "sag/ids/ids.h"
 #include "sag/core/snr.h"
@@ -108,12 +109,12 @@ TEST(SnrTest, FeasibleAtMaxPowerEndToEnd) {
     const SsId subs[] = {SsId{0}, SsId{1}};
     // RSs on top of the subscribers: strong signal, weak cross noise.
     const geom::Vec2 good[] = {{-50.0, 0.0}, {50.0, 0.0}};
-    EXPECT_TRUE(snr_feasible_at_max_power(s, good, subs));
+    EXPECT_TRUE(oracles::snr_feasible_at_max_power(s, good, subs));
     // Both RSs crammed midway: each subscriber sees nearly equal signal
     // and interference -> SNR ~ 0 dB... still above -15 dB, so instead
     // uncovered (distance 50+ > 35) drives infeasibility.
     const geom::Vec2 bad[] = {{0.0, 0.0}, {0.0, 5.0}};
-    EXPECT_FALSE(snr_feasible_at_max_power(s, bad, subs));
+    EXPECT_FALSE(oracles::snr_feasible_at_max_power(s, bad, subs));
 }
 
 TEST(SnrTest, HighThresholdMakesCrossNoiseFatal) {
@@ -123,10 +124,10 @@ TEST(SnrTest, HighThresholdMakesCrossNoiseFatal) {
     const geom::Vec2 rs[] = {{-50.0, 0.0}, {50.0, 0.0}};
     // signal at d=1 vs interference at d=100 gives ~60 dB -> passes 35 dB;
     // move RSs to the circle edges to shrink the margin below threshold.
-    EXPECT_TRUE(snr_feasible_at_max_power(s, rs, subs));
+    EXPECT_TRUE(oracles::snr_feasible_at_max_power(s, rs, subs));
     const geom::Vec2 edge_rs[] = {{-16.0, 0.0}, {16.0, 0.0}};
     // signal at 34, interference at 66: ratio (66/34)^3 ~ 7.3 (8.6 dB) < 35 dB.
-    EXPECT_FALSE(snr_feasible_at_max_power(s, edge_rs, subs));
+    EXPECT_FALSE(oracles::snr_feasible_at_max_power(s, edge_rs, subs));
 }
 
 TEST(VerifyCoverageTest, AcceptsGoodPlanRejectsTamperedOne) {
@@ -262,9 +263,9 @@ TEST(AmbientNoiseTest, BoundaryServiceFailsWhereInteriorSurvives) {
     s.subscribers = {{{0.0, 0.0}, 40.0}};
     const SsId subs[] = {SsId{0}};
     const geom::Vec2 boundary_rs[] = {{40.0, 0.0}};
-    EXPECT_FALSE(snr_feasible_at_max_power(s, boundary_rs, subs));
+    EXPECT_FALSE(oracles::snr_feasible_at_max_power(s, boundary_rs, subs));
     const geom::Vec2 interior_rs[] = {{25.0, 0.0}};
-    EXPECT_TRUE(snr_feasible_at_max_power(s, interior_rs, subs));
+    EXPECT_TRUE(oracles::snr_feasible_at_max_power(s, interior_rs, subs));
 }
 
 TEST(VerifyConnectivityTest, UnrootedNodeDetected) {

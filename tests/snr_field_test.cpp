@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/snr.h"
 #include "sag/core/snr.h"
 #include "sag/core/snr_field.h"
 #include "sag/ids/ids.h"
@@ -183,7 +184,8 @@ TEST(SnrFieldTest, PairedBuildEvaluatesEachGainOnce) {
 TEST(SnrFieldTest, TransactionRollsBackEveryDeltaKind) {
     const Scenario s = random_scenario(30, 500.0, 7);
     std::vector<geom::Vec2> rs = {{-100.0, 0.0}, {0.0, 50.0}, {120.0, -80.0}};
-    SnrField field = SnrField::at_max_power(s, rs);
+    SnrField field =
+        SnrField::at_max_power(s, rs, ids::all_ids<SsId>(s.subscriber_count()));
 
     std::vector<double> before(s.subscriber_count());
     for (std::size_t k = 0; k < before.size(); ++k) {
@@ -211,11 +213,45 @@ TEST(SnrFieldTest, TransactionRollsBackEveryDeltaKind) {
     EXPECT_LE(field.verify_against_scratch(), 1e-12);
 }
 
+// pop_subscriber is add_subscriber's inverse, the SsLeave step of
+// serve::Session: the scenario gains two subscribers, the field tracks
+// both in new slots, and popping them drops the last slot each time
+// while no other slot's total moves by a single bit.
+TEST(SnrFieldTest, PopSubscriberUndoesAddSubscriber) {
+    Scenario s = random_scenario(30, 500.0, 23);
+    const std::vector<geom::Vec2> rs = {{-100.0, 0.0}, {0.0, 50.0}, {120.0, -80.0}};
+    const std::vector<double> powers = {5.0, 12.5, 50.0};
+    SnrField field(s, rs, powers);
+    std::vector<double> before(s.subscriber_count());
+    for (std::size_t k = 0; k < before.size(); ++k) {
+        before[k] = field.total_rx(SsId{k});
+    }
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+    s.subscribers.push_back({{10.0, 20.0}, 35.0});
+    s.subscribers.push_back({{-60.0, 75.0}, 30.0});
+    EXPECT_EQ(field.add_subscriber(SsId{30}), SsId{30});
+    EXPECT_EQ(field.add_subscriber(SsId{31}), SsId{31});
+    field.pop_subscriber();
+    ASSERT_EQ(field.tracked_count(), 31u);
+    EXPECT_EQ(field.tracked_subscriber(SsId{30}), SsId{30});
+    s.subscribers.pop_back();
+    field.pop_subscriber();
+    s.subscribers.pop_back();
+
+    ASSERT_EQ(field.tracked_count(), before.size());
+    for (std::size_t k = 0; k < before.size(); ++k) {
+        EXPECT_EQ(bits(field.total_rx(SsId{k})), bits(before[k])) << k;
+    }
+    EXPECT_LE(field.verify_against_scratch(), 1e-12);
+}
+
 TEST(SnrFieldTest, ViolatedMatchesManualAudit) {
     const Scenario s = random_scenario(25, 400.0, 31);
     std::vector<geom::Vec2> rs;
     for (std::size_t i = 0; i < 5; ++i) rs.push_back(s.subscribers[i * 5].pos);
-    const SnrField field = SnrField::at_max_power(s, rs);
+    const SnrField field =
+        SnrField::at_max_power(s, rs, ids::all_ids<SsId>(s.subscriber_count()));
     const auto serving = round_robin_serving(s.subscriber_count(), rs.size());
 
     const auto bad = field.violated(serving);
@@ -418,7 +454,7 @@ TEST(SnrFieldOracleTest, MatchesFreeFunctionOnRandomSubsets) {
         std::vector<geom::Vec2> positions;
         for (const CandId c : chosen) positions.push_back(candidates[c.index()]);
         EXPECT_EQ(oracle.feasible(chosen),
-                  snr_feasible_at_max_power(s, positions, all_subs))
+                  oracles::snr_feasible_at_max_power(s, positions, all_subs))
             << "trial " << trial;
     }
 }

@@ -88,8 +88,11 @@ if command -v clang-tidy >/dev/null 2>&1; then
              "to enable clang-tidy)" >&2
     else
         # Project sources only; third-party and generated code are not ours
-        # to fix. run-clang-tidy parallelizes over the compilation DB.
-        sources=$(git ls-files 'src/*.cpp' 'tools/*.cpp' 'examples/*.cpp')
+        # to fix. The test oracles are library code the cross-check tests
+        # trust, so they are tidied like src/. run-clang-tidy parallelizes
+        # over the compilation DB.
+        sources=$(git ls-files 'src/*.cpp' 'tools/*.cpp' 'examples/*.cpp' \
+                               'tests/oracles/*.cpp')
         if command -v run-clang-tidy >/dev/null 2>&1; then
             # Capture the findings: run-clang-tidy's stdout is the only
             # place they appear, so on failure it must be echoed, not

@@ -357,7 +357,7 @@ int cmd_serve(const Args& args) {
     try {
         events = io::events_from_jsonl(io::read_text_file(*events_path));
     } catch (const io::EventFormatError& e) {
-        std::fprintf(stderr, "%s: %s\n", events_path->c_str(), e.what());
+        std::fprintf(stderr, "error: %s: %s\n", events_path->c_str(), e.what());
         return 1;
     }
 
